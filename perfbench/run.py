@@ -1,8 +1,8 @@
 """Wall-clock benchmark of the build, serve and scorecard paths.
 
     python3 perfbench/run.py [--workload NAME] [--seed N] [--seconds S]
-                             [--trace 0|1 | --traced] [--out PATH] [--smoke]
-    python3 perfbench/run.py --sets 2 [--runs R] [--workload NAME] ...
+                             [--trace 0|1] [--out PATH] [--smoke]
+    python3 perfbench/run.py --sets 2 [--workload NAME] [--seconds S]
 
 Each trial is a fresh process (``workloads.py``) that calls the
 program's public functions and reports its timings and checks; this
@@ -17,10 +17,12 @@ The last line of output is one JSON object: ``correct``, ``attempted``,
 correctness check passed; 1 when one failed; 2 when the program's
 sources are missing.
 
-``--sets K --runs R`` is the calibration mode: it runs this script for
-every workload K×R times with distinct seeds, alternating the sets, and
-prints each end-to-end metric's per-set medians, pooled quartiles and
-the spread the bounds in ``BENCHMARK.json`` are checked against.
+``--sets K`` is the calibration mode: it runs this script for every
+workload K×RUNS_PER_SET times with distinct seeds, alternating the
+sets, and prints each end-to-end metric's per-set medians, pooled
+quartiles and the spread the bounds in ``BENCHMARK.json`` are checked
+against.  It exits 1 when a run fails its checks or a later set is
+worse than the first by more than the metric's bound.
 """
 
 from __future__ import annotations
@@ -50,8 +52,11 @@ SHARE_SUFFIX = "_pct"
 MIN_TRIALS = 2
 MAX_TRIALS = 40
 TRIAL_TIMEOUT_S = 150.0
-#: Calibration demotes a metric whose set medians differ by more.
-DEMOTE_DIFFERENCE = 0.10
+#: Calibration runs per set: with two sets, the ten seeds per workload
+#: the bounds are checked over.
+RUNS_PER_SET = 5
+#: Calibration notes a metric whose set medians differ by more.
+SET_DIFFERENCE_NOTE = 0.10
 
 
 def load_contract() -> Dict[str, Any]:
@@ -324,14 +329,21 @@ def result_line(records: List[Dict[str, Any]]) -> Dict[str, Any]:
 # calibration
 # ----------------------------------------------------------------------
 def calibrate(
-    workloads: Sequence[str], sets: int, runs: int, seconds: float, contract
+    workloads: Sequence[str], sets: int, seconds: float, contract
 ) -> Tuple[Dict[str, Any], bool]:
-    """Alternate ``sets`` sets of ``runs`` runs per workload; compare sets."""
+    """Alternate ``sets`` sets of RUNS_PER_SET runs per workload; compare sets.
+
+    Every end-to-end metric stays gated even when its sets differ by
+    more than a tenth: BENCHMARK.json declares a metric for all
+    workloads at once, and each must be reported on every one, so one
+    workload's metric cannot be made printed-only.  Such a metric is
+    noted; its bound is what gates it.
+    """
     values: Dict[Tuple[str, str], List[List[float]]] = defaultdict(
         lambda: [[] for _ in range(sets)]
     )
     ok = True
-    for r in range(runs):
+    for r in range(RUNS_PER_SET):
         for s in range(sets):
             for workload in workloads:
                 seed = 1 + r * sets + s
@@ -372,13 +384,10 @@ def calibrate(
         ]
         difference = max(abs(m / medians[0] - 1.0) for m in medians)
         bound = bounds[name]["bound"]
-        verdict = []
-        if difference > DEMOTE_DIFFERENCE:
-            verdict.append("DEMOTE to printed-only (sets differ by more than a tenth)")
-        if name != "setup_s" and spread(pooled) > bound / 3:
-            verdict.append("spread above a third of the bound")
-        if any(w > bound for w in worse):
-            verdict.append("later set worse by more than the bound")
+        regressed = any(w > bound for w in worse)
+        verdict = "FAIL: later set worse by more than the bound" if regressed else "ok"
+        if difference > SET_DIFFERENCE_NOTE:
+            verdict += "; note: sets differ by more than a tenth, gated by its bound"
         report[f"{workload}/{name}"] = {
             "set_medians": medians,
             "q1": q1,
@@ -386,14 +395,14 @@ def calibrate(
             "spread": spread(pooled),
             "set_difference": difference,
             "bound": bound,
-            "verdict": verdict or ["ok"],
+            "verdict": verdict,
         }
-        ok = ok and not verdict
+        ok = ok and not regressed
         print(
             f"{workload:<14} {name:<18} "
             + " ".join(f"{fmt(m):>11}" for m in medians)
             + f" {fmt(q1):>11} {fmt(q3):>11} {spread(pooled):7.3f} {bound:6.2f}"
-            f" {difference:7.3f}  " + "; ".join(verdict or ["ok"])
+            f" {difference:7.3f}  {verdict}"
         )
     return report, ok
 
@@ -404,11 +413,9 @@ def parse_args(argv: Optional[Sequence[str]], workloads: List[str]) -> argparse.
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--traced", action="store_true", help="same as --trace 1")
     parser.add_argument("--out", help="write the full result record(s) as JSON here")
     parser.add_argument("--smoke", action="store_true", help="tiny inputs, for tests")
     parser.add_argument("--sets", type=int, default=0, help="calibration: number of sets")
-    parser.add_argument("--runs", type=int, default=5, help="calibration: runs per set")
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
@@ -427,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     seconds = args.seconds or contract["run_seconds"]
     workloads = [args.workload] if args.workload else names
     if args.sets:
-        report, ok = calibrate(workloads, args.sets, args.runs, seconds, contract)
+        report, ok = calibrate(workloads, args.sets, seconds, contract)
         if args.out:
             Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
         return 0 if ok else 1
@@ -435,8 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     records = []
     for workload in workloads:
         record = run_workload(
-            workload, args.seed, seconds, bool(args.trace or args.traced),
-            args.smoke, contract,
+            workload, args.seed, seconds, bool(args.trace), args.smoke, contract,
             spans_prefix=f"{out}.{workload}.spans" if out else None,
         )
         print_record(record)

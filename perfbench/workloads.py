@@ -246,7 +246,7 @@ def prepare(spec: Dict[str, Any], sizes: Sizes) -> Dict[str, Any]:
     for attempt in range(SEED_ATTEMPTS):
         seed = spec["seed"] + attempt * SEED_STRIDE
         try:
-            digest = _reference_digest(workload, seed, sizes, workdir)
+            reference = _reference_build(workload, seed, sizes, workdir)
         except LookupError as exc:
             skipped.append(f"seed {seed}: LookupError: {exc}")
             continue
@@ -256,24 +256,40 @@ def prepare(spec: Dict[str, Any], sizes: Sizes) -> Dict[str, Any]:
                 raise
             skipped.append(f"seed {seed}: {exc.failures[0].message}")
             continue
-        return {"seed": seed, "digest": digest, "skipped": skipped}
+        return dict(reference, seed=seed, skipped=skipped)
     raise RuntimeError("no seed the program completes on: " + "; ".join(skipped))
 
 
-def _reference_digest(workload: str, seed: int, sizes: Sizes, workdir: Path) -> str:
-    """Digest of an untimed build every timed trial must reproduce.
+def _reference_build(workload: str, seed: int, sizes: Sizes, workdir: Path) -> Dict[str, Any]:
+    """An untimed build: the digest every timed trial must reproduce.
 
     In process and unspilled, so sharded trials must reproduce it on two
-    workers with every partial spilled.
+    workers with every partial spilled.  Being in process, it also
+    counts the distinct DPI feature tuples, which the timed trials then
+    need not do.
     """
     from repro.dataset.builder import build_session_level_dataset
+    from repro.dpi.classifier import DpiEngine
 
     kwargs = _build_kwargs(workload, seed, sizes, workdir)
     kwargs.update(n_workers=1, spill_dir=None, spill_budget_bytes=None)
-    path = build_session_level_dataset(**kwargs).dataset.save(workdir / "reference.npz")
+    distinct: set = set()
+    classify_batch = DpiEngine.classify_batch
+
+    def counting_classify_batch(self, keys, volumes):
+        distinct.update(keys)
+        return classify_batch(self, keys, volumes)
+
+    DpiEngine.classify_batch = counting_classify_batch
+    try:
+        artifacts = build_session_level_dataset(**kwargs)
+    finally:
+        DpiEngine.classify_batch = classify_batch
+    path = artifacts.dataset.save(workdir / "reference.npz")
     digest = npz_digest(path)
     path.unlink()
-    return digest
+    flows = artifacts.extras["generator"].flows_generated
+    return {"digest": digest, "distinct_key_ratio": len(distinct) / flows}
 
 
 def _prepare_serve(
@@ -344,7 +360,7 @@ def _prepare_serve(
 # ----------------------------------------------------------------------
 # trace points: public calls of each layer, patched from here only
 # ----------------------------------------------------------------------
-def _trace_build(recorder: SpanRecorder, sharded: bool, distinct: set) -> None:
+def _trace_build(recorder: SpanRecorder, sharded: bool) -> None:
     from repro.dataset import builder
     from repro.dataset.aggregation import CommuneAggregator
     from repro.dataset.merge import SpilledShardResult
@@ -382,14 +398,6 @@ def _trace_build(recorder: SpanRecorder, sharded: bool, distinct: set) -> None:
         recorder.patch(CoreProbe, attr, "network.probe")
     recorder.patch(CommuneAggregator, "ingest_columnar", "dataset.aggregate")
     recorder.patch(DpiEngine, "classify_batch", "dpi.classify")
-    traced_classify = DpiEngine.classify_batch
-
-    def classify_batch(self, keys, volumes):
-        # Counted outside the dpi span; recorder.restore() drops this too.
-        distinct.update(keys)
-        return traced_classify(self, keys, volumes)
-
-    DpiEngine.classify_batch = classify_batch
 
 
 def _trace_serve(recorder: SpanRecorder) -> None:
@@ -436,9 +444,8 @@ def _build_trial(spec, sizes, recorder) -> Dict[str, Any]:
     ready = time.monotonic()
     sharded = spec["workload"] == "build_sharded"
     workdir = Path(spec["workdir"])
-    distinct: set = set()
     if recorder is not None:
-        _trace_build(recorder, sharded, distinct)
+        _trace_build(recorder, sharded)
     kwargs = _build_kwargs(spec["workload"], spec["prepared"]["seed"], sizes, workdir)
     out = workdir / f"build-{os.getpid()}.npz"
     start = now()
@@ -451,9 +458,8 @@ def _build_trial(spec, sizes, recorder) -> Dict[str, Any]:
     counts: Dict[str, float] = {
         "build.flows": flows,
         "dataset.store.npz_mib": out.stat().st_size / MIB,
+        "dpi.distinct_key_ratio": spec["prepared"]["distinct_key_ratio"],
     }
-    if distinct:
-        counts["dpi.distinct_key_ratio"] = len(distinct) / flows
     if sharded:
         spill = kwargs["spill_dir"]
         counts["dataset.merge.spilled_mib"] = (
@@ -557,10 +563,14 @@ def _serve_trial(spec, sizes, recorder) -> Dict[str, Any]:
         # more than back-to-back ones.
         e2e["latency_ms"] = median(closed_latency) * 1e3
 
+    # A missed deadline is a timing event on a busy host, not a wrong
+    # answer: it is counted in serve.deadline_exceeded, and only answers
+    # given must match the reference.
     failed = sum(
         1
         for query, status, answer in zip(sent, statuses, answers)
-        if status != "ok" or sha256_text(answer) != reference[query.cache_key()]
+        if status != "deadline_exceeded"
+        and (status != "ok" or sha256_text(answer) != reference[query.cache_key()])
     )
     cache = engine.cache
     lookups = cache.hits + cache.misses
