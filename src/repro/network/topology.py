@@ -2,7 +2,8 @@
 
 Base stations are deployed per commune in proportion to population (every
 commune with coverage gets at least one 3G cell; 4G cells appear where
-the coverage map says so).  Communes are grouped into routing/tracking
+the coverage map says so).  A user in a white zone (a commune with no
+cell) camps on the cells of the nearest covered commune.  Communes are grouped into routing/tracking
 areas by spatial blocks, each served by an SGSN (3G) and an MME (4G);
 a single co-located GGSN/P-GW site terminates all tunnels — which is the
 property that makes the paper's single probe deployment possible.
@@ -65,8 +66,11 @@ class NetworkTopology:
         """Pick the base station serving a user camped in a commune.
 
         Falls back to 3G when the commune has no cell of the requested
-        technology; raises ``LookupError`` in (rare) white zones.
+        technology.  A white zone is served from the nearest covered
+        commune (see :attr:`serving_communes`); ``LookupError`` is left
+        only for a topology without a single cell.
         """
+        commune_id = int(self.serving_communes[commune_id])
         for tech in (technology, Technology.G3):
             ids = self._bs_by_commune_tech.get((commune_id, tech))
             if ids:
@@ -75,9 +79,38 @@ class NetworkTopology:
 
     def available_technology(self, commune_id: int, wants_4g: bool) -> Technology:
         """Best technology a user can get in a commune (3G fallback)."""
+        commune_id = int(self.serving_communes[commune_id])
         if wants_4g and (commune_id, Technology.G4) in self._bs_by_commune_tech:
             return Technology.G4
         return Technology.G3
+
+    @property
+    def serving_communes(self) -> np.ndarray:
+        """The commune whose cells serve each commune.
+
+        A covered commune serves itself.  A white zone (no cell of any
+        technology) is served by the nearest covered commune by centre
+        distance, ties to the lowest id, as a handset at a coverage edge
+        camps on a neighbour's cell.  Built lazily once; the mapping
+        draws nothing, so the RNG streams of every lookup are unchanged.
+        """
+        mapping = getattr(self, "_serving_cache", None)
+        if mapping is None:
+            n_communes = self.country.n_communes
+            covered = np.zeros(n_communes, dtype=bool)
+            for commune_id, _ in self._bs_by_commune_tech:
+                covered[commune_id] = True
+            mapping = np.arange(n_communes, dtype=np.int64)
+            white = np.flatnonzero(~covered)
+            if len(white) and covered.any():
+                xy = self.country.grid.coordinates_km
+                candidates = np.flatnonzero(covered)
+                squared = ((xy[white, None, :] - xy[None, candidates, :]) ** 2).sum(
+                    axis=2
+                )
+                mapping[white] = candidates[np.argmin(squared, axis=1)]
+            self._serving_cache = mapping
+        return mapping
 
     # ------------------------------------------------------------------
     # vectorized lookups (the bulk session fast path)
@@ -131,6 +164,7 @@ class NetworkTopology:
         """
         from repro.network.gtp import TECH_3G, TECH_4G
 
+        commune_ids = self.serving_communes[commune_ids]
         if not np.any(wants_4g):
             return np.full(len(commune_ids), TECH_3G, dtype=np.uint8)
         has_4g = self._vector_tables["counts"][TECH_4G, commune_ids] > 0
@@ -151,6 +185,7 @@ class NetworkTopology:
         """
         from repro.network.gtp import TECH_3G
 
+        commune_ids = self.serving_communes[commune_ids]
         tables = self._vector_tables
         counts = tables["counts"][tech_codes, commune_ids]
         missing = counts == 0

@@ -150,3 +150,27 @@ def build_fingerprint(tmp_path, seed: int, config: str) -> dict:
 )
 def test_build_matches_golden(tmp_path, seed, config):
     assert build_fingerprint(tmp_path, seed, config) == GOLDEN[(seed, config)]
+
+
+#: Seeds whose synthetic country has a white zone that sessions reach at
+#: this size; before white zones were served from the nearest covered
+#: commune, these builds raised ``LookupError`` (``ShardExecutionError``
+#: when sharded).
+WHITE_ZONE_SEEDS = (18, 29)
+WHITE_ZONE_COUNTRY = CountryConfig(n_communes=144)
+
+
+@pytest.mark.parametrize("seed", WHITE_ZONE_SEEDS)
+@pytest.mark.parametrize("sharded", [False, True], ids=["stream", "sharded"])
+def test_white_zone_seed_builds(tmp_path, seed, sharded):
+    kwargs = dict(n_shards=2, n_workers=2) if sharded else dict(n_shards=1)
+    artifacts = build_session_level_dataset(
+        n_subscribers=600,
+        country_config=WHITE_ZONE_COUNTRY,
+        seed=seed,
+        chunk_size=8192,
+        **kwargs,
+    )
+    assert not artifacts.country.coverage.has_3g.all()
+    assert artifacts.dataset.integrity_problems() == []
+    assert artifacts.extras["generator"].flows_generated > 0
