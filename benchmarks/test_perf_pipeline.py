@@ -156,7 +156,7 @@ def _run_chain(shared: dict, *, batched: bool, indexed: bool) -> dict:
         fingerprints,
         seed=2,
     )
-    probe = CoreProbe(seed=3)
+    probe = CoreProbe(seed=3, codebook=fingerprints.codebook)
     probe.attach_to(generator.session_manager)
     if batched:
         probe.attach_to_bulk(generator.session_manager)

@@ -48,6 +48,16 @@ class CommuneAggregator:
         self._service_index: Dict[str, int] = {
             s.name: s.service_id for s in catalog
         }
+        # Engine service positions -> catalog service id / head index,
+        # with a trailing -1 that an unclassified flow's -1 selects.
+        self._service_id_of = np.asarray(
+            [self._service_index[nm] for nm in engine.service_names] + [-1],
+            dtype=np.int64,
+        )
+        self._head_id_of = np.asarray(
+            [self._head_index.get(nm, -1) for nm in engine.service_names] + [-1],
+            dtype=np.int64,
+        )
         n_communes = country.n_communes
         self.dl = np.zeros((n_communes, len(head), axis.n_bins), dtype=np.float64)
         self.ul = np.zeros_like(self.dl)
@@ -111,14 +121,17 @@ class CommuneAggregator:
     def ingest_batch(self, records: Sequence[ProbeRecord]) -> int:
         """Vectorized ingest of a batch of scalar records.
 
-        Classifies once per distinct flow key through the engine's memo
-        and scatters the byte counters with array arithmetic; the
-        resulting tensors and accounting match per-record
-        :meth:`ingest` calls up to float summation order.
+        Encodes the records against the engine's codebook, classifies
+        once per distinct feature code and scatters the byte counters
+        with array arithmetic; the resulting tensors and accounting
+        match per-record :meth:`ingest` calls up to float summation
+        order.
         """
         if not records:
             return 0
-        return self.ingest_columnar(ProbeRecordBatch.from_records(list(records)))
+        return self.ingest_columnar(
+            ProbeRecordBatch.from_records(list(records), self._engine.codebook)
+        )
 
     def ingest_columnar(self, batch: ProbeRecordBatch) -> int:
         """Ingest one columnar probe batch (the fast path)."""
@@ -152,35 +165,23 @@ class CommuneAggregator:
                 sorted_imsi[s:e].tolist()
             )
 
-        keys = list(
-            zip(
-                batch.snis,
-                batch.hosts,
-                batch.payload_hints,
-                batch.server_ports,
-                batch.protocols,
-            )
-        )
+        batch = batch.recoded(self._engine.codebook)
         with obs.span("dpi.classify"):
-            names = self._engine.classify_batch(keys, volumes)
+            # Only hand-built records reach a batch's overflow table.
+            if batch.overflow:
+                positions = self._engine.classify_batch(
+                    batch.feature_codes, volumes, batch.overflow
+                )
+            else:
+                positions = self._engine.classify_batch(batch.feature_codes, volumes)
 
-        service_index = self._service_index
-        service_ids = np.fromiter(
-            (service_index[nm] if nm is not None else -1 for nm in names),
-            dtype=np.int64,
-            count=n,
-        )
+        service_ids = self._service_id_of[positions]
         classified = service_ids >= 0
         self._unclassified_acc.update(volumes[~classified])
         np.add.at(self.national_dl, service_ids[classified], dl[classified])
         np.add.at(self.national_ul, service_ids[classified], ul[classified])
 
-        head_index = self._head_index
-        head_ids = np.fromiter(
-            (head_index.get(nm, -1) if nm is not None else -1 for nm in names),
-            dtype=np.int64,
-            count=n,
-        )
+        head_ids = self._head_id_of[positions]
         hours = batch.timestamps_s / 3600.0
         mask = (head_ids >= 0) & (hours >= 0) & (hours < WEEK_HOURS)
         if mask.any():

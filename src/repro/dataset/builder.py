@@ -358,7 +358,9 @@ def build_session_level_dataset(
         seed=spawn(rng, "builder.generator"),
     )
     probe = CoreProbe(
-        control_loss_rate=control_loss_rate, seed=spawn(rng, "builder.probe")
+        control_loss_rate=control_loss_rate,
+        seed=spawn(rng, "builder.probe"),
+        codebook=fingerprints.codebook,
     ).attach_to(generator.session_manager)
     probe.attach_to_bulk(generator.session_manager)
     auditor = None

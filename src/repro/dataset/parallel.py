@@ -23,7 +23,7 @@ without ``fork`` fall back to in-process execution.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 import numpy as np
@@ -81,8 +81,8 @@ class ShardResult:
     :meth:`~repro.dataset.aggregation.CommuneAggregator.merge` consumes,
     plus the generator/probe/DPI accounting the builder folds into its
     merged facades.  Worker processes return these instead of live
-    aggregator or engine objects (whose memoization caches are not
-    picklable, and whose state the parent does not need).
+    aggregator or engine objects, whose indexes and resolved-code
+    caches the parent does not need.
     """
 
     shard_index: int
@@ -188,7 +188,8 @@ def _drop_batch_tail(batch, fraction: float):
     keep = n - int(round(n * fraction))
     if keep >= n:
         return batch, 0
-    kept = type(batch)(
+    kept = replace(
+        batch,
         timestamps_s=batch.timestamps_s[:keep],
         imsi_hashes=batch.imsi_hashes[:keep],
         commune_ids=batch.commune_ids[:keep],
@@ -196,11 +197,7 @@ def _drop_batch_tail(batch, fraction: float):
         dl_bytes=batch.dl_bytes[:keep],
         ul_bytes=batch.ul_bytes[:keep],
         flow_ids=batch.flow_ids[:keep],
-        snis=batch.snis[:keep],
-        hosts=batch.hosts[:keep],
-        payload_hints=batch.payload_hints[:keep],
-        server_ports=batch.server_ports[:keep],
-        protocols=batch.protocols[:keep],
+        feature_codes=batch.feature_codes[:keep],
     )
     return kept, n - keep
 
@@ -248,6 +245,7 @@ def _run_shard(
     probe = CoreProbe(
         control_loss_rate=plan.control_loss_rate,
         seed=spawn(srng, "shard.probe"),
+        codebook=fingerprints.codebook,
     )
     probe.attach_to(generator.session_manager)
     probe.attach_to_bulk(generator.session_manager)

@@ -18,24 +18,31 @@ Suffix matching is served by a reversed-label dict index
 (:class:`_SuffixIndex`): a name is matched by walking its label-boundary
 suffixes from longest to shortest and probing a dict at each step, so a
 lookup costs O(#labels of the name) instead of O(#registered patterns).
-Outcomes are additionally memoized per distinct feature tuple
-``(sni, host, payload_hint, server_port, protocol)`` in an LRU cache.
 The pre-index linear scan is retained behind ``indexed=False`` as the
 reference implementation for equivalence testing and benchmarking.
+
+Batches arrive as int64 feature codes against the database's
+:class:`~repro.network.gtp.FeatureCodebook`, one code per distinct
+feature tuple ``(sni, host, payload_hint, server_port, protocol)``.
+:meth:`DpiEngine.classify_batch` runs the match cascade once per
+distinct code on its decoded strings, then keeps only the integer
+outcome, in sorted arrays that grow with the distinct codes seen and
+are bounded by the codebook's feature space.  A code resolved once is
+never decoded again; codes of a batch's overflow table (features the
+codebook cannot encode) are batch-local and resolved per batch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.dpi.fingerprints import FingerprintDatabase
-from repro.network.gtp import FlowDescriptor
+from repro.network.gtp import Features, FlowDescriptor
 
 
 class Technique(enum.Enum):
@@ -45,6 +52,9 @@ class Technique(enum.Enum):
     HOST = "host"
     PAYLOAD = "payload"
     PORT = "port"
+
+
+_TECHNIQUES = tuple(Technique)
 
 
 @dataclass
@@ -145,13 +155,10 @@ class _SuffixIndex:
 class DpiEngine:
     """Flow-to-service classifier over a fingerprint database.
 
-    ``indexed=False`` falls back to the original O(#patterns) linear
-    suffix scan with no memoization — kept as the reference
+    ``indexed=False`` swaps the suffix-index kernel for the original
+    O(#patterns) linear suffix scan — kept as the reference
     implementation for equivalence tests and benchmark baselines.
     """
-
-    #: Distinct feature tuples memoized before the LRU starts evicting.
-    MEMO_SIZE = 1 << 16
 
     def __init__(self, database: FingerprintDatabase, indexed: bool = True):
         self._db = database
@@ -176,9 +183,26 @@ class DpiEngine:
         # Longest suffix first, so "video.xx.fbcdn.net" beats "fbcdn.net".
         self._sni_index.sort(key=lambda item: len(item[0]), reverse=True)
         self._host_index.sort(key=lambda item: len(item[0]), reverse=True)
-        self._match_cached = lru_cache(maxsize=self.MEMO_SIZE)(
-            self._match_features
+        self._match = (
+            self._match_features if self.indexed else self._match_features_linear
         )
+        #: The codebook :meth:`classify_batch` decodes its codes with.
+        self.codebook = database.codebook
+        #: Service names in catalog order; :meth:`classify_batch`
+        #: returns positions in this tuple.
+        self.service_names = tuple(
+            fp.service_name for fp in database.all_fingerprints()
+        )
+        # Match outcome -> packed int: position * len(Technique) + technique.
+        self._packed = {
+            (name, technique): i * len(_TECHNIQUES) + t
+            for i, name in enumerate(self.service_names)
+            for t, technique in enumerate(_TECHNIQUES)
+        }
+        # Every codebook code resolved so far, sorted, with its packed
+        # outcome (-1: unclassified).
+        self._resolved_codes = np.empty(0, dtype=np.int64)
+        self._resolved_outcomes = np.empty(0, dtype=np.int64)
         self.report = ClassificationReport()
 
     def classify(
@@ -187,25 +211,15 @@ class DpiEngine:
         """Return the service name for a flow, or None if unclassifiable.
 
         ``volume_bytes`` feeds the byte-coverage accounting of
-        :attr:`report`.
+        :attr:`report`.  A scalar flow runs the match cascade itself
+        (one ``dpi.cache_misses``): only batches share resolved codes.
         """
-        if self.indexed:
-            before = self._match_cached.cache_info() if obs.is_enabled() else None
-            outcome = self._match_cached(
-                flow.sni,
-                flow.host,
-                flow.payload_hint,
-                flow.server_port,
-                flow.protocol,
-            )
-            if before is not None:
-                after = self._match_cached.cache_info()
-                obs.add("dpi.cache_hits", after.hits - before.hits)
-                obs.add("dpi.cache_misses", after.misses - before.misses)
-        else:
-            outcome = self._match(flow)
+        outcome = self._match(
+            flow.sni, flow.host, flow.payload_hint, flow.server_port, flow.protocol
+        )
         technique = outcome[1] if outcome else None
         self.report.record(technique, volume_bytes)
+        obs.add("dpi.cache_misses")
         if outcome is None:
             obs.add("dpi.flows_unclassified")
         else:
@@ -214,61 +228,86 @@ class DpiEngine:
 
     def classify_batch(
         self,
-        keys: Sequence[Tuple],
+        keys: np.ndarray,
         volumes: np.ndarray,
-    ) -> List[Optional[str]]:
-        """Classify a batch of feature tuples, with exact accounting.
+        overflow: Sequence[Features] = (),
+    ) -> np.ndarray:
+        """Classify a batch of flows given as feature codes.
 
-        ``keys`` are ``(sni, host, payload_hint, server_port, protocol)``
-        tuples, ``volumes`` the per-flow byte volumes.  Returns the
-        per-flow service names (None when unclassified) and updates
-        :attr:`report` exactly as per-flow :meth:`classify` calls would:
-        every flow is counted individually even though the match itself
-        is resolved once per distinct key through the memo.
+        ``keys`` are int64 codes against :attr:`codebook` (negative
+        codes index ``overflow``), ``volumes`` the per-flow byte
+        volumes.  Returns each flow's position in :attr:`service_names`,
+        -1 when unclassified, and updates :attr:`report` exactly as
+        per-flow :meth:`classify` calls would: every flow is counted
+        individually even though each distinct code is matched once.
         """
-        match = (
-            self._match_cached if self.indexed else self._match_features_linear
-        )
-        before = (
-            self._match_cached.cache_info()
-            if self.indexed and obs.is_enabled()
-            else None
-        )
-        names: List[Optional[str]] = []
-        append = names.append
+        codes = np.asarray(keys, dtype=np.int64)
+        volumes = np.asarray(volumes, dtype=np.float64)
+        n = len(codes)
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        resolved, fresh = self._resolve(distinct, overflow)
+        outcomes = resolved[inverse]
+        classified = outcomes >= 0
+        n_classified = int(classified.sum())
         report = self.report
-        flows_classified = 0
-        # Byte totals continue from the report's running values with one
-        # scalar add per flow — the same op sequence per-flow
+        # Byte totals continue from the report's running values through a
+        # sequential fold — the scalar add per flow that per-flow
         # :meth:`classify` performs — so the accounting is bit-identical
         # however the flow stream is chunked into batches.
-        bytes_total = report.bytes_total
-        bytes_classified = report.bytes_classified
-        by_technique: Dict[Technique, int] = {}
-        for key, volume in zip(keys, volumes.tolist()):
-            outcome = match(*key)
-            bytes_total += volume
-            if outcome is None:
-                append(None)
-                continue
-            name, technique = outcome
-            append(name)
-            flows_classified += 1
-            bytes_classified += volume
-            by_technique[technique] = by_technique.get(technique, 0) + 1
-        report.flows_total += len(names)
-        report.bytes_total = bytes_total
-        report.flows_classified += flows_classified
-        report.bytes_classified = bytes_classified
-        for technique, count in by_technique.items():
+        report.bytes_total = _fold(report.bytes_total, volumes)
+        report.bytes_classified = _fold(
+            report.bytes_classified, volumes[classified]
+        )
+        report.flows_total += n
+        report.flows_classified += n_classified
+        by_technique = np.bincount(
+            outcomes[classified] % len(_TECHNIQUES), minlength=len(_TECHNIQUES)
+        )
+        for technique, count in zip(_TECHNIQUES, by_technique.tolist()):
             report.by_technique[technique] += count
-        if before is not None:
-            after = self._match_cached.cache_info()
-            obs.add("dpi.cache_hits", after.hits - before.hits)
-            obs.add("dpi.cache_misses", after.misses - before.misses)
-        obs.add("dpi.flows_classified", flows_classified)
-        obs.add("dpi.flows_unclassified", len(names) - flows_classified)
-        return names
+        obs.add("dpi.cache_hits", n - fresh)
+        obs.add("dpi.cache_misses", fresh)
+        obs.add("dpi.flows_classified", n_classified)
+        obs.add("dpi.flows_unclassified", n - n_classified)
+        return np.where(classified, outcomes // len(_TECHNIQUES), -1)
+
+    def _resolve(
+        self, distinct: np.ndarray, overflow: Sequence[Features]
+    ) -> Tuple[np.ndarray, int]:
+        """Packed outcomes of sorted distinct codes, and how many were new.
+
+        Known codes are an array lookup; each new code is decoded and
+        matched once, and codebook codes join the resolved arrays (the
+        decoded strings are dropped).
+        """
+        known_codes = self._resolved_codes
+        slots = np.searchsorted(known_codes, distinct)
+        known = np.zeros(len(distinct), dtype=bool)
+        inside = slots < len(known_codes)
+        known[inside] = known_codes[slots[inside]] == distinct[inside]
+        outcomes = np.empty(len(distinct), dtype=np.int64)
+        outcomes[known] = self._resolved_outcomes[slots[known]]
+        new = ~known
+        fresh = distinct[new]
+        if not len(fresh):
+            return outcomes, 0
+        match, packed = self._match, self._packed.get
+        fresh_outcomes = np.fromiter(
+            (
+                packed(match(*features), -1)
+                for features in self.codebook.decode_many(fresh, overflow)
+            ),
+            dtype=np.int64,
+            count=len(fresh),
+        )
+        outcomes[new] = fresh_outcomes
+        lasting = fresh >= 0
+        at = slots[new][lasting]
+        self._resolved_codes = np.insert(known_codes, at, fresh[lasting])
+        self._resolved_outcomes = np.insert(
+            self._resolved_outcomes, at, fresh_outcomes[lasting]
+        )
+        return outcomes, len(fresh)
 
     def _match_features(
         self,
@@ -278,7 +317,7 @@ class DpiEngine:
         server_port: int,
         protocol: str,
     ) -> Optional[Tuple[str, Technique]]:
-        """Indexed match over raw flow features (the memoized kernel)."""
+        """Indexed match over raw flow features (the default kernel)."""
         if sni:
             service = self._sni_dict.lookup(sni)
             if service:
@@ -318,15 +357,17 @@ class DpiEngine:
             return self._port_index[key], Technique.PORT
         return None
 
-    def _match(self, flow: FlowDescriptor) -> Optional[Tuple[str, Technique]]:
-        return self._match_features_linear(
-            flow.sni, flow.host, flow.payload_hint, flow.server_port, flow.protocol
-        )
-
     def reset_report(self) -> ClassificationReport:
         """Return the current report and start a fresh one."""
         report, self.report = self.report, ClassificationReport()
         return report
+
+
+def _fold(start: float, values: np.ndarray) -> float:
+    """``start + v0 + v1 + ...`` added strictly left to right."""
+    if not len(values):
+        return start
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 def _suffix_lookup(index: List[Tuple[str, str]], name: str) -> Optional[str]:

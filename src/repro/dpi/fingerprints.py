@@ -10,6 +10,14 @@ service's flows.  The database is used from both sides:
   become the paper's ~12 % unclassified volume;
 - the **classifier** matches descriptors back against the same features.
 
+The bulk emitter (:meth:`FingerprintDatabase.emit_flow_features`) does
+not render strings at all: it returns one int64 feature code per flow
+against the database's :attr:`~FingerprintDatabase.codebook`, a
+:class:`~repro.network.gtp.FeatureCodebook` over every suffix and hint
+of the catalog's fingerprints.  The codebook is a pure function of the
+catalog, so the classifier's own database decodes the emitter's codes
+to the very strings the scalar emitter would have rendered.
+
 Head-service fingerprints use the services' real-world domains; the
 anonymous tail services get generated CDN-style domains.
 """
@@ -22,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
-from repro.network.gtp import FlowDescriptor
+from repro.network.gtp import FeatureCodebook, FlowDescriptor, endpoint_name
 from repro.services.catalog import ServiceCatalog
 
 
@@ -182,6 +190,11 @@ _HEAD_FINGERPRINTS: Dict[str, ServiceFingerprint] = {
 
 #: Ports used for generic web flows when no signature port applies.
 _GENERIC_PORTS = ((443, "tcp"), (80, "tcp"), (443, "udp"))
+_GENERIC_PORT_FIELDS = np.asarray(
+    [FeatureCodebook.port_field(*pair) for pair in _GENERIC_PORTS], dtype=np.int64
+)
+_HTTPS_FIELD = FeatureCodebook.port_field(443, "tcp")
+_HTTP_FIELD = FeatureCodebook.port_field(80, "tcp")
 
 
 class FingerprintDatabase:
@@ -204,13 +217,28 @@ class FingerprintDatabase:
         self.unclassifiable_rate = float(unclassifiable_rate)
         self._rng = as_generator(seed)
         self._flow_counter = 0
-        self._feature_buffers: Dict[str, list] = {}
+        self._feature_buffers: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._emit_tables: Dict[str, _EmitTables] = {}
         self._fingerprints: Dict[str, ServiceFingerprint] = {}
         for service in catalog:
             if service.name in _HEAD_FINGERPRINTS:
                 self._fingerprints[service.name] = _HEAD_FINGERPRINTS[service.name]
             else:
                 self._fingerprints[service.name] = _tail_fingerprint(service.name)
+        fingerprints = self.all_fingerprints()
+        #: Codes of every feature this database emits (see module doc).
+        self.codebook = FeatureCodebook(
+            suffixes=tuple(
+                dict.fromkeys(
+                    suffix
+                    for fp in fingerprints
+                    for suffix in fp.sni_suffixes + fp.host_suffixes
+                )
+            ),
+            hints=tuple(
+                dict.fromkeys(h for fp in fingerprints for h in fp.payload_hints)
+            ),
+        )
 
     def fingerprint_of(self, service_name: str) -> ServiceFingerprint:
         """Fingerprint of a service (KeyError for unknown services)."""
@@ -285,60 +313,63 @@ class FingerprintDatabase:
 
     def emit_flow_features(
         self, service_name: str, n: int
-    ) -> Tuple[List[int], List[Optional[str]], List[Optional[str]],
-               List[Optional[str]], List[int], List[str]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Columnar :meth:`emit_flow`: features for ``n`` flows at once.
 
-        Returns ``(flow_ids, snis, hosts, payload_hints, server_ports,
-        protocols)`` drawn from the same per-feature distributions as the
-        scalar emitter (obfuscation rate, TLS share, signature ports,
-        payload-hint probability), using batched RNG draws.  Draws are
-        buffered per service in chunks of at least ``FEATURE_CHUNK``, so
-        typical small per-subscriber requests cost a slice, not an RNG
+        Returns ``(flow_ids, feature_codes)``, two int64 arrays; the
+        codes decode through :attr:`codebook` to features drawn from the
+        same per-feature distributions as the scalar emitter
+        (obfuscation rate, TLS share, signature ports, payload-hint
+        probability), using batched RNG draws.  Draws are buffered per
+        service in chunks of at least ``FEATURE_CHUNK``, so typical
+        small per-subscriber requests cost a slice, not an RNG
         round-trip.  The draw *order* differs from ``n`` scalar calls,
         so the two emitters produce statistically equivalent but not
         bit-identical corpora.
         """
-        buffers = self._feature_buffers.get(service_name)
-        if buffers is None:
-            buffers = self._feature_buffers[service_name] = [
-                [], [], [], [], [], []
-            ]
-        if len(buffers[0]) < n:
+        buffered = self._feature_buffers.get(service_name)
+        have = 0 if buffered is None else len(buffered[0])
+        if have < n:
             fresh = self._draw_flow_features(
-                service_name, max(n - len(buffers[0]), self.FEATURE_CHUNK)
+                service_name, max(n - have, self.FEATURE_CHUNK)
             )
-            for column, extra in zip(buffers, fresh):
-                column.extend(extra)
-        out = tuple(column[:n] for column in buffers)
-        self._feature_buffers[service_name] = [
-            column[n:] for column in buffers
-        ]
-        return out
+            buffered = fresh if buffered is None else tuple(
+                np.concatenate(pair) for pair in zip(buffered, fresh)
+            )
+        flow_ids, codes = buffered
+        self._feature_buffers[service_name] = (flow_ids[n:], codes[n:])
+        return flow_ids[:n], codes[:n]
+
+    def _tables(self, service_name: str) -> "_EmitTables":
+        tables = self._emit_tables.get(service_name)
+        if tables is None:
+            fp = self.fingerprint_of(service_name)
+            tables = self._emit_tables[service_name] = _EmitTables(
+                fp, self.codebook
+            )
+        return tables
 
     def _draw_flow_features(
         self, service_name: str, n: int
-    ) -> Tuple[List[int], List[Optional[str]], List[Optional[str]],
-               List[Optional[str]], List[int], List[str]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         rng = self._rng
         fp = self.fingerprint_of(service_name)
+        tables = self._tables(service_name)
         start = self._flow_counter + 1
         self._flow_counter += n
-        flow_ids = list(range(start, start + n))
-        snis: List[Optional[str]] = [None] * n
-        hosts: List[Optional[str]] = [None] * n
-        hints: List[Optional[str]] = [None] * n
+        flow_ids = np.arange(start, start + n, dtype=np.int64)
+        # Codebook fields per flow; 0 means "no name" / "no hint", and a
+        # port field of 0 is port 0 over tcp, i.e. "no port chosen yet".
+        snis = np.zeros(n, dtype=np.int64)
+        hosts = np.zeros(n, dtype=np.int64)
+        hints = np.zeros(n, dtype=np.int64)
         ports = np.zeros(n, dtype=np.int64)
-        protocols: List[str] = ["tcp"] * n
 
         obfuscated = rng.random(n) < self.unclassifiable_rate
         obf_rows = np.flatnonzero(obfuscated)
         if len(obf_rows):
-            ports[obf_rows] = rng.integers(40000, 60000, size=len(obf_rows))
-            udp = rng.random(len(obf_rows)) < 0.5
-            for r, is_udp in zip(obf_rows.tolist(), udp.tolist()):
-                if is_udp:
-                    protocols[r] = "udp"
+            ports[obf_rows] = rng.integers(40000, 60000, size=len(obf_rows)) * 2
+            ports[obf_rows] += rng.random(len(obf_rows)) < 0.5  # udp
         clear_rows = np.flatnonzero(~obfuscated)
         m = len(clear_rows)
         if fp.sni_suffixes and m:
@@ -347,78 +378,80 @@ class FingerprintDatabase:
             use_tls = np.zeros(m, dtype=bool)
         tls_rows = clear_rows[use_tls]
         if len(tls_rows):
-            ports[tls_rows] = 443
-            for r, name in zip(
-                tls_rows.tolist(),
-                _endpoints_batch(rng, fp.sni_suffixes, len(tls_rows)),
-            ):
-                snis[r] = name
+            ports[tls_rows] = _HTTPS_FIELD
+            snis[tls_rows] = tables.sni.draw(rng, len(tls_rows))
         plain_rows = clear_rows[~use_tls]
         if len(plain_rows):
             if fp.host_suffixes:
-                ports[plain_rows] = 80
-                for r, name in zip(
-                    plain_rows.tolist(),
-                    _endpoints_batch(rng, fp.host_suffixes, len(plain_rows)),
-                ):
-                    hosts[r] = name
+                ports[plain_rows] = _HTTP_FIELD
+                hosts[plain_rows] = tables.host.draw(rng, len(plain_rows))
             # Signature ports apply exactly where the scalar emitter
             # applies them: clear-text flows (and, for SNI-less
             # services, every non-obfuscated flow).
             if fp.port_signatures:
-                sig_idx = rng.integers(
-                    len(fp.port_signatures), size=len(plain_rows)
-                )
-                for r, si in zip(plain_rows.tolist(), sig_idx.tolist()):
-                    port, protocol = fp.port_signatures[si]
-                    ports[r] = port
-                    protocols[r] = protocol
+                ports[plain_rows] = tables.signature_ports[
+                    rng.integers(len(fp.port_signatures), size=len(plain_rows))
+                ]
         generic_rows = clear_rows[ports[clear_rows] == 0]
         if len(generic_rows):
-            gen_idx = rng.integers(len(_GENERIC_PORTS), size=len(generic_rows))
-            for r, gi in zip(generic_rows.tolist(), gen_idx.tolist()):
-                port, protocol = _GENERIC_PORTS[gi]
-                ports[r] = port
-                protocols[r] = protocol
+            ports[generic_rows] = _GENERIC_PORT_FIELDS[
+                rng.integers(len(_GENERIC_PORTS), size=len(generic_rows))
+            ]
         if fp.payload_hints and m:
             hinted = clear_rows[rng.random(m) < 0.7]
             if len(hinted):
-                hint_idx = rng.integers(len(fp.payload_hints), size=len(hinted))
-                for r, hi in zip(hinted.tolist(), hint_idx.tolist()):
-                    hints[r] = fp.payload_hints[hi]
-        return flow_ids, snis, hosts, hints, ports.tolist(), protocols
+                hints[hinted] = tables.hints[
+                    rng.integers(len(fp.payload_hints), size=len(hinted))
+                ]
+        return flow_ids, self.codebook.pack(snis, hosts, hints, ports)
 
 
-#: Pre-rendered edge-node labels / provider domains for the batch emitter.
-_EDGE_LABELS = tuple(f"edge-{i:03d}" for i in range(1000))
-_PROVIDERS = tuple(f"provider{i:02d}.example" for i in range(100))
+class _EndpointDraw:
+    """Endpoint fields of one suffix list, drawn like :func:`_endpoint`."""
+
+    __slots__ = ("base", "prefix")
+
+    def __init__(self, suffixes: Sequence[str], codebook: FeatureCodebook):
+        self.base = np.asarray(
+            [codebook.suffix_field(s) for s in suffixes], dtype=np.int64
+        )
+        self.prefix = np.asarray([s.endswith(".") for s in suffixes], dtype=bool)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` endpoint fields: one suffix, edge label and provider
+        draw each (three batched calls, in that order), keeping the
+        provider for prefix-style suffixes and the label otherwise."""
+        suffix_idx = rng.integers(len(self.base), size=n)
+        labels = rng.integers(1000, size=n)
+        providers = rng.integers(100, size=n)
+        return self.base[suffix_idx] + np.where(
+            self.prefix[suffix_idx], providers, labels
+        )
 
 
-def _endpoints_batch(
-    rng: np.random.Generator, suffixes: Sequence[str], n: int
-) -> List[str]:
-    """Batched :func:`_endpoint`: ``n`` endpoint names at once."""
-    suffix_idx = rng.integers(len(suffixes), size=n)
-    labels = rng.integers(1000, size=n)
-    providers = rng.integers(100, size=n)
-    out: List[str] = []
-    for i in range(n):
-        suffix = suffixes[suffix_idx[i]]
-        if suffix.endswith("."):
-            out.append(suffix + _PROVIDERS[providers[i]])
-        else:
-            out.append(_EDGE_LABELS[labels[i]] + "." + suffix)
-    return out
+class _EmitTables:
+    """One service's fingerprint as codebook field values."""
+
+    __slots__ = ("sni", "host", "hints", "signature_ports")
+
+    def __init__(self, fp: ServiceFingerprint, codebook: FeatureCodebook):
+        self.sni = _EndpointDraw(fp.sni_suffixes, codebook)
+        self.host = _EndpointDraw(fp.host_suffixes, codebook)
+        self.hints = np.asarray(
+            [codebook.hint_field(h) for h in fp.payload_hints], dtype=np.int64
+        )
+        self.signature_ports = np.asarray(
+            [codebook.port_field(p, proto) for p, proto in fp.port_signatures],
+            dtype=np.int64,
+        )
 
 
 def _endpoint(rng: np.random.Generator, suffixes: Sequence[str]) -> str:
     """Pick a suffix and prepend a plausible edge-node label."""
     suffix = suffixes[int(rng.integers(len(suffixes)))]
-    if suffix.endswith("."):
-        # Prefix-style suffixes ("imap.", "mmsc.") get a provider domain.
-        return f"{suffix}provider{int(rng.integers(100)):02d}.example"
-    label = f"edge-{int(rng.integers(1000)):03d}"
-    return f"{label}.{suffix}"
+    # Prefix-style suffixes ("imap.", "mmsc.") get a provider domain.
+    labels = 100 if suffix.endswith(".") else 1000
+    return endpoint_name(suffix, int(rng.integers(labels)))
 
 
 def _tail_fingerprint(service_name: str) -> ServiceFingerprint:

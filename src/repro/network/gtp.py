@@ -12,14 +12,19 @@ interfaces:
 This module models the message structures the probes parse.  Only the
 fields the measurement pipeline needs are carried — the point is to
 reproduce the probe's *information flow*, not the wire format.
+
+The columnar structures carry a flow's DPI features as one int64 code
+per flow against a :class:`FeatureCodebook`, not as five Python
+columns of strings: the generator builds codes with array arithmetic,
+and the classifier decodes each *distinct* code once.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,6 +150,219 @@ class FlowDescriptor:
             raise ValueError(f"protocol must be tcp or udp, got {self.protocol!r}")
 
 
+#: A flow's DPI features in match order:
+#: ``(sni, host, payload_hint, server_port, protocol)``.
+Features = Tuple[Optional[str], Optional[str], Optional[str], int, str]
+
+_PROTOCOL_FIELDS = {"tcp": 0, "udp": 1}
+_PROTOCOLS = ("tcp", "udp")
+
+#: Endpoint name parts: ``edge-NNN.`` heads under plain suffixes and
+#: ``providerNN.example`` tails under prefix-style ones.
+_EDGE_HEADS = tuple(f"edge-{i:03d}." for i in range(1000))
+_PROVIDER_TAILS = tuple(f"provider{i:02d}.example" for i in range(100))
+_EDGE_LABEL = {head: i for i, head in enumerate(_EDGE_HEADS)}
+_PROVIDER_LABEL = {tail: i for i, tail in enumerate(_PROVIDER_TAILS)}
+
+
+def endpoint_name(suffix: str, label: int) -> str:
+    """The DNS name of edge node ``label`` under a fingerprint suffix.
+
+    Plain suffixes get an ``edge-NNN.`` label (``label < 1000``);
+    prefix-style suffixes ending with ``.`` (``"imap."``) get a
+    ``providerNN.example`` domain (``label < 100``).
+    """
+    if suffix.endswith("."):
+        return suffix + _PROVIDER_TAILS[label]
+    return _EDGE_HEADS[label] + suffix
+
+
+@dataclass(frozen=True)
+class FeatureCodebook:
+    """Dictionary encoding of flow features as int64 codes.
+
+    A code packs five fields in mixed radix, most significant first:
+    the SNI endpoint, the HTTP host endpoint, the payload hint, the
+    server port and the protocol.  An endpoint field is 0 for no name,
+    else ``1 + suffix_index * LABELS + label`` for the name
+    :func:`endpoint_name` renders; a hint field is 0 for no hint, else
+    ``1 + hint_index``; the port field is ``port * 2 + (protocol ==
+    "udp")``.  Names outside this space (foreign domains, unknown
+    hints) have no code: :meth:`encode_many` keeps such features in a
+    batch-local overflow table and gives them negative codes,
+    ``-(1 + row)``.
+
+    The codebook holds strings only, no service ids: any two codebooks
+    built from the same suffix and hint lists decode every code to the
+    same features.
+    """
+
+    suffixes: Tuple[str, ...] = ()
+    hints: Tuple[str, ...] = ()
+    #: Values of an endpoint field (0 stands for no name).
+    endpoints: int = field(init=False, compare=False)
+    #: Values of the hint field (0 stands for no hint).
+    hint_fields: int = field(init=False, compare=False)
+    _suffix_index: Dict[str, int] = field(
+        init=False, repr=False, compare=False
+    )
+    _hint_index: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _prefixes: Tuple[Tuple[str, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _is_prefix: np.ndarray = field(init=False, repr=False, compare=False)
+
+    #: Labels per suffix in an endpoint field.
+    LABELS = len(_EDGE_HEADS)
+    #: Size of the port field: every 16-bit port, times two protocols.
+    PORT_FIELDS = 1 << 17
+
+    def __post_init__(self) -> None:
+        suffix_index = {suffix: i for i, suffix in enumerate(self.suffixes)}
+        hint_index = {hint: i for i, hint in enumerate(self.hints)}
+        if len(suffix_index) != len(self.suffixes):
+            raise ValueError("codebook suffixes must be distinct")
+        if len(hint_index) != len(self.hints):
+            raise ValueError("codebook hints must be distinct")
+        endpoints = 1 + len(self.suffixes) * self.LABELS
+        hint_fields = 1 + len(self.hints)
+        if endpoints**2 * hint_fields * self.PORT_FIELDS > 2**63:
+            raise ValueError("feature space does not fit an int64 code")
+        # One entry per suffix, plus a False that field 0 (index -1) reads.
+        is_prefix = np.asarray(
+            [s.endswith(".") for s in self.suffixes] + [False], dtype=bool
+        )
+        for name, value in (
+            ("_is_prefix", is_prefix),
+            ("endpoints", endpoints),
+            ("hint_fields", hint_fields),
+            ("_suffix_index", suffix_index),
+            ("_hint_index", hint_index),
+            (
+                "_prefixes",
+                tuple((s, i) for s, i in suffix_index.items() if s.endswith(".")),
+            ),
+        ):
+            object.__setattr__(self, name, value)
+
+    def suffix_field(self, suffix: str) -> int:
+        """Endpoint field of label 0 under ``suffix``; add the label."""
+        return 1 + self._suffix_index[suffix] * self.LABELS
+
+    def hint_field(self, hint: str) -> int:
+        return 1 + self._hint_index[hint]
+
+    @staticmethod
+    def port_field(port: int, protocol: str) -> int:
+        return port * 2 + _PROTOCOL_FIELDS[protocol]
+
+    def pack(self, sni, host, hint, port):
+        """Codes from field values (ints or int64 arrays alike)."""
+        return ((sni * self.endpoints + host) * self.hint_fields + hint) * (
+            self.PORT_FIELDS
+        ) + port
+
+    def encode(self, features: Features) -> Optional[int]:
+        """The code of one feature tuple, or None outside the codebook."""
+        sni, host, hint, port, protocol = features
+        if hint is None:
+            hint_field = 0
+        elif hint in self._hint_index:
+            hint_field = 1 + self._hint_index[hint]
+        else:
+            return None
+        sni_field = self._endpoint_field(sni)
+        host_field = self._endpoint_field(host)
+        proto = _PROTOCOL_FIELDS.get(protocol)
+        if (
+            sni_field is None
+            or host_field is None
+            or proto is None
+            or not 0 <= port < 1 << 16
+        ):
+            return None
+        return self.pack(sni_field, host_field, hint_field, int(port) * 2 + proto)
+
+    def encode_many(
+        self, rows: Iterable[Features]
+    ) -> Tuple[np.ndarray, Tuple[Features, ...]]:
+        """Codes for feature tuples, plus the overflow table they use."""
+        codes: List[int] = []
+        overflow: Dict[Features, int] = {}
+        for features in rows:
+            code = self.encode(features)
+            if code is None:
+                code = -1 - overflow.setdefault(features, len(overflow))
+            codes.append(code)
+        return np.asarray(codes, dtype=np.int64), tuple(overflow)
+
+    def decode(self, code: int, overflow: Sequence[Features] = ()) -> Features:
+        """The feature tuple of one code (see :meth:`decode_many`)."""
+        return self.decode_many(np.asarray([code], dtype=np.int64), overflow)[0]
+
+    def decode_many(
+        self, codes: np.ndarray, overflow: Sequence[Features] = ()
+    ) -> List[Features]:
+        """The feature tuples of an int64 code array, in order.
+
+        Negative codes index ``overflow``.  The fields are split with
+        array arithmetic; only the names are rendered one by one.
+        """
+        fields = np.maximum(codes, 0)
+        rest, ports = np.divmod(fields, self.PORT_FIELDS)
+        rest, hints = np.divmod(rest, self.hint_fields)
+        snis, hosts = np.divmod(rest, self.endpoints)
+        if (snis >= self.endpoints).any():
+            raise ValueError("code outside the codebook")
+        hint_names = (None,) + self.hints
+        return [
+            overflow[-1 - code] if code < 0 else (sni, host, hint_names[hint], port, proto)
+            for code, sni, host, hint, port, proto in zip(
+                codes.tolist(),
+                self._names(snis),
+                self._names(hosts),
+                hints.tolist(),
+                (ports >> 1).tolist(),
+                [_PROTOCOLS[p] for p in (ports & 1).tolist()],
+            )
+        ]
+
+    def _names(self, fields: np.ndarray) -> List[Optional[str]]:
+        """Rendered endpoint names of endpoint fields (None for 0)."""
+        index, label = np.divmod(fields - 1, self.LABELS)
+        is_prefix = self._is_prefix[index]
+        if (is_prefix & (label >= len(_PROVIDER_TAILS))).any():
+            raise ValueError("provider label outside the codebook")
+        suffixes, heads, tails = self.suffixes, _EDGE_HEADS, _PROVIDER_TAILS
+        return [
+            None if f == 0 else suffixes[i] + tails[k] if p else heads[k] + suffixes[i]
+            for f, i, k, p in zip(
+                fields.tolist(), index.tolist(), label.tolist(), is_prefix.tolist()
+            )
+        ]
+
+    def _endpoint_field(self, name: Optional[str]) -> Optional[int]:
+        """Field of a rendered endpoint name; None if it has no code."""
+        if name is None:
+            return 0
+        label = _EDGE_LABEL.get(name[:9])
+        if label is not None:
+            index = self._suffix_index.get(name[9:])
+            if index is not None and not name.endswith("."):
+                return 1 + index * self.LABELS + label
+        for prefix, index in self._prefixes:
+            if name.startswith(prefix):
+                label = _PROVIDER_LABEL.get(name[len(prefix):])
+                if label is not None:
+                    return 1 + index * self.LABELS + label
+        return None
+
+
+#: The codebook with no names: it encodes port/protocol-only features
+#: and sends everything else to a batch's overflow table.
+EMPTY_CODEBOOK = FeatureCodebook()
+
+
 @dataclass(frozen=True)
 class GtpuPacket:
     """An accounting record of user-plane traffic within one tunnel.
@@ -214,8 +432,8 @@ class GtpuBulk:
 
     Flows are grouped by session: ``session_teids[i]`` carried
     ``flows_per_session[i]`` consecutive flows of the flat per-flow
-    arrays.  DPI features ride as plain Python lists (they are strings
-    and Nones), numeric columns as numpy arrays.
+    arrays.  DPI features ride as one int64 code per flow against
+    ``codebook`` (negative codes index the ``overflow`` table).
     """
 
     session_teids: np.ndarray
@@ -223,12 +441,10 @@ class GtpuBulk:
     timestamps_s: np.ndarray
     dl_bytes: np.ndarray
     ul_bytes: np.ndarray
-    flow_ids: List[int]
-    snis: List[Optional[str]]
-    hosts: List[Optional[str]]
-    payload_hints: List[Optional[str]]
-    server_ports: List[int]
-    protocols: List[str]
+    flow_ids: np.ndarray
+    feature_codes: np.ndarray
+    codebook: FeatureCodebook
+    overflow: Tuple[Features, ...] = ()
 
     def __len__(self) -> int:
         return len(self.timestamps_s)
@@ -277,6 +493,10 @@ __all__ = [
     "UserLocationInformation",
     "GtpcMessage",
     "FlowDescriptor",
+    "Features",
+    "FeatureCodebook",
+    "EMPTY_CODEBOOK",
+    "endpoint_name",
     "GtpuPacket",
     "GtpcCreateBulk",
     "GtpcDeleteBulk",

@@ -18,9 +18,8 @@ convenience the paper mentions.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -30,6 +29,9 @@ from repro.geo.coverage import Technology
 from repro.network.gtp import (
     TECH_BY_CODE,
     TECH_CODES,
+    EMPTY_CODEBOOK,
+    FeatureCodebook,
+    Features,
     FlowDescriptor,
     GtpcCreateBulk,
     GtpcDeleteBulk,
@@ -63,9 +65,11 @@ class ProbeRecordBatch:
     """A columnar batch of geo-referenced flow accounting records.
 
     The bulk probe path emits these instead of one :class:`ProbeRecord`
-    per flow; numeric columns are numpy arrays, DPI feature columns
-    plain lists.  :meth:`to_records` expands back to scalar records for
-    consumers of the legacy API.
+    per flow.  Every column is a numpy array; a flow's DPI features are
+    one int64 code of ``feature_codes`` against ``codebook``, and
+    negative codes index the batch's own ``overflow`` table of features
+    the codebook has no code for.  :meth:`to_records` expands back to
+    scalar records for consumers of the legacy API.
     """
 
     timestamps_s: np.ndarray
@@ -74,12 +78,10 @@ class ProbeRecordBatch:
     tech_codes: np.ndarray
     dl_bytes: np.ndarray
     ul_bytes: np.ndarray
-    flow_ids: List[int]
-    snis: List[Optional[str]]
-    hosts: List[Optional[str]]
-    payload_hints: List[Optional[str]]
-    server_ports: List[int]
-    protocols: List[str]
+    flow_ids: np.ndarray
+    feature_codes: np.ndarray
+    codebook: FeatureCodebook
+    overflow: Tuple[Features, ...] = ()
 
     def __len__(self) -> int:
         return len(self.timestamps_s)
@@ -87,7 +89,10 @@ class ProbeRecordBatch:
     def to_records(self) -> List[ProbeRecord]:
         """Materialize the batch as scalar :class:`ProbeRecord` objects."""
         out: List[ProbeRecord] = []
-        for i in range(len(self)):
+        features = self.codebook.decode_many(self.feature_codes, self.overflow)
+        for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
+            zip(self.flow_ids.tolist(), features)
+        ):
             out.append(
                 ProbeRecord(
                     timestamp_s=float(self.timestamps_s[i]),
@@ -95,12 +100,12 @@ class ProbeRecordBatch:
                     commune_id=int(self.commune_ids[i]),
                     technology=TECH_BY_CODE[int(self.tech_codes[i])],
                     flow=FlowDescriptor(
-                        flow_id=self.flow_ids[i],
-                        sni=self.snis[i],
-                        host=self.hosts[i],
-                        server_port=self.server_ports[i],
-                        protocol=self.protocols[i],
-                        payload_hint=self.payload_hints[i],
+                        flow_id=flow_id,
+                        sni=sni,
+                        host=host,
+                        server_port=port,
+                        protocol=protocol,
+                        payload_hint=hint,
                     ),
                     dl_bytes=float(self.dl_bytes[i]),
                     ul_bytes=float(self.ul_bytes[i]),
@@ -108,13 +113,46 @@ class ProbeRecordBatch:
             )
         return out
 
+    def recoded(self, codebook: FeatureCodebook) -> "ProbeRecordBatch":
+        """The same batch with its codes re-expressed against ``codebook``.
+
+        Free when the codebooks are equal (the common case: every
+        database built from one catalog has the same codebook);
+        otherwise each distinct code is decoded and encoded once.
+        """
+        if codebook is self.codebook or codebook == self.codebook:
+            return self
+        distinct, inverse = np.unique(self.feature_codes, return_inverse=True)
+        codes, overflow = codebook.encode_many(
+            self.codebook.decode_many(distinct, self.overflow)
+        )
+        return replace(
+            self,
+            feature_codes=codes[inverse],
+            codebook=codebook,
+            overflow=overflow,
+        )
+
     @classmethod
     def concat(cls, batches: List["ProbeRecordBatch"]) -> "ProbeRecordBatch":
-        """Concatenate batches (order preserved) into one."""
+        """Concatenate batches (order preserved) into one.
+
+        Codes are expressed against the first batch's codebook, and the
+        overflow tables are appended, shifting each batch's negative
+        codes past the rows before it.
+        """
         if not batches:
             raise ValueError("cannot concatenate zero batches")
         if len(batches) == 1:
             return batches[0]
+        codebook = batches[0].codebook
+        batches = [b.recoded(codebook) for b in batches]
+        codes = [b.feature_codes for b in batches]
+        overflow: Tuple[Features, ...] = ()
+        for i, b in enumerate(batches):
+            if b.overflow:
+                codes[i] = np.where(codes[i] < 0, codes[i] - len(overflow), codes[i])
+                overflow += b.overflow
         return cls(
             timestamps_s=np.concatenate([b.timestamps_s for b in batches]),
             imsi_hashes=np.concatenate([b.imsi_hashes for b in batches]),
@@ -122,17 +160,33 @@ class ProbeRecordBatch:
             tech_codes=np.concatenate([b.tech_codes for b in batches]),
             dl_bytes=np.concatenate([b.dl_bytes for b in batches]),
             ul_bytes=np.concatenate([b.ul_bytes for b in batches]),
-            flow_ids=[x for b in batches for x in b.flow_ids],
-            snis=[x for b in batches for x in b.snis],
-            hosts=[x for b in batches for x in b.hosts],
-            payload_hints=[x for b in batches for x in b.payload_hints],
-            server_ports=[x for b in batches for x in b.server_ports],
-            protocols=[x for b in batches for x in b.protocols],
+            flow_ids=np.concatenate([b.flow_ids for b in batches]),
+            feature_codes=np.concatenate(codes),
+            codebook=codebook,
+            overflow=overflow,
         )
 
     @classmethod
-    def from_records(cls, records: List[ProbeRecord]) -> "ProbeRecordBatch":
-        """Pack scalar records into one columnar batch."""
+    def from_records(
+        cls,
+        records: List[ProbeRecord],
+        codebook: FeatureCodebook = EMPTY_CODEBOOK,
+    ) -> "ProbeRecordBatch":
+        """Pack scalar records into one columnar batch.
+
+        Flow features are encoded against ``codebook``; features it has
+        no code for go to the batch's overflow table.
+        """
+        codes, overflow = codebook.encode_many(
+            (
+                r.flow.sni,
+                r.flow.host,
+                r.flow.payload_hint,
+                r.flow.server_port,
+                r.flow.protocol,
+            )
+            for r in records
+        )
         return cls(
             timestamps_s=np.asarray([r.timestamp_s for r in records]),
             imsi_hashes=np.asarray([r.imsi_hash for r in records], dtype=np.int64),
@@ -142,12 +196,10 @@ class ProbeRecordBatch:
             ),
             dl_bytes=np.asarray([r.dl_bytes for r in records]),
             ul_bytes=np.asarray([r.ul_bytes for r in records]),
-            flow_ids=[r.flow.flow_id for r in records],
-            snis=[r.flow.sni for r in records],
-            hosts=[r.flow.host for r in records],
-            payload_hints=[r.flow.payload_hint for r in records],
-            server_ports=[r.flow.server_port for r in records],
-            protocols=[r.flow.protocol for r in records],
+            flow_ids=np.asarray([r.flow.flow_id for r in records], dtype=np.int64),
+            feature_codes=codes,
+            codebook=codebook,
+            overflow=overflow,
         )
 
 
@@ -180,13 +232,21 @@ class ProbeStats:
 class CoreProbe:
     """The passive probe: correlates GTP-C and GTP-U into probe records."""
 
-    def __init__(self, control_loss_rate: float = 0.0, seed: SeedLike = None):
+    def __init__(
+        self,
+        control_loss_rate: float = 0.0,
+        seed: SeedLike = None,
+        codebook: FeatureCodebook = EMPTY_CODEBOOK,
+    ):
         """``control_loss_rate`` drops a fraction of GTP-C messages, to
         model imperfect capture; orphaned user-plane traffic is counted
         but produces no record (as in the real pipeline, where it simply
         cannot be geo-referenced).  ``seed`` is any
         :data:`~repro._rng.SeedLike`, including an existing generator
-        (how the builder hands the probe a spawned stream)."""
+        (how the builder hands the probe a spawned stream).
+        ``codebook`` encodes the flow features of scalar records when
+        they are packed into batches; give it the emitter's codebook so
+        they never take a batch's overflow path."""
         if not 0 <= control_loss_rate < 1:
             raise ValueError(
                 f"control_loss_rate must be in [0, 1), got {control_loss_rate}"
@@ -198,6 +258,7 @@ class CoreProbe:
         self._records: List[Union[ProbeRecord, ProbeRecordBatch]] = []
         self._loss_rate = control_loss_rate
         self._rng = as_generator(seed)
+        self._codebook = codebook
         self.stats = ProbeStats()
         # Streaming mode (see stream_to): records flow to a sink in
         # bounded chunks instead of accumulating until drained.
@@ -244,7 +305,7 @@ class CoreProbe:
             return
         store, self._records = self._records, []
         self._pending_rows = 0
-        batch = ProbeRecordBatch.concat(_pack_runs(store))
+        batch = ProbeRecordBatch.concat(_pack_runs(store, self._codebook))
         obs.add("stream.chunks")
         self._sink(batch)
 
@@ -364,16 +425,13 @@ class CoreProbe:
                 dl_bytes=bulk.dl_bytes,
                 ul_bytes=bulk.ul_bytes,
                 flow_ids=bulk.flow_ids,
-                snis=bulk.snis,
-                hosts=bulk.hosts,
-                payload_hints=bulk.payload_hints,
-                server_ports=bulk.server_ports,
-                protocols=bulk.protocols,
+                feature_codes=bulk.feature_codes,
+                codebook=bulk.codebook,
+                overflow=bulk.overflow,
             )
         else:
             mask = np.repeat(known, flows_per_session)
             self.stats.orphan_packets += int(n_flows - mask.sum())
-            keep = mask.tolist()
             batch = ProbeRecordBatch(
                 timestamps_s=bulk.timestamps_s[mask],
                 imsi_hashes=np.repeat(imsi[known], flows_per_session[known]),
@@ -381,12 +439,10 @@ class CoreProbe:
                 tech_codes=np.repeat(tech[known], flows_per_session[known]),
                 dl_bytes=bulk.dl_bytes[mask],
                 ul_bytes=bulk.ul_bytes[mask],
-                flow_ids=list(itertools.compress(bulk.flow_ids, keep)),
-                snis=list(itertools.compress(bulk.snis, keep)),
-                hosts=list(itertools.compress(bulk.hosts, keep)),
-                payload_hints=list(itertools.compress(bulk.payload_hints, keep)),
-                server_ports=list(itertools.compress(bulk.server_ports, keep)),
-                protocols=list(itertools.compress(bulk.protocols, keep)),
+                flow_ids=bulk.flow_ids[mask],
+                feature_codes=bulk.feature_codes[mask],
+                codebook=bulk.codebook,
+                overflow=bulk.overflow,
             )
         if len(batch):
             self.stats.records += len(batch)
@@ -413,7 +469,7 @@ class CoreProbe:
         instead of one per subscriber.
         """
         store, self._records = self._records, []
-        raw = _pack_runs(store)
+        raw = _pack_runs(store, self._codebook)
 
         batches: List[ProbeRecordBatch] = []
         pending: List[ProbeRecordBatch] = []
@@ -434,7 +490,8 @@ class CoreProbe:
 
 
 def _pack_runs(
-    store: List[Union[ProbeRecord, ProbeRecordBatch]]
+    store: List[Union[ProbeRecord, ProbeRecordBatch]],
+    codebook: FeatureCodebook,
 ) -> List[ProbeRecordBatch]:
     """Pack consecutive scalar records into batches, order preserved."""
     raw: List[ProbeRecordBatch] = []
@@ -442,13 +499,13 @@ def _pack_runs(
     for item in store:
         if isinstance(item, ProbeRecordBatch):
             if scalars:
-                raw.append(ProbeRecordBatch.from_records(scalars))
+                raw.append(ProbeRecordBatch.from_records(scalars, codebook))
                 scalars = []
             raw.append(item)
         else:
             scalars.append(item)
     if scalars:
-        raw.append(ProbeRecordBatch.from_records(scalars))
+        raw.append(ProbeRecordBatch.from_records(scalars, codebook))
     return raw
 
 

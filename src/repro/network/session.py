@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from repro.geo.coverage import Technology
 from repro.network.gtp import (
     TECH_3G,
     TECH_BY_CODE,
+    FeatureCodebook,
+    Features,
     FlowDescriptor,
     GtpcCreateBulk,
     GtpcDeleteBulk,
@@ -323,14 +325,16 @@ class SessionManager:
         timestamps_s: np.ndarray,
         dl_bytes: np.ndarray,
         ul_bytes: np.ndarray,
-        flow_ids: List[int],
-        snis: List[Optional[str]],
-        hosts: List[Optional[str]],
-        payload_hints: List[Optional[str]],
-        server_ports: List[int],
-        protocols: List[str],
+        flow_ids: np.ndarray,
+        feature_codes: np.ndarray,
+        codebook: FeatureCodebook,
+        overflow: Tuple[Features, ...] = (),
     ) -> GtpuBulk:
-        """Account a session-grouped batch of user-plane flow records."""
+        """Account a session-grouped batch of user-plane flow records.
+
+        Each flow's DPI features arrive as one code of ``feature_codes``
+        against ``codebook``; negative codes index ``overflow``.
+        """
         with obs.span("gtp.user_plane"):
             bulk = GtpuBulk(
                 session_teids=session_teids,
@@ -339,11 +343,9 @@ class SessionManager:
                 dl_bytes=dl_bytes,
                 ul_bytes=ul_bytes,
                 flow_ids=flow_ids,
-                snis=snis,
-                hosts=hosts,
-                payload_hints=payload_hints,
-                server_ports=server_ports,
-                protocols=protocols,
+                feature_codes=feature_codes,
+                codebook=codebook,
+                overflow=overflow,
             )
             for listener in self._bulk_user_listeners:
                 listener(bulk)
@@ -412,14 +414,17 @@ class SessionManager:
 
     def _materialize_flows(self, bulk: GtpuBulk) -> None:
         teids = np.repeat(bulk.session_teids, bulk.flows_per_session)
-        for i in range(len(bulk)):
+        features = bulk.codebook.decode_many(bulk.feature_codes, bulk.overflow)
+        for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
+            zip(bulk.flow_ids.tolist(), features)
+        ):
             flow = FlowDescriptor(
-                flow_id=bulk.flow_ids[i],
-                sni=bulk.snis[i],
-                host=bulk.hosts[i],
-                server_port=bulk.server_ports[i],
-                protocol=bulk.protocols[i],
-                payload_hint=bulk.payload_hints[i],
+                flow_id=flow_id,
+                sni=sni,
+                host=host,
+                server_port=port,
+                protocol=protocol,
+                payload_hint=hint,
             )
             self._emit_user(
                 GtpuPacket(

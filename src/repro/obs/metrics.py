@@ -133,11 +133,11 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         # --- DPI classification -------------------------------------
         MetricSpec(
             "dpi.cache_hits", _C, "lookups", "dpi", _EV,
-            "flow-feature lookups answered by the classification memo",
+            "flows whose feature code was already resolved, so no match ran",
         ),
         MetricSpec(
             "dpi.cache_misses", _C, "lookups", "dpi", _EV,
-            "flow-feature lookups that ran the full match cascade",
+            "distinct feature codes matched now (a scalar classify counts one)",
         ),
         MetricSpec(
             "dpi.flows_classified", _C, "flows", "dpi", _EV,

@@ -14,7 +14,6 @@ marginals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -65,8 +64,8 @@ class _SubscriberDraws:
     __slots__ = (
         "imsi", "wants_4g", "communes", "timestamps", "durations",
         "n_flows", "flow_starts", "total_flows", "flow_times", "flow_dl",
-        "flow_ul", "flow_ids", "snis", "hosts", "hints", "ports",
-        "protocols", "spanning", "mid_hours", "mid_communes",
+        "flow_ul", "flow_ids", "feature_codes", "spanning", "mid_hours",
+        "mid_communes",
     )
 
 
@@ -210,12 +209,9 @@ class SessionLevelGenerator:
             timestamps_s=np.concatenate([d.flow_times for d in buffer]),
             dl_bytes=np.concatenate([d.flow_dl for d in buffer]),
             ul_bytes=np.concatenate([d.flow_ul for d in buffer]),
-            flow_ids=[x for d in buffer for x in d.flow_ids],
-            snis=[x for d in buffer for x in d.snis],
-            hosts=[x for d in buffer for x in d.hosts],
-            payload_hints=[x for d in buffer for x in d.hints],
-            server_ports=[x for d in buffer for x in d.ports],
-            protocols=[x for d in buffer for x in d.protocols],
+            flow_ids=np.concatenate([d.flow_ids for d in buffer]),
+            feature_codes=np.concatenate([d.feature_codes for d in buffer]),
+            codebook=self._fingerprints.codebook,
         )
         manager.detach_bulk(imsi, teids, tech_codes, timestamps + durations * 60.0)
         buffer.clear()
@@ -249,51 +245,64 @@ class SessionLevelGenerator:
         bins_per_hour = model.axis.bins_per_hour
         adoption = model.adoption[home]
 
-        services = list(subscriber.adopted_services)
-        if not services:
+        services = np.asarray(subscriber.adopted_services, dtype=np.int64)
+        if not len(services):
             return None
         session_counts = rng.poisson(config.sessions_per_service, size=len(services))
-
-        # Per-service session draws, concatenated into subscriber-level
-        # flat arrays (sessions stay grouped by service).
-        seg_services: List[int] = []
-        seg_counts: List[int] = []
-        seg_hours: List[np.ndarray] = []
-        seg_dl: List[np.ndarray] = []
-        seg_ul: List[np.ndarray] = []
-        for j, service_index in enumerate(services):
-            n_s = int(session_counts[j])
-            p_adopt = max(float(adoption[service_index]), 1e-6)
-            weekly_dl = (
-                float(model.per_subscriber_dl[home, service_index])
-                / p_adopt
-                * subscriber.activity_scale
-            )
-            weekly_ul = (
-                float(model.per_subscriber_ul[home, service_index])
-                / p_adopt
-                * subscriber.activity_scale
-            )
-            if n_s == 0 or weekly_dl + weekly_ul <= 0:
-                continue
-            bins = np.searchsorted(cdfs[service_index], rng.random(n_s), side="right")
-            jitter = np.exp(rng.normal(0.0, config.session_volume_sigma, n_s))
-            jitter /= jitter.sum()
-            hours = (bins + rng.random(n_s)) / bins_per_hour
-            keep = hours < horizon
-            if not keep.any():
-                continue
-            seg_services.append(service_index)
-            seg_counts.append(int(keep.sum()))
-            seg_hours.append(hours[keep])
-            seg_dl.append(weekly_dl * jitter[keep])
-            seg_ul.append(weekly_ul * jitter[keep])
-        if not seg_hours:
+        # Per-adopter weekly volume: the commune-level expectation is
+        # adoption * per-adopter, so divide the per-subscriber figure by
+        # the local adoption rate.
+        p_adopt = np.maximum(adoption[services].astype(np.float64), 1e-6)
+        weekly_dl = (
+            model.per_subscriber_dl[home, services].astype(np.float64)
+            / p_adopt
+            * subscriber.activity_scale
+        )
+        weekly_ul = (
+            model.per_subscriber_ul[home, services].astype(np.float64)
+            / p_adopt
+            * subscriber.activity_scale
+        )
+        drawn = np.flatnonzero(
+            (session_counts > 0) & ~(weekly_dl + weekly_ul <= 0)
+        )
+        if not len(drawn):
             return None
 
-        hours = np.concatenate(seg_hours)
-        dl_sessions = np.concatenate(seg_dl)
-        ul_sessions = np.concatenate(seg_ul)
+        # Three draws per service, in service order: time bin, volume
+        # jitter, offset within the bin.  Each service's jitter is
+        # normalised by its own ndarray.sum(), whose pairwise rounding a
+        # segmented reduction would not reproduce.
+        counts = session_counts[drawn]
+        seg_bins: List[np.ndarray] = []
+        seg_jitter: List[np.ndarray] = []
+        seg_offsets: List[np.ndarray] = []
+        jitter_sums: List[float] = []
+        for service_index, n_s in zip(services[drawn].tolist(), counts.tolist()):
+            seg_bins.append(
+                np.searchsorted(cdfs[service_index], rng.random(n_s), side="right")
+            )
+            jitter = np.exp(rng.normal(0.0, config.session_volume_sigma, n_s))
+            seg_jitter.append(jitter)
+            jitter_sums.append(jitter.sum())
+            seg_offsets.append(rng.random(n_s))
+        jitter = np.concatenate(seg_jitter) / np.repeat(jitter_sums, counts)
+        all_hours = (np.concatenate(seg_bins) + np.concatenate(seg_offsets)) / (
+            bins_per_hour
+        )
+        keep = all_hours < horizon
+        kept_per_service = np.add.reduceat(
+            keep.astype(np.int64), np.concatenate(([0], np.cumsum(counts)[:-1]))
+        )
+        if not kept_per_service.any():
+            return None
+        hours = all_hours[keep]
+        dl_sessions = (np.repeat(weekly_dl[drawn], counts) * jitter)[keep]
+        ul_sessions = (np.repeat(weekly_ul[drawn], counts) * jitter)[keep]
+        emitting = kept_per_service > 0
+        seg_services = services[drawn][emitting].tolist()
+        seg_counts = kept_per_service[emitting]
+
         n_sessions = len(hours)
         timestamps = hours * 3600.0
         communes = itinerary.locations_at(hours)
@@ -313,26 +322,18 @@ class SessionLevelGenerator:
         within = np.arange(total_flows) - np.repeat(flow_starts, n_flows)
         flow_times = np.repeat(timestamps, n_flows) + 30.0 * within
 
-        flow_ids: List[int] = []
-        snis: List[Optional[str]] = []
-        hosts: List[Optional[str]] = []
-        hints: List[Optional[str]] = []
-        ports: List[int] = []
-        protocols: List[str] = []
         svc_seg_starts = np.concatenate(([0], np.cumsum(seg_counts)))[:-1]
         flows_per_service = np.add.reduceat(n_flows, svc_seg_starts)
-        for service_index, count in zip(seg_services, flows_per_service.tolist()):
-            ids_s, sni_s, host_s, hint_s, port_s, proto_s = (
-                self._fingerprints.emit_flow_features(
-                    self._head_names[service_index], int(count)
-                )
+        emitted = [
+            self._fingerprints.emit_flow_features(
+                self._head_names[service_index], count
             )
-            flow_ids += ids_s
-            snis += sni_s
-            hosts += host_s
-            hints += hint_s
-            ports += port_s
-            protocols += proto_s
+            for service_index, count in zip(
+                seg_services, flows_per_service.tolist()
+            )
+        ]
+        flow_ids = np.concatenate([ids for ids, _ in emitted])
+        feature_codes = np.concatenate([codes for _, codes in emitted])
 
         self.sessions_generated += n_sessions
         self.flows_generated += total_flows
@@ -361,11 +362,7 @@ class SessionLevelGenerator:
         draws.flow_dl = flow_dl
         draws.flow_ul = flow_ul
         draws.flow_ids = flow_ids
-        draws.snis = snis
-        draws.hosts = hosts
-        draws.hints = hints
-        draws.ports = ports
-        draws.protocols = protocols
+        draws.feature_codes = feature_codes
         draws.spanning = spanning if spanning.any() else None
         draws.mid_hours = mid_hours
         draws.mid_communes = mid_communes
@@ -382,8 +379,8 @@ class SessionLevelGenerator:
         n_flows = draws.n_flows
         flow_times = draws.flow_times
         flow_dl, flow_ul = draws.flow_dl, draws.flow_ul
-        flow_ids, snis, hosts = draws.flow_ids, draws.snis, draws.hosts
-        hints, ports, protocols = draws.hints, draws.ports, draws.protocols
+        flow_ids, feature_codes = draws.flow_ids, draws.feature_codes
+        codebook = self._fingerprints.codebook
 
         if draws.spanning is None:
             teids, tech_codes = manager.attach_bulk(
@@ -396,11 +393,8 @@ class SessionLevelGenerator:
                 dl_bytes=flow_dl,
                 ul_bytes=flow_ul,
                 flow_ids=flow_ids,
-                snis=snis,
-                hosts=hosts,
-                payload_hints=hints,
-                server_ports=ports,
-                protocols=protocols,
+                feature_codes=feature_codes,
+                codebook=codebook,
             )
             manager.detach_bulk(
                 imsi, teids, tech_codes, timestamps + durations * 60.0
@@ -412,7 +406,6 @@ class SessionLevelGenerator:
         bulk = ~spanning
         if bulk.any():
             keep_flows = np.repeat(bulk, n_flows)
-            mask_list = keep_flows.tolist()
             teids, tech_codes = manager.attach_bulk(
                 imsi, communes[bulk], wants_4g, timestamps[bulk]
             )
@@ -422,16 +415,17 @@ class SessionLevelGenerator:
                 timestamps_s=flow_times[keep_flows],
                 dl_bytes=flow_dl[keep_flows],
                 ul_bytes=flow_ul[keep_flows],
-                flow_ids=list(itertools.compress(flow_ids, mask_list)),
-                snis=list(itertools.compress(snis, mask_list)),
-                hosts=list(itertools.compress(hosts, mask_list)),
-                payload_hints=list(itertools.compress(hints, mask_list)),
-                server_ports=list(itertools.compress(ports, mask_list)),
-                protocols=list(itertools.compress(protocols, mask_list)),
+                flow_ids=flow_ids[keep_flows],
+                feature_codes=feature_codes[keep_flows],
+                codebook=codebook,
             )
             manager.detach_bulk(
                 imsi, teids, tech_codes, timestamps[bulk] + durations[bulk] * 60.0
             )
+        # Spanning flows, in session then flow order, decoded at once.
+        decoded = iter(
+            codebook.decode_many(feature_codes[np.repeat(spanning, n_flows)])
+        )
         for i in np.flatnonzero(spanning).tolist():
             session = manager.attach(
                 imsi_hash=imsi,
@@ -450,15 +444,16 @@ class SessionLevelGenerator:
                         session, int(mid_communes[i]), wants_4g, mid_s
                     )
                     flow_time = mid_s
+                sni, host, hint, port, protocol = next(decoded)
                 manager.report_flow(
                     session,
                     FlowDescriptor(
-                        flow_id=flow_ids[idx],
-                        sni=snis[idx],
-                        host=hosts[idx],
-                        server_port=ports[idx],
-                        protocol=protocols[idx],
-                        payload_hint=hints[idx],
+                        flow_id=int(flow_ids[idx]),
+                        sni=sni,
+                        host=host,
+                        server_port=port,
+                        protocol=protocol,
+                        payload_hint=hint,
                     ),
                     dl_bytes=float(flow_dl[idx]),
                     ul_bytes=float(flow_ul[idx]),

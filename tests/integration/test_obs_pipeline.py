@@ -93,8 +93,8 @@ class TestCounterInvariants:
         )
         # One PDP context (hence one TEID) per session.
         assert counters["gtp.teids_allocated"] == counters["generator.sessions"]
-        # The indexed DPI path memoizes per flow name: every lookup is a
-        # hit or a miss, every flow is classified or not.
+        # Every flow's feature code is either resolved now (a miss) or
+        # was resolved before (a hit); every flow is classified or not.
         assert (
             counters["dpi.cache_hits"] + counters["dpi.cache_misses"]
             == counters["dpi.flows_classified"]

@@ -1,7 +1,9 @@
 """Unit tests for the DPI classification engine."""
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.dpi.classifier import DpiEngine, Technique
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.network.gtp import FlowDescriptor
@@ -116,33 +118,26 @@ class TestIndexedEquivalence:
         assert fast.report.by_technique == slow.report.by_technique
 
     def test_batch_matches_per_flow(self, db, corpus):
-        import numpy as np
-
-        keys = [
+        codes, overflow = db.codebook.encode_many(
             (f.sni, f.host, f.payload_hint, f.server_port, f.protocol)
             for f in corpus
-        ]
+        )
+        # The hand-picked foreign names take the overflow path.
+        assert len(overflow) == 3
         volumes = np.arange(1.0, len(corpus) + 1)
 
-        batched = DpiEngine(db, indexed=True)
-        names = batched.classify_batch(keys, volumes)
+        for indexed in (True, False):
+            batched = DpiEngine(db, indexed=indexed)
+            positions = batched.classify_batch(codes, volumes, overflow)
 
-        scalar = DpiEngine(db, indexed=True)
-        expected = [
-            scalar.classify(flow, vol)
-            for flow, vol in zip(corpus, volumes.tolist())
-        ]
+            scalar = DpiEngine(db, indexed=indexed)
+            expected = [
+                scalar.classify(flow, vol)
+                for flow, vol in zip(corpus, volumes.tolist())
+            ]
 
-        assert names == expected
-        assert batched.report.flows_total == scalar.report.flows_total
-        assert batched.report.flows_classified == scalar.report.flows_classified
-        assert batched.report.bytes_total == pytest.approx(
-            scalar.report.bytes_total
-        )
-        assert batched.report.bytes_classified == pytest.approx(
-            scalar.report.bytes_classified
-        )
-        assert batched.report.by_technique == scalar.report.by_technique
+            assert names_of(batched, positions) == expected
+            assert report_bits(batched.report) == report_bits(scalar.report)
 
     def test_report_merge_adds_counts(self, db, corpus):
         a = DpiEngine(db)
@@ -159,3 +154,71 @@ class TestIndexedEquivalence:
         assert a.report.flows_total == whole.report.flows_total
         assert a.report.flows_classified == whole.report.flows_classified
         assert a.report.by_technique == whole.report.by_technique
+
+
+def names_of(engine, positions):
+    """Per-flow service names of :meth:`DpiEngine.classify_batch` output."""
+    return [
+        engine.service_names[p] if p >= 0 else None for p in positions.tolist()
+    ]
+
+
+def report_bits(report):
+    """A report's fields, byte totals as exact hex strings."""
+    return (
+        report.flows_total,
+        report.flows_classified,
+        report.bytes_total.hex(),
+        report.bytes_classified.hex(),
+        dict(report.by_technique),
+    )
+
+
+class TestCodeResolution:
+    """Each distinct code is matched once; later batches reuse it."""
+
+    def _emitted(self, db, n=400):
+        ids, codes = zip(
+            *(db.emit_flow_features(name, n // 20) for name in HEAD_SERVICE_NAMES)
+        )
+        return np.concatenate(codes)
+
+    def test_hits_plus_misses_count_every_flow(self, catalog):
+        db = FingerprintDatabase(catalog, seed=3)
+        engine = DpiEngine(db)
+        codes = self._emitted(db)
+        volumes = np.ones(len(codes))
+        with obs.observed() as session:
+            engine.classify_batch(codes, volumes)
+            first = session.registry.export_counters()
+            engine.classify_batch(codes, volumes)
+            second = session.registry.export_counters()
+        distinct = len(np.unique(codes))
+        assert first["dpi.cache_misses"] == distinct
+        assert first["dpi.cache_hits"] == len(codes) - distinct
+        # Everything was resolved by the first batch.
+        assert second["dpi.cache_misses"] == distinct
+        assert second["dpi.cache_hits"] == 2 * len(codes) - distinct
+
+    def test_overflow_codes_are_batch_local(self, catalog):
+        db = FingerprintDatabase(catalog, seed=3)
+        engine = DpiEngine(db)
+        volumes = np.ones(1)
+        code = np.array([-1], dtype=np.int64)
+        youtube = (("twitter.com", None, None, 443, "tcp"),)
+        mail = ((None, None, None, 993, "tcp"),)
+        first = engine.classify_batch(code, volumes, youtube)
+        second = engine.classify_batch(code, volumes, mail)
+        assert names_of(engine, first) == ["Twitter"]
+        assert names_of(engine, second) == ["Mail"]
+
+    def test_resolved_outcomes_match_the_kernel(self, catalog):
+        db = FingerprintDatabase(catalog, seed=5)
+        engine = DpiEngine(db)
+        codes = self._emitted(db)
+        positions = engine.classify_batch(codes, np.ones(len(codes)))
+        for code, position in zip(codes.tolist(), positions.tolist()):
+            outcome = engine._match_features(*db.codebook.decode(code))
+            assert (outcome[0] if outcome else None) == (
+                engine.service_names[position] if position >= 0 else None
+            )

@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 
 from repro._rng import as_generator
-from repro.network.gtp import GtpcMessage, GtpuPacket
+from repro.dataset.parallel import _drop_batch_tail
+from repro.network.gtp import (
+    EMPTY_CODEBOOK,
+    FeatureCodebook,
+    GtpcMessage,
+    GtpuPacket,
+)
 from repro.network.probes import CoreProbe, ProbeRecordBatch, ProbeStats
 from repro.network.session import SessionManager
 from repro.network.topology import build_topology
+
+CODEBOOK = FeatureCodebook(suffixes=("youtube.com", "imap."), hints=("quic-yt",))
 
 
 @pytest.fixture()
@@ -21,27 +29,51 @@ def manager(country):
     return SessionManager(topology, as_generator(3))
 
 
+def _features(n_flows):
+    """Flow features alternating between codebook names and a name the
+    codebook cannot encode (which rides in the overflow table)."""
+    return [
+        (f"edge-{i:03d}.youtube.com", None, "quic-yt", 443, "tcp")
+        if i % 2 == 0
+        else ("edge.youtube.com", None, None, 443, "tcp")
+        for i in range(n_flows)
+    ]
+
+
 def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
     """Drive n_sessions through attach/report/detach on the bulk path."""
     commune_ids = np.arange(n_sessions, dtype=np.int64)
     timestamps = np.arange(n_sessions, dtype=np.float64)
     teids, tech_codes = manager.attach_bulk(imsi, commune_ids, False, timestamps)
     n_flows = n_sessions * flows_per
+    codes, overflow = CODEBOOK.encode_many(_features(n_flows))
     manager.report_flows_bulk(
         session_teids=teids,
         flows_per_session=np.full(n_sessions, flows_per, dtype=np.int64),
         timestamps_s=np.linspace(10.0, 20.0, n_flows),
         dl_bytes=np.full(n_flows, 500.0),
         ul_bytes=np.full(n_flows, 20.0),
-        flow_ids=list(range(n_flows)),
-        snis=["edge.youtube.com"] * n_flows,
-        hosts=[None] * n_flows,
-        payload_hints=[None] * n_flows,
-        server_ports=[443] * n_flows,
-        protocols=["tcp"] * n_flows,
+        flow_ids=np.arange(n_flows, dtype=np.int64),
+        feature_codes=codes,
+        codebook=CODEBOOK,
+        overflow=overflow,
     )
     manager.detach_bulk(imsi, teids, tech_codes, timestamps + 100.0)
     return teids
+
+
+def _flow_features(records):
+    return [
+        (
+            r.flow.flow_id,
+            r.flow.sni,
+            r.flow.host,
+            r.flow.payload_hint,
+            r.flow.server_port,
+            r.flow.protocol,
+        )
+        for r in records
+    ]
 
 
 class TestBulkProbe:
@@ -55,6 +87,10 @@ class TestBulkProbe:
         assert all(r.total_bytes == 520.0 for r in records)
         # commune follows the session the flow rode on
         assert sorted({r.commune_id for r in records}) == [0, 1, 2]
+        # codes and overflow rows both decode to the reported features
+        assert _flow_features(records) == [
+            (i,) + features for i, features in enumerate(_features(6))
+        ]
 
     def test_create_bulk_counts_request_and_response(self, manager):
         probe = CoreProbe().attach_to_bulk(manager)
@@ -72,18 +108,19 @@ class TestBulkProbe:
 
     def test_orphan_flows_counted(self, manager):
         probe = CoreProbe().attach_to_bulk(manager)
+        codes, overflow = EMPTY_CODEBOOK.encode_many(
+            [(None, None, None, 80, "tcp")] * 2
+        )
+        assert overflow == ()
         manager.report_flows_bulk(
             session_teids=np.array([999_999], dtype=np.int64),
             flows_per_session=np.array([2], dtype=np.int64),
             timestamps_s=np.array([1.0, 2.0]),
             dl_bytes=np.array([1.0, 1.0]),
             ul_bytes=np.array([0.0, 0.0]),
-            flow_ids=[1, 2],
-            snis=[None, None],
-            hosts=[None, None],
-            payload_hints=[None, None],
-            server_ports=[80, 80],
-            protocols=["tcp", "tcp"],
+            flow_ids=np.array([1, 2], dtype=np.int64),
+            feature_codes=codes,
+            codebook=EMPTY_CODEBOOK,
         )
         assert probe.stats.orphan_packets == 2
         assert probe.drain() == []
@@ -135,12 +172,14 @@ class TestMaterialization:
         scalar_probe = CoreProbe().attach_to(scalar_mgr)
         from repro.network.gtp import FlowDescriptor
 
+        features = _features(6)
         for i in range(3):
             session = scalar_mgr.attach(42, i, False, float(i))
             for j in range(2):
+                sni, host, hint, port, protocol = features[i * 2 + j]
                 scalar_mgr.report_flow(
                     session,
-                    FlowDescriptor(i * 2 + j, "edge.youtube.com", None, 443, "tcp"),
+                    FlowDescriptor(i * 2 + j, sni, host, port, protocol, hint),
                     500.0,
                     20.0,
                     10.0 + j,
@@ -162,6 +201,7 @@ class TestMaterialization:
             (r.imsi_hash, r.commune_id, r.dl_bytes, r.ul_bytes)
             for r in bulk_records
         ]
+        assert _flow_features(scalar_records) == _flow_features(bulk_records)
 
 
 class TestProbeRecordBatch:
@@ -171,8 +211,13 @@ class TestProbeRecordBatch:
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
         batches = probe.drain_batches()
         records = [r for b in batches for r in b.to_records()]
-        rebuilt = ProbeRecordBatch.from_records(records)
-        assert rebuilt.to_records() == records
+        for codebook in (EMPTY_CODEBOOK, CODEBOOK):
+            rebuilt = ProbeRecordBatch.from_records(records, codebook)
+            assert rebuilt.to_records() == records
+        # Only the name outside CODEBOOK overflows, and only once.
+        rebuilt = ProbeRecordBatch.from_records(records, CODEBOOK)
+        assert rebuilt.overflow == (("edge.youtube.com", None, None, 443, "tcp"),)
+        assert (rebuilt.feature_codes < 0).sum() == len(records) // 2
 
     def test_concat_preserves_order(self, manager):
         probe = CoreProbe().attach_to(manager)
@@ -187,6 +232,30 @@ class TestProbeRecordBatch:
         assert merged.to_records() == records
         with pytest.raises(ValueError):
             ProbeRecordBatch.concat([])
+
+    def test_concat_recodes_to_the_first_codebook(self, manager):
+        probe = CoreProbe().attach_to(manager)
+        probe.attach_to_bulk(manager)
+        _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
+        records = probe.drain()
+        first = ProbeRecordBatch.from_records(records[:3], EMPTY_CODEBOOK)
+        second = ProbeRecordBatch.from_records(records[3:], CODEBOOK)
+        merged = ProbeRecordBatch.concat([first, second])
+        assert merged.codebook is EMPTY_CODEBOOK
+        assert merged.to_records() == records
+        back = merged.recoded(CODEBOOK)
+        assert back.codebook is CODEBOOK
+        assert back.to_records() == records
+        equal = FeatureCodebook(CODEBOOK.suffixes, CODEBOOK.hints)
+        assert back.recoded(equal) is back
+
+    def test_drop_tail_keeps_codes_and_overflow(self, manager):
+        probe = CoreProbe(codebook=CODEBOOK).attach_to(manager)
+        _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
+        (batch,) = probe.drain_batches()
+        kept, dropped = _drop_batch_tail(batch, 0.5)
+        assert (len(kept), dropped) == (3, 3)
+        assert kept.to_records() == batch.to_records()[:3]
 
     def test_stats_merge(self):
         a = ProbeStats(control_messages=1, user_packets=2, orphan_packets=3, records=4)
