@@ -295,7 +295,7 @@ class DpiEngine:
         fresh_outcomes = np.fromiter(
             (
                 packed(match(*features), -1)
-                for features in self.codebook.decode_many(fresh, overflow)
+                for features in self.codebook.decode(fresh, overflow)
             ),
             dtype=np.int64,
             count=len(fresh),

@@ -190,11 +190,6 @@ _HEAD_FINGERPRINTS: Dict[str, ServiceFingerprint] = {
 
 #: Ports used for generic web flows when no signature port applies.
 _GENERIC_PORTS = ((443, "tcp"), (80, "tcp"), (443, "udp"))
-_GENERIC_PORT_FIELDS = np.asarray(
-    [FeatureCodebook.port_field(*pair) for pair in _GENERIC_PORTS], dtype=np.int64
-)
-_HTTPS_FIELD = FeatureCodebook.port_field(443, "tcp")
-_HTTP_FIELD = FeatureCodebook.port_field(80, "tcp")
 
 
 class FingerprintDatabase:
@@ -218,7 +213,6 @@ class FingerprintDatabase:
         self._rng = as_generator(seed)
         self._flow_counter = 0
         self._feature_buffers: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        self._emit_tables: Dict[str, _EmitTables] = {}
         self._fingerprints: Dict[str, ServiceFingerprint] = {}
         for service in catalog:
             if service.name in _HEAD_FINGERPRINTS:
@@ -340,21 +334,12 @@ class FingerprintDatabase:
         self._feature_buffers[service_name] = (flow_ids[n:], codes[n:])
         return flow_ids[:n], codes[:n]
 
-    def _tables(self, service_name: str) -> "_EmitTables":
-        tables = self._emit_tables.get(service_name)
-        if tables is None:
-            fp = self.fingerprint_of(service_name)
-            tables = self._emit_tables[service_name] = _EmitTables(
-                fp, self.codebook
-            )
-        return tables
-
     def _draw_flow_features(
         self, service_name: str, n: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         rng = self._rng
+        codebook = self.codebook
         fp = self.fingerprint_of(service_name)
-        tables = self._tables(service_name)
         start = self._flow_counter + 1
         self._flow_counter += n
         flow_ids = np.arange(start, start + n, dtype=np.int64)
@@ -378,72 +363,52 @@ class FingerprintDatabase:
             use_tls = np.zeros(m, dtype=bool)
         tls_rows = clear_rows[use_tls]
         if len(tls_rows):
-            ports[tls_rows] = _HTTPS_FIELD
-            snis[tls_rows] = tables.sni.draw(rng, len(tls_rows))
+            ports[tls_rows] = codebook.port_field(443, "tcp")
+            snis[tls_rows] = self._endpoint_fields(fp.sni_suffixes, len(tls_rows))
         plain_rows = clear_rows[~use_tls]
         if len(plain_rows):
             if fp.host_suffixes:
-                ports[plain_rows] = _HTTP_FIELD
-                hosts[plain_rows] = tables.host.draw(rng, len(plain_rows))
+                ports[plain_rows] = codebook.port_field(80, "tcp")
+                hosts[plain_rows] = self._endpoint_fields(
+                    fp.host_suffixes, len(plain_rows)
+                )
             # Signature ports apply exactly where the scalar emitter
             # applies them: clear-text flows (and, for SNI-less
             # services, every non-obfuscated flow).
             if fp.port_signatures:
-                ports[plain_rows] = tables.signature_ports[
-                    rng.integers(len(fp.port_signatures), size=len(plain_rows))
+                signatures = [codebook.port_field(*s) for s in fp.port_signatures]
+                ports[plain_rows] = np.asarray(signatures)[
+                    rng.integers(len(signatures), size=len(plain_rows))
                 ]
         generic_rows = clear_rows[ports[clear_rows] == 0]
         if len(generic_rows):
-            ports[generic_rows] = _GENERIC_PORT_FIELDS[
-                rng.integers(len(_GENERIC_PORTS), size=len(generic_rows))
+            generic = [codebook.port_field(*pair) for pair in _GENERIC_PORTS]
+            ports[generic_rows] = np.asarray(generic)[
+                rng.integers(len(generic), size=len(generic_rows))
             ]
         if fp.payload_hints and m:
             hinted = clear_rows[rng.random(m) < 0.7]
             if len(hinted):
-                hints[hinted] = tables.hints[
-                    rng.integers(len(fp.payload_hints), size=len(hinted))
+                fields = [codebook.hint_field(h) for h in fp.payload_hints]
+                hints[hinted] = np.asarray(fields)[
+                    rng.integers(len(fields), size=len(hinted))
                 ]
-        return flow_ids, self.codebook.pack(snis, hosts, hints, ports)
+        return flow_ids, codebook.pack(snis, hosts, hints, ports)
 
+    def _endpoint_fields(self, suffixes: Sequence[str], n: int) -> np.ndarray:
+        """``n`` codebook endpoint fields drawn like :func:`_endpoint`.
 
-class _EndpointDraw:
-    """Endpoint fields of one suffix list, drawn like :func:`_endpoint`."""
-
-    __slots__ = ("base", "prefix")
-
-    def __init__(self, suffixes: Sequence[str], codebook: FeatureCodebook):
-        self.base = np.asarray(
-            [codebook.suffix_field(s) for s in suffixes], dtype=np.int64
-        )
-        self.prefix = np.asarray([s.endswith(".") for s in suffixes], dtype=bool)
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """``n`` endpoint fields: one suffix, edge label and provider
-        draw each (three batched calls, in that order), keeping the
-        provider for prefix-style suffixes and the label otherwise."""
-        suffix_idx = rng.integers(len(self.base), size=n)
+        Three batched draws, in this order: the suffix, the edge label
+        and the provider; prefix-style suffixes keep the provider, the
+        others the label.
+        """
+        rng = self._rng
+        base = np.asarray([self.codebook.suffix_field(s) for s in suffixes])
+        prefix = np.asarray([s.endswith(".") for s in suffixes])
+        suffix_idx = rng.integers(len(suffixes), size=n)
         labels = rng.integers(1000, size=n)
         providers = rng.integers(100, size=n)
-        return self.base[suffix_idx] + np.where(
-            self.prefix[suffix_idx], providers, labels
-        )
-
-
-class _EmitTables:
-    """One service's fingerprint as codebook field values."""
-
-    __slots__ = ("sni", "host", "hints", "signature_ports")
-
-    def __init__(self, fp: ServiceFingerprint, codebook: FeatureCodebook):
-        self.sni = _EndpointDraw(fp.sni_suffixes, codebook)
-        self.host = _EndpointDraw(fp.host_suffixes, codebook)
-        self.hints = np.asarray(
-            [codebook.hint_field(h) for h in fp.payload_hints], dtype=np.int64
-        )
-        self.signature_ports = np.asarray(
-            [codebook.port_field(p, proto) for p, proto in fp.port_signatures],
-            dtype=np.int64,
-        )
+        return base[suffix_idx] + np.where(prefix[suffix_idx], providers, labels)
 
 
 def _endpoint(rng: np.random.Generator, suffixes: Sequence[str]) -> str:

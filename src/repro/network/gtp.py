@@ -188,7 +188,7 @@ class FeatureCodebook:
     :func:`endpoint_name` renders; a hint field is 0 for no hint, else
     ``1 + hint_index``; the port field is ``port * 2 + (protocol ==
     "udp")``.  Names outside this space (foreign domains, unknown
-    hints) have no code: :meth:`encode_many` keeps such features in a
+    hints) have no code: :meth:`encode` keeps such features in a
     batch-local overflow table and gives them negative codes,
     ``-(1 + row)``.
 
@@ -262,7 +262,48 @@ class FeatureCodebook:
             self.PORT_FIELDS
         ) + port
 
-    def encode(self, features: Features) -> Optional[int]:
+    def encode(
+        self, rows: Iterable[Features]
+    ) -> Tuple[np.ndarray, Tuple[Features, ...]]:
+        """Codes for feature tuples, plus the overflow table they use."""
+        codes: List[int] = []
+        overflow: Dict[Features, int] = {}
+        for features in rows:
+            code = self._code(features)
+            if code is None:
+                code = -1 - overflow.setdefault(features, len(overflow))
+            codes.append(code)
+        return np.asarray(codes, dtype=np.int64), tuple(overflow)
+
+    def decode(
+        self, codes: np.ndarray, overflow: Sequence[Features] = ()
+    ) -> List[Features]:
+        """The feature tuples of an int64 code array, in order.
+
+        Negative codes index ``overflow``.  The fields are split with
+        array arithmetic; only the names are rendered one by one.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        fields = np.maximum(codes, 0)
+        rest, ports = np.divmod(fields, self.PORT_FIELDS)
+        rest, hints = np.divmod(rest, self.hint_fields)
+        snis, hosts = np.divmod(rest, self.endpoints)
+        if (snis >= self.endpoints).any():
+            raise ValueError("code outside the codebook")
+        hint_names = (None,) + self.hints
+        return [
+            overflow[-1 - code] if code < 0 else (sni, host, hint_names[hint], port, proto)
+            for code, sni, host, hint, port, proto in zip(
+                codes.tolist(),
+                self._names(snis),
+                self._names(hosts),
+                hints.tolist(),
+                (ports >> 1).tolist(),
+                [_PROTOCOLS[p] for p in (ports & 1).tolist()],
+            )
+        ]
+
+    def _code(self, features: Features) -> Optional[int]:
         """The code of one feature tuple, or None outside the codebook."""
         sni, host, hint, port, protocol = features
         if hint is None:
@@ -282,50 +323,6 @@ class FeatureCodebook:
         ):
             return None
         return self.pack(sni_field, host_field, hint_field, int(port) * 2 + proto)
-
-    def encode_many(
-        self, rows: Iterable[Features]
-    ) -> Tuple[np.ndarray, Tuple[Features, ...]]:
-        """Codes for feature tuples, plus the overflow table they use."""
-        codes: List[int] = []
-        overflow: Dict[Features, int] = {}
-        for features in rows:
-            code = self.encode(features)
-            if code is None:
-                code = -1 - overflow.setdefault(features, len(overflow))
-            codes.append(code)
-        return np.asarray(codes, dtype=np.int64), tuple(overflow)
-
-    def decode(self, code: int, overflow: Sequence[Features] = ()) -> Features:
-        """The feature tuple of one code (see :meth:`decode_many`)."""
-        return self.decode_many(np.asarray([code], dtype=np.int64), overflow)[0]
-
-    def decode_many(
-        self, codes: np.ndarray, overflow: Sequence[Features] = ()
-    ) -> List[Features]:
-        """The feature tuples of an int64 code array, in order.
-
-        Negative codes index ``overflow``.  The fields are split with
-        array arithmetic; only the names are rendered one by one.
-        """
-        fields = np.maximum(codes, 0)
-        rest, ports = np.divmod(fields, self.PORT_FIELDS)
-        rest, hints = np.divmod(rest, self.hint_fields)
-        snis, hosts = np.divmod(rest, self.endpoints)
-        if (snis >= self.endpoints).any():
-            raise ValueError("code outside the codebook")
-        hint_names = (None,) + self.hints
-        return [
-            overflow[-1 - code] if code < 0 else (sni, host, hint_names[hint], port, proto)
-            for code, sni, host, hint, port, proto in zip(
-                codes.tolist(),
-                self._names(snis),
-                self._names(hosts),
-                hints.tolist(),
-                (ports >> 1).tolist(),
-                [_PROTOCOLS[p] for p in (ports & 1).tolist()],
-            )
-        ]
 
     def _names(self, fields: np.ndarray) -> List[Optional[str]]:
         """Rendered endpoint names of endpoint fields (None for 0)."""
@@ -433,7 +430,7 @@ class GtpuBulk:
     Flows are grouped by session: ``session_teids[i]`` carried
     ``flows_per_session[i]`` consecutive flows of the flat per-flow
     arrays.  DPI features ride as one int64 code per flow against
-    ``codebook`` (negative codes index the ``overflow`` table).
+    ``codebook``.
     """
 
     session_teids: np.ndarray
@@ -444,7 +441,6 @@ class GtpuBulk:
     flow_ids: np.ndarray
     feature_codes: np.ndarray
     codebook: FeatureCodebook
-    overflow: Tuple[Features, ...] = ()
 
     def __len__(self) -> int:
         return len(self.timestamps_s)

@@ -89,7 +89,7 @@ class ProbeRecordBatch:
     def to_records(self) -> List[ProbeRecord]:
         """Materialize the batch as scalar :class:`ProbeRecord` objects."""
         out: List[ProbeRecord] = []
-        features = self.codebook.decode_many(self.feature_codes, self.overflow)
+        features = self.codebook.decode(self.feature_codes, self.overflow)
         for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
             zip(self.flow_ids.tolist(), features)
         ):
@@ -123,8 +123,8 @@ class ProbeRecordBatch:
         if codebook is self.codebook or codebook == self.codebook:
             return self
         distinct, inverse = np.unique(self.feature_codes, return_inverse=True)
-        codes, overflow = codebook.encode_many(
-            self.codebook.decode_many(distinct, self.overflow)
+        codes, overflow = codebook.encode(
+            self.codebook.decode(distinct, self.overflow)
         )
         return replace(
             self,
@@ -177,7 +177,7 @@ class ProbeRecordBatch:
         Flow features are encoded against ``codebook``; features it has
         no code for go to the batch's overflow table.
         """
-        codes, overflow = codebook.encode_many(
+        codes, overflow = codebook.encode(
             (
                 r.flow.sni,
                 r.flow.host,
@@ -427,7 +427,6 @@ class CoreProbe:
                 flow_ids=bulk.flow_ids,
                 feature_codes=bulk.feature_codes,
                 codebook=bulk.codebook,
-                overflow=bulk.overflow,
             )
         else:
             mask = np.repeat(known, flows_per_session)
@@ -442,7 +441,6 @@ class CoreProbe:
                 flow_ids=bulk.flow_ids[mask],
                 feature_codes=bulk.feature_codes[mask],
                 codebook=bulk.codebook,
-                overflow=bulk.overflow,
             )
         if len(batch):
             self.stats.records += len(batch)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Callable, List, Tuple
+from typing import Callable, List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from repro.network.gtp import (
     TECH_3G,
     TECH_BY_CODE,
     FeatureCodebook,
-    Features,
     FlowDescriptor,
     GtpcCreateBulk,
     GtpcDeleteBulk,
@@ -328,12 +327,11 @@ class SessionManager:
         flow_ids: np.ndarray,
         feature_codes: np.ndarray,
         codebook: FeatureCodebook,
-        overflow: Tuple[Features, ...] = (),
     ) -> GtpuBulk:
         """Account a session-grouped batch of user-plane flow records.
 
         Each flow's DPI features arrive as one code of ``feature_codes``
-        against ``codebook``; negative codes index ``overflow``.
+        against ``codebook``.
         """
         with obs.span("gtp.user_plane"):
             bulk = GtpuBulk(
@@ -345,7 +343,6 @@ class SessionManager:
                 flow_ids=flow_ids,
                 feature_codes=feature_codes,
                 codebook=codebook,
-                overflow=overflow,
             )
             for listener in self._bulk_user_listeners:
                 listener(bulk)
@@ -414,7 +411,7 @@ class SessionManager:
 
     def _materialize_flows(self, bulk: GtpuBulk) -> None:
         teids = np.repeat(bulk.session_teids, bulk.flows_per_session)
-        features = bulk.codebook.decode_many(bulk.feature_codes, bulk.overflow)
+        features = bulk.codebook.decode(bulk.feature_codes)
         for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
             zip(bulk.flow_ids.tolist(), features)
         ):

@@ -424,7 +424,7 @@ class SessionLevelGenerator:
             )
         # Spanning flows, in session then flow order, decoded at once.
         decoded = iter(
-            codebook.decode_many(feature_codes[np.repeat(spanning, n_flows)])
+            codebook.decode(feature_codes[np.repeat(spanning, n_flows)])
         )
         for i in np.flatnonzero(spanning).tolist():
             session = manager.attach(

@@ -64,36 +64,37 @@ def features():
 def test_emitted_descriptors_round_trip(seed, service):
     db = FingerprintDatabase(_CATALOG, seed=seed)
     codebook = _DB.codebook  # a separate database decodes the same codes
-    for _ in range(5):
-        flow_features = features_of(db.emit_flow(service))
-        code = codebook.encode(flow_features)
-        assert code is not None and code >= 0
-        assert codebook.decode(code) == flow_features
+    scalar = [features_of(db.emit_flow(service)) for _ in range(5)]
+    codes, overflow = codebook.encode(scalar)
+    assert overflow == () and (codes >= 0).all()
+    assert codebook.decode(codes) == scalar
     _, codes = db.emit_flow_features(service, 64)
-    for code in codes.tolist():
-        sni, host, hint, port, protocol = decoded = codebook.decode(code)
+    decoded = codebook.decode(codes)
+    for sni, host, hint, port, protocol in decoded:
         FlowDescriptor(0, sni, host, port, protocol, hint)  # a valid flow
-        assert codebook.encode(decoded) == code
+    recoded, overflow = codebook.encode(decoded)
+    assert overflow == () and recoded.tolist() == codes.tolist()
 
 
 @SETTINGS
 @given(rows=st.lists(features(), max_size=30))
 def test_arbitrary_features_round_trip(rows):
-    codes, overflow = _DB.codebook.encode_many(rows)
-    assert [_DB.codebook.decode(c, overflow) for c in codes.tolist()] == rows
+    codes, overflow = _DB.codebook.encode(rows)
+    assert _DB.codebook.decode(codes, overflow) == rows
     # Overflow rows are exactly the distinct features without a code.
     assert set(overflow) == {
-        row for row in rows if _DB.codebook.encode(row) is None
+        row for row, code in zip(rows, codes.tolist()) if code < 0
     }
     assert len(overflow) == len(set(overflow))
+    for row, code in zip(rows, codes.tolist()):
+        assert (_DB.codebook.encode([row])[1] == ()) == (code >= 0)
 
 
 def _corpus():
     flows = []
     for name in HEAD_SERVICE_NAMES:
         _, codes = _DB.emit_flow_features(name, 40)
-        for code in codes.tolist():
-            sni, host, hint, port, protocol = _DB.codebook.decode(code)
+        for sni, host, hint, port, protocol in _DB.codebook.decode(codes):
             flows.append(FlowDescriptor(len(flows), sni, host, port, protocol, hint))
     flows += [
         FlowDescriptor(len(flows), "scontent.fbcdn.net", None, 443, "tcp"),
@@ -129,7 +130,7 @@ def test_any_chunking_matches_per_flow(expected, cuts):
     engine = DpiEngine(_DB)
     names = []
     for start, stop in zip(bounds, bounds[1:]):
-        codes, overflow = engine.codebook.encode_many(
+        codes, overflow = engine.codebook.encode(
             features_of(f) for f in flows[start:stop]
         )
         positions = engine.classify_batch(codes, volumes[start:stop], overflow)

@@ -118,7 +118,7 @@ class TestIndexedEquivalence:
         assert fast.report.by_technique == slow.report.by_technique
 
     def test_batch_matches_per_flow(self, db, corpus):
-        codes, overflow = db.codebook.encode_many(
+        codes, overflow = db.codebook.encode(
             (f.sni, f.host, f.payload_hint, f.server_port, f.protocol)
             for f in corpus
         )
@@ -217,8 +217,10 @@ class TestCodeResolution:
         engine = DpiEngine(db)
         codes = self._emitted(db)
         positions = engine.classify_batch(codes, np.ones(len(codes)))
-        for code, position in zip(codes.tolist(), positions.tolist()):
-            outcome = engine._match_features(*db.codebook.decode(code))
+        for features, position in zip(
+            db.codebook.decode(codes), positions.tolist()
+        ):
+            outcome = engine._match_features(*features)
             assert (outcome[0] if outcome else None) == (
                 engine.service_names[position] if position >= 0 else None
             )

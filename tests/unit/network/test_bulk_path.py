@@ -5,6 +5,8 @@ same probe records, same counters, and no double-delivery when a tap
 listens on both the scalar and bulk planes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.dataset.parallel import _drop_batch_tail
 from repro.network.gtp import (
     EMPTY_CODEBOOK,
     FeatureCodebook,
+    FlowDescriptor,
     GtpcMessage,
     GtpuPacket,
 )
@@ -30,14 +33,16 @@ def manager(country):
 
 
 def _features(n_flows):
-    """Flow features alternating between codebook names and a name the
-    codebook cannot encode (which rides in the overflow table)."""
+    """Flow features covering endpoints, hints and both protocols."""
     return [
         (f"edge-{i:03d}.youtube.com", None, "quic-yt", 443, "tcp")
         if i % 2 == 0
-        else ("edge.youtube.com", None, None, 443, "tcp")
+        else (None, f"imap.provider{i:02d}.example", None, 993, "udp")
         for i in range(n_flows)
     ]
+
+#: A name CODEBOOK has no code for: it rides in a batch's overflow table.
+FOREIGN = ("edge.youtube.com", None, None, 443, "tcp")
 
 
 def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
@@ -46,7 +51,8 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
     timestamps = np.arange(n_sessions, dtype=np.float64)
     teids, tech_codes = manager.attach_bulk(imsi, commune_ids, False, timestamps)
     n_flows = n_sessions * flows_per
-    codes, overflow = CODEBOOK.encode_many(_features(n_flows))
+    codes, overflow = CODEBOOK.encode(_features(n_flows))
+    assert overflow == ()
     manager.report_flows_bulk(
         session_teids=teids,
         flows_per_session=np.full(n_sessions, flows_per, dtype=np.int64),
@@ -56,7 +62,6 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
         flow_ids=np.arange(n_flows, dtype=np.int64),
         feature_codes=codes,
         codebook=CODEBOOK,
-        overflow=overflow,
     )
     manager.detach_bulk(imsi, teids, tech_codes, timestamps + 100.0)
     return teids
@@ -87,7 +92,7 @@ class TestBulkProbe:
         assert all(r.total_bytes == 520.0 for r in records)
         # commune follows the session the flow rode on
         assert sorted({r.commune_id for r in records}) == [0, 1, 2]
-        # codes and overflow rows both decode to the reported features
+        # the codes decode to the reported features
         assert _flow_features(records) == [
             (i,) + features for i, features in enumerate(_features(6))
         ]
@@ -108,7 +113,7 @@ class TestBulkProbe:
 
     def test_orphan_flows_counted(self, manager):
         probe = CoreProbe().attach_to_bulk(manager)
-        codes, overflow = EMPTY_CODEBOOK.encode_many(
+        codes, overflow = EMPTY_CODEBOOK.encode(
             [(None, None, None, 80, "tcp")] * 2
         )
         assert overflow == ()
@@ -170,7 +175,6 @@ class TestMaterialization:
 
         scalar_mgr = SessionManager(topology, as_generator(3))
         scalar_probe = CoreProbe().attach_to(scalar_mgr)
-        from repro.network.gtp import FlowDescriptor
 
         features = _features(6)
         for i in range(3):
@@ -211,13 +215,19 @@ class TestProbeRecordBatch:
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
         batches = probe.drain_batches()
         records = [r for b in batches for r in b.to_records()]
+        sni, host, hint, port, protocol = FOREIGN
+        foreign = replace(
+            records[0], flow=FlowDescriptor(99, sni, host, port, protocol, hint)
+        )
+        records += [foreign, foreign]
         for codebook in (EMPTY_CODEBOOK, CODEBOOK):
             rebuilt = ProbeRecordBatch.from_records(records, codebook)
             assert rebuilt.to_records() == records
         # Only the name outside CODEBOOK overflows, and only once.
         rebuilt = ProbeRecordBatch.from_records(records, CODEBOOK)
-        assert rebuilt.overflow == (("edge.youtube.com", None, None, 443, "tcp"),)
-        assert (rebuilt.feature_codes < 0).sum() == len(records) // 2
+        assert rebuilt.overflow == (FOREIGN,)
+        assert rebuilt.feature_codes.tolist()[-2:] == [-1, -1]
+        assert (rebuilt.feature_codes >= 0).sum() == len(records) - 2
 
     def test_concat_preserves_order(self, manager):
         probe = CoreProbe().attach_to(manager)
@@ -238,8 +248,15 @@ class TestProbeRecordBatch:
         probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
         records = probe.drain()
+        sni, host, hint, port, protocol = FOREIGN
+        records.append(
+            replace(
+                records[0], flow=FlowDescriptor(99, sni, host, port, protocol, hint)
+            )
+        )
         first = ProbeRecordBatch.from_records(records[:3], EMPTY_CODEBOOK)
         second = ProbeRecordBatch.from_records(records[3:], CODEBOOK)
+        assert first.overflow and second.overflow
         merged = ProbeRecordBatch.concat([first, second])
         assert merged.codebook is EMPTY_CODEBOOK
         assert merged.to_records() == records
