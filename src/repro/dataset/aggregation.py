@@ -167,7 +167,9 @@ class CommuneAggregator:
 
         batch = batch.recoded(self._engine.codebook)
         with obs.span("dpi.classify"):
-            # Only hand-built records reach a batch's overflow table.
+            # Builds never fill an overflow table (only hand-built records
+            # do), so they keep the two-argument classify_batch(keys,
+            # volumes) call that perfbench's wrappers expect.
             if batch.overflow:
                 positions = self._engine.classify_batch(
                     batch.feature_codes, volumes, batch.overflow

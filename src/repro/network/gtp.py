@@ -194,7 +194,9 @@ class FeatureCodebook:
 
     The codebook holds strings only, no service ids: any two codebooks
     built from the same suffix and hint lists decode every code to the
-    same features.
+    same features.  The whole space must fit an int64: with the
+    catalog's 8 payload hints that allows about 2,800 suffixes (the
+    60-service session catalog has 104).
     """
 
     suffixes: Tuple[str, ...] = ()

@@ -3,10 +3,11 @@
 Base stations are deployed per commune in proportion to population (every
 commune with coverage gets at least one 3G cell; 4G cells appear where
 the coverage map says so).  A user in a white zone (a commune with no
-cell) camps on the cells of the nearest covered commune.  Communes are grouped into routing/tracking
-areas by spatial blocks, each served by an SGSN (3G) and an MME (4G);
-a single co-located GGSN/P-GW site terminates all tunnels — which is the
-property that makes the paper's single probe deployment possible.
+cell) camps on the cells of the nearest covered commune.  Communes are
+grouped into routing/tracking areas by spatial blocks, each served by an
+SGSN (3G) and an MME (4G); a single co-located GGSN/P-GW site terminates
+all tunnels — which is the property that makes the paper's single probe
+deployment possible.
 """
 
 from __future__ import annotations
@@ -105,10 +106,9 @@ class NetworkTopology:
             if len(white) and covered.any():
                 xy = self.country.grid.coordinates_km
                 candidates = np.flatnonzero(covered)
-                squared = ((xy[white, None, :] - xy[None, candidates, :]) ** 2).sum(
-                    axis=2
-                )
-                mapping[white] = candidates[np.argmin(squared, axis=1)]
+                for commune_id in white.tolist():
+                    squared = ((xy[candidates] - xy[commune_id]) ** 2).sum(axis=1)
+                    mapping[commune_id] = candidates[np.argmin(squared)]
             self._serving_cache = mapping
         return mapping
 

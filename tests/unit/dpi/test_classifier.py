@@ -178,7 +178,7 @@ class TestCodeResolution:
     """Each distinct code is matched once; later batches reuse it."""
 
     def _emitted(self, db, n=400):
-        ids, codes = zip(
+        _, codes = zip(
             *(db.emit_flow_features(name, n // 20) for name in HEAD_SERVICE_NAMES)
         )
         return np.concatenate(codes)
@@ -205,22 +205,9 @@ class TestCodeResolution:
         engine = DpiEngine(db)
         volumes = np.ones(1)
         code = np.array([-1], dtype=np.int64)
-        youtube = (("twitter.com", None, None, 443, "tcp"),)
+        twitter = (("twitter.com", None, None, 443, "tcp"),)
         mail = ((None, None, None, 993, "tcp"),)
-        first = engine.classify_batch(code, volumes, youtube)
+        first = engine.classify_batch(code, volumes, twitter)
         second = engine.classify_batch(code, volumes, mail)
         assert names_of(engine, first) == ["Twitter"]
         assert names_of(engine, second) == ["Mail"]
-
-    def test_resolved_outcomes_match_the_kernel(self, catalog):
-        db = FingerprintDatabase(catalog, seed=5)
-        engine = DpiEngine(db)
-        codes = self._emitted(db)
-        positions = engine.classify_batch(codes, np.ones(len(codes)))
-        for features, position in zip(
-            db.codebook.decode(codes), positions.tolist()
-        ):
-            outcome = engine._match_features(*features)
-            assert (outcome[0] if outcome else None) == (
-                engine.service_names[position] if position >= 0 else None
-            )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.geo.coverage import Technology
 from repro.network.gtp import (
+    FeatureCodebook,
     FlowDescriptor,
     GtpcMessage,
     GtpcMessageType,
@@ -108,3 +109,22 @@ class TestTeidAllocator:
     def test_start_validation(self):
         with pytest.raises(ValueError):
             TeidAllocator(start=0)
+
+
+class TestFeatureCodebook:
+    def test_rejects_duplicates(self):
+        with pytest.raises(ValueError):
+            FeatureCodebook(suffixes=("a.com", "a.com"))
+        with pytest.raises(ValueError):
+            FeatureCodebook(hints=("h", "h"))
+
+    def test_rejects_a_feature_space_beyond_int64(self):
+        hints = tuple(f"h{i}" for i in range(8))
+        FeatureCodebook(tuple(f"s{i}.example" for i in range(2700)), hints)
+        with pytest.raises(ValueError, match="int64"):
+            FeatureCodebook(tuple(f"s{i}.example" for i in range(2900)), hints)
+
+    def test_equality_ignores_derived_tables(self):
+        a = FeatureCodebook(("a.com", "imap."), ("h",))
+        assert a == FeatureCodebook(("a.com", "imap."), ("h",))
+        assert a != FeatureCodebook(("imap.", "a.com"), ("h",))

@@ -111,7 +111,7 @@ class TestWhiteZones:
             np.array([142]), np.array([True])
         )
         assert TECH_BY_CODE[int(codes[0])] is tech
-        bs_ids, _, _, cell_communes = white_topology.serving_station_codes(
+        _, _, _, cell_communes = white_topology.serving_station_codes(
             np.array([142, 142]), codes.repeat(2), as_generator(5)
         )
         assert cell_communes.tolist() == [served, served]
