@@ -17,8 +17,8 @@ TB = 1_000_000_000_000
 #: (the paper's colour scales); KIB exists for OS-interface readings.
 KIB = 1_024
 
-#: Sub-second timestamp scale of the pcap on-wire format (and of GTP
-#: event timestamps generally): classic pcap stores microseconds.
+#: Sub-second timestamp scale of Chrome trace-event exports
+#: (``repro.obs.trace``): the format stores microseconds.
 MICROS_PER_SECOND = 1_000_000
 
 #: Arrival-offset scale of scheduled-workload CSVs (``repro.serve``):

@@ -13,8 +13,7 @@ per commune over the week.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -24,12 +23,12 @@ from repro.dataset.accumulate import BlockSumAccumulator
 from repro.dataset.store import MobileTrafficDataset
 from repro.dpi.classifier import DpiEngine
 from repro.geo.country import Country
-from repro.network.probes import ProbeRecord, ProbeRecordBatch
+from repro.network.probes import ProbeRecordBatch
 from repro.services.catalog import ServiceCatalog
 
 
 class CommuneAggregator:
-    """Accumulates classified probe records into dataset tensors."""
+    """Accumulates classified probe batches into dataset tensors."""
 
     def __init__(
         self,
@@ -44,18 +43,15 @@ class CommuneAggregator:
         self._axis = axis
 
         head = catalog.head_services
-        self._head_index: Dict[str, int] = {s.name: i for i, s in enumerate(head)}
-        self._service_index: Dict[str, int] = {
-            s.name: s.service_id for s in catalog
-        }
+        head_index: Dict[str, int] = {s.name: i for i, s in enumerate(head)}
         # Engine service positions -> catalog service id / head index,
         # with a trailing -1 that an unclassified flow's -1 selects.
         self._service_id_of = np.asarray(
-            [self._service_index[nm] for nm in engine.service_names] + [-1],
+            [catalog.by_name(nm).service_id for nm in engine.service_names] + [-1],
             dtype=np.int64,
         )
         self._head_id_of = np.asarray(
-            [self._head_index.get(nm, -1) for nm in engine.service_names] + [-1],
+            [head_index.get(nm, -1) for nm in engine.service_names] + [-1],
             dtype=np.int64,
         )
         n_communes = country.n_communes
@@ -74,67 +70,8 @@ class CommuneAggregator:
         self._users_seen: List[Set[int]] = [set() for _ in range(n_communes)]
         self.records_ingested = 0
 
-    def ingest(self, record: ProbeRecord) -> Optional[str]:
-        """Classify and accumulate one record; returns the service name."""
-        self.records_ingested += 1
-        obs.add("aggregation.rows")
-        volume = record.total_bytes
-        self._total_acc.add(volume)
-        self._users_seen[record.commune_id].add(record.imsi_hash)
-
-        service_name = self._engine.classify(record.flow, volume_bytes=volume)
-        if service_name is None:
-            self._unclassified_acc.add(volume)
-            return None
-
-        service_id = self._service_index[service_name]
-        self.national_dl[service_id] += record.dl_bytes
-        self.national_ul[service_id] += record.ul_bytes
-
-        head_idx = self._head_index.get(service_name)
-        if head_idx is not None:
-            hour = record.timestamp_s / 3600.0
-            if 0 <= hour < WEEK_HOURS:
-                t = int(hour * self._axis.bins_per_hour)
-                self.dl[record.commune_id, head_idx, t] += record.dl_bytes
-                self.ul[record.commune_id, head_idx, t] += record.ul_bytes
-        return service_name
-
-    def ingest_all(
-        self, records: Iterable[ProbeRecord], chunk_size: int = 8192
-    ) -> int:
-        """Ingest a record stream in vectorized chunks.
-
-        Delegates to :meth:`ingest_batch` ``chunk_size`` records at a
-        time, so arbitrarily long streams aggregate at batch speed with
-        bounded working memory.  Returns the number processed.
-        """
-        count = 0
-        iterator = iter(records)
-        while True:
-            chunk = list(itertools.islice(iterator, chunk_size))
-            if not chunk:
-                break
-            count += self.ingest_batch(chunk)
-        return count
-
-    def ingest_batch(self, records: Sequence[ProbeRecord]) -> int:
-        """Vectorized ingest of a batch of scalar records.
-
-        Encodes the records against the engine's codebook, classifies
-        once per distinct feature code and scatters the byte counters
-        with array arithmetic; the resulting tensors and accounting
-        match per-record :meth:`ingest` calls up to float summation
-        order.
-        """
-        if not records:
-            return 0
-        return self.ingest_columnar(
-            ProbeRecordBatch.from_records(list(records), self._engine.codebook)
-        )
-
     def ingest_columnar(self, batch: ProbeRecordBatch) -> int:
-        """Ingest one columnar probe batch (the fast path)."""
+        """Classify and accumulate one columnar probe batch."""
         n = len(batch)
         if n == 0:
             return 0

@@ -362,7 +362,6 @@ def build_session_level_dataset(
         seed=spawn(rng, "builder.probe"),
         codebook=fingerprints.codebook,
     ).attach_to(generator.session_manager)
-    probe.attach_to_bulk(generator.session_manager)
     auditor = None
     if audit_localization:
         from repro.network.localization import LocalizationAuditor

@@ -248,7 +248,6 @@ def _run_shard(
         codebook=fingerprints.codebook,
     )
     probe.attach_to(generator.session_manager)
-    probe.attach_to_bulk(generator.session_manager)
     drop_fraction = drop_fraction_for(faults)
     dropped_total = [0]
     if plan.chunk_size is not None:

@@ -9,91 +9,89 @@ simulator: for each accounted flow it compares the subscriber's true
 position (a point in the commune they actually occupy) against the
 position of the cell the ULI names, and reports the error distribution
 — the quantitative argument for aggregating at commune scale.
+
+The auditor only observes: the generator hands it whole batches of
+flows, and it draws from its own RNG stream alone, so an audited build
+emits exactly the dataset of an unaudited one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
 
 from repro._rng import SeedLike, as_generator
-from repro.network.gtp import UserLocationInformation
 from repro.network.topology import NetworkTopology
 
 
-@dataclass(frozen=True)
-class LocalizationSample:
-    """One flow's localization outcome."""
-
-    true_commune_id: int
-    uli_commune_id: int
-    error_km: float
-
-    @property
-    def commune_correct(self) -> bool:
-        return self.true_commune_id == self.uli_commune_id
-
-
-@dataclass
 class LocalizationAuditor:
-    """Collects localization samples during session-level generation."""
+    """Collects per-flow localization errors during session generation."""
 
-    topology: NetworkTopology
-    seed: SeedLike = None
-    samples: List[LocalizationSample] = field(default_factory=list)
+    def __init__(self, topology: NetworkTopology, seed: SeedLike = None):
+        self._rng = as_generator(seed)
+        grid = topology.country.grid
+        self._half_cell_km = grid.cell_km / 2.0
+        self._commune_xy = grid.coordinates_km
+        stations = topology.base_stations
+        self._cell_xy = np.array([(bs.x_km, bs.y_km) for bs in stations])
+        self._cell_commune = np.array(
+            [bs.commune_id for bs in stations], dtype=np.int64
+        )
+        self._errors: List[np.ndarray] = []
+        self._correct: List[np.ndarray] = []
 
-    def __post_init__(self) -> None:
-        self._rng = as_generator(self.seed)
-        self._grid = self.topology.country.grid
+    def record(self, true_commune_ids, cell_ids) -> np.ndarray:
+        """Record a batch of flows; returns their errors in km.
 
-    def record(
-        self, true_commune_id: int, uli: UserLocationInformation
-    ) -> LocalizationSample:
-        """Record one flow: true commune vs the cell the ULI names."""
-        commune = self._grid[true_commune_id]
+        Flow ``i`` was carried while its subscriber was in commune
+        ``true_commune_ids[i]`` and its ULI named cell ``cell_ids[i]``.
+        """
+        true = np.asarray(true_commune_ids, dtype=np.int64)
+        cells = np.asarray(cell_ids, dtype=np.int64)
         # The subscriber's true position: uniform within the commune's
         # grid cell (the simulator does not track sub-commune movement).
-        half = self._grid.cell_km / 2.0
-        true_x = commune.x_km + float(self._rng.uniform(-half, half))
-        true_y = commune.y_km + float(self._rng.uniform(-half, half))
-        cell = self.topology.base_stations[uli.cell_id]
-        error = float(np.hypot(true_x - cell.x_km, true_y - cell.y_km))
-        sample = LocalizationSample(
-            true_commune_id=true_commune_id,
-            uli_commune_id=uli.cell_commune_id,
-            error_km=error,
+        half = self._half_cell_km
+        position = self._commune_xy[true] + self._rng.uniform(
+            -half, half, size=(len(true), 2)
         )
-        self.samples.append(sample)
-        return sample
+        offset = position - self._cell_xy[cells]
+        errors = np.hypot(offset[:, 0], offset[:, 1])
+        self._errors.append(errors)
+        self._correct.append(true == self._cell_commune[cells])
+        return errors
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
+    @property
+    def n_samples(self) -> int:
+        """Flows recorded so far."""
+        return sum(len(e) for e in self._errors)
+
     def errors_km(self) -> np.ndarray:
-        return np.array([s.error_km for s in self.samples])
+        return np.concatenate(self._errors) if self._errors else np.empty(0)
 
     def median_error_km(self) -> float:
         """The paper's headline statistic (~3 km in the real network)."""
-        if not self.samples:
+        if not self.n_samples:
             raise ValueError("no samples recorded")
         return float(np.median(self.errors_km()))
 
     def commune_accuracy(self) -> float:
         """Fraction of flows whose ULI names the correct commune."""
-        if not self.samples:
+        if not self.n_samples:
             raise ValueError("no samples recorded")
-        return float(np.mean([s.commune_correct for s in self.samples]))
+        return float(np.concatenate(self._correct).mean())
 
     def summary(self) -> Dict[str, float]:
         errors = self.errors_km()
         return {
-            "samples": float(len(self.samples)),
-            "median_error_km": float(np.median(errors)),
+            "samples": float(len(errors)),
+            "median_error_km": self.median_error_km(),
             "p90_error_km": float(np.percentile(errors, 90)),
             "commune_accuracy": self.commune_accuracy(),
         }
 
 
-__all__ = ["LocalizationSample", "LocalizationAuditor"]
+__all__ = ["LocalizationAuditor"]

@@ -267,18 +267,13 @@ class CoreProbe:
         self._pending_rows = 0
 
     def attach_to(self, sessions: SessionManager) -> "CoreProbe":
-        """Tap both planes of a session manager; returns self for chaining."""
+        """Tap every plane of a session manager; returns self for chaining.
+
+        The probe observes the scalar GTP-C/GTP-U messages and the
+        columnar batches of the bulk path alike.
+        """
         sessions.add_control_listener(self.on_control)
         sessions.add_user_plane_listener(self.on_user_plane)
-        return self
-
-    def attach_to_bulk(self, sessions: SessionManager) -> "CoreProbe":
-        """Tap the columnar planes of a session manager (the fast path).
-
-        A probe attached this way observes bulk batches only; use
-        :meth:`attach_to` as well if the manager also drives scalar
-        sessions.
-        """
         sessions.add_bulk_control_listener(self.on_control_bulk)
         sessions.add_bulk_user_plane_listener(self.on_user_plane_bulk)
         return self

@@ -19,8 +19,6 @@ import numpy as np
 from repro import obs
 from repro.geo.coverage import Technology
 from repro.network.gtp import (
-    TECH_3G,
-    TECH_BY_CODE,
     FeatureCodebook,
     FlowDescriptor,
     GtpcCreateBulk,
@@ -94,10 +92,10 @@ class SessionManager:
     def add_bulk_control_listener(self, listener: Callable) -> None:
         """Subscribe to columnar GTP-C batches (the probe fast path).
 
-        Bulk-aware listeners receive :class:`GtpcCreateBulk` /
-        :class:`GtpcDeleteBulk` objects; per-message listeners still get
-        the equivalent scalar messages, so the two listener styles can
-        coexist on one manager.
+        Bulk listeners receive the :class:`GtpcCreateBulk` /
+        :class:`GtpcDeleteBulk` objects of the bulk methods; per-message
+        listeners see only the scalar methods' messages, so a tap that
+        must see every session subscribes to both.
         """
         self._bulk_control_listeners.append(listener)
 
@@ -254,18 +252,13 @@ class SessionManager:
     # columnar fast path
     # ------------------------------------------------------------------
     #
-    # The bulk methods drive whole batches of one subscriber's sessions
-    # through the same lifecycle as attach/report_flow/detach, emitting
-    # columnar Gtp*Bulk events instead of per-message objects.  Bulk
-    # sessions are not entered into ``active_sessions`` — their lifetime
-    # is confined to the caller's batch, and the per-session bookkeeping
-    # is exactly the overhead this path removes.  When only legacy
-    # scalar listeners are registered the equivalent GtpcMessage /
-    # GtpuPacket objects are materialized for them, so taps written
-    # against the scalar API keep seeing every event; once any
-    # bulk-aware listener is present, scalar listeners are assumed to
-    # be bulk-aware companions (e.g. a probe tapping both planes) and
-    # bulk events are not duplicated to them.
+    # The bulk methods drive whole batches of sessions through the same
+    # lifecycle as attach/report_flow/detach, emitting columnar Gtp*Bulk
+    # events to the bulk listeners instead of per-message objects to the
+    # scalar ones.  Bulk sessions are not entered into
+    # ``active_sessions`` — their lifetime is confined to the caller's
+    # batch, and the per-session bookkeeping is exactly the overhead
+    # this path removes.
 
     def attach_bulk(
         self,
@@ -274,15 +267,16 @@ class SessionManager:
         wants_4g,
         timestamps_s: np.ndarray,
         subscribers: int = 1,
-    ) -> tuple:
-        """Establish a batch of sessions; returns ``(teids, tech_codes)``.
+    ) -> GtpcCreateBulk:
+        """Establish a batch of sessions; returns the emitted create batch.
 
         ``imsi_hash`` and ``wants_4g`` are scalars for a one-subscriber
-        batch (the legacy shape) or per-session arrays when the chunked
-        emission path packs many subscribers into one batch;
-        ``subscribers`` then says how many, and lands as a summed
-        attribute on the per-chunk ``gtp.signalling`` span (one span per
-        chunk, not one per subscriber).
+        batch or per-session arrays when the generator packs many
+        subscribers into one batch; ``subscribers`` then says how many,
+        and lands as a summed attribute on the per-chunk
+        ``gtp.signalling`` span (one span per chunk, not one per
+        subscriber).  The batch carries each session's TEID, technology
+        and serving cell.
         """
         with obs.span("gtp.signalling", attrs={"subscribers": subscribers}):
             n = len(commune_ids)
@@ -311,11 +305,9 @@ class SessionManager:
             )
             for listener in self._bulk_control_listeners:
                 listener(bulk)
-            if self._control_listeners and not self._bulk_control_listeners:
-                self._materialize_creates(bulk)
             # One bulk entry stands for the request/response pair.
             obs.add("gtp.control_messages", 2 * n)
-        return teids, tech_codes
+        return bulk
 
     def report_flows_bulk(
         self,
@@ -346,8 +338,6 @@ class SessionManager:
             )
             for listener in self._bulk_user_listeners:
                 listener(bulk)
-            if self._user_listeners and not self._bulk_user_listeners:
-                self._materialize_flows(bulk)
             obs.add("gtp.user_flow_records", len(bulk))
         return bulk
 
@@ -373,81 +363,7 @@ class SessionManager:
             )
             for listener in self._bulk_control_listeners:
                 listener(bulk)
-            if self._control_listeners and not self._bulk_control_listeners:
-                self._materialize_deletes(bulk)
             obs.add("gtp.control_messages", len(bulk))
-
-    def _materialize_creates(self, bulk: GtpcCreateBulk) -> None:
-        for i in range(len(bulk)):
-            technology = TECH_BY_CODE[int(bulk.tech_codes[i])]
-            uli = UserLocationInformation(
-                technology=technology,
-                routing_area_id=int(bulk.routing_area_ids[i]),
-                cell_id=int(bulk.cell_ids[i]),
-                cell_commune_id=int(bulk.cell_commune_ids[i]),
-            )
-            is_3g = int(bulk.tech_codes[i]) == TECH_3G
-            for message_type in (
-                (
-                    GtpcMessageType.CREATE_PDP_CONTEXT_REQUEST
-                    if is_3g
-                    else GtpcMessageType.CREATE_SESSION_REQUEST
-                ),
-                (
-                    GtpcMessageType.CREATE_PDP_CONTEXT_RESPONSE
-                    if is_3g
-                    else GtpcMessageType.CREATE_SESSION_RESPONSE
-                ),
-            ):
-                self._emit_control(
-                    GtpcMessage(
-                        message_type=message_type,
-                        timestamp_s=float(bulk.timestamps_s[i]),
-                        imsi_hash=int(bulk.imsi_hashes[i]),
-                        teid=int(bulk.teids[i]),
-                        uli=uli,
-                    )
-                )
-
-    def _materialize_flows(self, bulk: GtpuBulk) -> None:
-        teids = np.repeat(bulk.session_teids, bulk.flows_per_session)
-        features = bulk.codebook.decode(bulk.feature_codes)
-        for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
-            zip(bulk.flow_ids.tolist(), features)
-        ):
-            flow = FlowDescriptor(
-                flow_id=flow_id,
-                sni=sni,
-                host=host,
-                server_port=port,
-                protocol=protocol,
-                payload_hint=hint,
-            )
-            self._emit_user(
-                GtpuPacket(
-                    timestamp_s=float(bulk.timestamps_s[i]),
-                    teid=int(teids[i]),
-                    flow=flow,
-                    dl_bytes=float(bulk.dl_bytes[i]),
-                    ul_bytes=float(bulk.ul_bytes[i]),
-                )
-            )
-
-    def _materialize_deletes(self, bulk: GtpcDeleteBulk) -> None:
-        for i in range(len(bulk)):
-            is_3g = int(bulk.tech_codes[i]) == TECH_3G
-            self._emit_control(
-                GtpcMessage(
-                    message_type=(
-                        GtpcMessageType.DELETE_PDP_CONTEXT_REQUEST
-                        if is_3g
-                        else GtpcMessageType.DELETE_SESSION_REQUEST
-                    ),
-                    timestamp_s=float(bulk.timestamps_s[i]),
-                    imsi_hash=int(bulk.imsi_hashes[i]),
-                    teid=int(bulk.teids[i]),
-                )
-            )
 
 
 __all__ = [

@@ -53,20 +53,36 @@ class WorkloadConfig:
 
 
 class _SubscriberDraws:
-    """One subscriber's drawn week, ready for emission.
+    """One subscriber's drawn sessions, ready for emission.
 
     The draw phase (RNG consumption) and the emission phase (session
-    manager calls) are split so the chunked path can buffer several
+    manager calls) are split so the generator can buffer several
     subscribers' draws and emit them as one bulk batch without touching
-    any RNG stream out of order.
+    any RNG stream out of order.  Session columns have one entry per
+    session, flow columns one per flow in session order.
     """
 
-    __slots__ = (
-        "imsi", "wants_4g", "communes", "timestamps", "durations",
-        "n_flows", "flow_starts", "total_flows", "flow_times", "flow_dl",
-        "flow_ul", "flow_ids", "feature_codes", "spanning", "mid_hours",
-        "mid_communes",
+    _SESSION_COLUMNS = ("communes", "timestamps", "durations", "n_flows")
+    _FLOW_COLUMNS = (
+        "flow_times", "flow_dl", "flow_ul", "flow_ids", "feature_codes",
     )
+    __slots__ = (
+        ("imsi", "wants_4g", "spanning", "mid_hours", "mid_communes")
+        + _SESSION_COLUMNS
+        + _FLOW_COLUMNS
+    )
+
+    def take(self, sessions: np.ndarray) -> "_SubscriberDraws":
+        """The draws of the sessions a boolean mask selects."""
+        flows = np.repeat(sessions, self.n_flows)
+        part = _SubscriberDraws()
+        part.imsi, part.wants_4g = self.imsi, self.wants_4g
+        part.spanning = None
+        for name in self._SESSION_COLUMNS:
+            setattr(part, name, getattr(self, name)[sessions])
+        for name in self._FLOW_COLUMNS:
+            setattr(part, name, getattr(self, name)[flows])
+        return part
 
 
 class SessionLevelGenerator:
@@ -114,7 +130,6 @@ class SessionLevelGenerator:
     def run_week(
         self,
         time_limit_hours: Optional[float] = None,
-        batched: bool = True,
         chunk_size: Optional[int] = None,
     ) -> None:
         """Generate the whole week of traffic for every subscriber.
@@ -122,65 +137,40 @@ class SessionLevelGenerator:
         ``time_limit_hours`` truncates the generated week (useful in
         tests); sessions starting past the limit are skipped.
 
-        ``batched=True`` (the default) drives each subscriber's week
-        through the columnar session fast path — one bulk
-        attach/report/detach round-trip per subscriber — with batched
-        RNG draws from the same distributions as the per-session path.
-        Handover-spanning long sessions and auditor-instrumented runs
-        (``auditor`` set) always use the per-session path, which is also
-        selectable with ``batched=False`` for baselines and debugging.
-        The two modes draw from the shared stream in different orders,
-        so they are statistically equivalent, not bit-identical.
-
-        ``chunk_size`` (batched mode only) buffers subscribers' draws
-        and emits one bulk attach/report/detach round-trip per
-        ~``chunk_size`` flows instead of per subscriber.  Every RNG
-        stream is consumed in exactly the per-subscriber order —
-        vectorized draws concatenate across calls and the buffer is
-        flushed before any handover-spanning subscriber takes the
-        scalar path — so the emitted event stream is identical to the
-        unchunked one for every chunk size.
+        Subscribers' weeks are drawn with vectorized RNG calls and
+        buffered; each ~``chunk_size`` buffered flows leave as one bulk
+        attach/report/detach round-trip through the session manager
+        (``None`` flushes after every subscriber).  Long sessions during
+        which the subscriber changes commune take the scalar
+        attach/handover/detach path right after the buffer holding the
+        rest of that subscriber's week is flushed.  Every RNG stream is
+        consumed in exactly the per-subscriber order, so the emitted
+        event stream is identical for every chunk size.
         """
         horizon = time_limit_hours if time_limit_hours is not None else WEEK_HOURS
-        with obs.span("generate"):
-            if batched and self.auditor is None:
-                if chunk_size is not None:
-                    self._run_week_chunked(horizon, chunk_size)
-                else:
-                    for subscriber in self._population:
-                        obs.add("generator.subscribers")
-                        draws = self._draw_subscriber_batched(
-                            subscriber, horizon
-                        )
-                        if draws is not None:
-                            self._emit_subscriber(draws)
-            else:
-                for subscriber in self._population:
-                    obs.add("generator.subscribers")
-                    self._run_subscriber(subscriber, horizon)
-
-    def _run_week_chunked(self, horizon: float, chunk_size: int) -> None:
+        if chunk_size is None:
+            chunk_size = 1
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         buffer: List[_SubscriberDraws] = []
         pending_flows = 0
-        for subscriber in self._population:
-            obs.add("generator.subscribers")
-            draws = self._draw_subscriber_batched(subscriber, horizon)
-            if draws is None:
-                continue
-            if draws.spanning is not None:
-                # Handover-spanning sessions go through the scalar path;
-                # flush the buffer first so the network RNG stream and
-                # the probe's record order stay in subscriber order.
-                pending_flows = self._flush_chunk(buffer)
-                self._emit_subscriber(draws)
-                continue
-            buffer.append(draws)
-            pending_flows += draws.total_flows
-            if pending_flows >= chunk_size:
-                pending_flows = self._flush_chunk(buffer)
-        self._flush_chunk(buffer)
+        with obs.span("generate"):
+            for subscriber in self._population:
+                obs.add("generator.subscribers")
+                draws = self._draw_subscriber(subscriber, horizon)
+                if draws is None:
+                    continue
+                if len(draws.communes):
+                    buffer.append(draws)
+                    pending_flows += len(draws.flow_ids)
+                if draws.spanning is not None:
+                    # Flush first so the network RNG stream and the
+                    # probe's record order stay in subscriber order.
+                    pending_flows = self._flush_chunk(buffer)
+                    self._emit_spanning(draws.spanning)
+                elif pending_flows >= chunk_size:
+                    pending_flows = self._flush_chunk(buffer)
+            self._flush_chunk(buffer)
 
     def _flush_chunk(self, buffer: List[_SubscriberDraws]) -> int:
         """Emit buffered subscribers as one bulk batch; returns 0."""
@@ -200,11 +190,11 @@ class SessionLevelGenerator:
         durations = np.concatenate([d.durations for d in buffer])
         n_flows = np.concatenate([d.n_flows for d in buffer])
         manager = self._session_manager
-        teids, tech_codes = manager.attach_bulk(
+        created = manager.attach_bulk(
             imsi, communes, wants_4g, timestamps, subscribers=len(buffer)
         )
         manager.report_flows_bulk(
-            session_teids=teids,
+            session_teids=created.teids,
             flows_per_session=n_flows,
             timestamps_s=np.concatenate([d.flow_times for d in buffer]),
             dl_bytes=np.concatenate([d.flow_dl for d in buffer]),
@@ -213,7 +203,13 @@ class SessionLevelGenerator:
             feature_codes=np.concatenate([d.feature_codes for d in buffer]),
             codebook=self._fingerprints.codebook,
         )
-        manager.detach_bulk(imsi, teids, tech_codes, timestamps + durations * 60.0)
+        manager.detach_bulk(
+            imsi, created.teids, created.tech_codes, timestamps + durations * 60.0
+        )
+        if self.auditor is not None:
+            self.auditor.record(
+                np.repeat(communes, n_flows), np.repeat(created.cell_ids, n_flows)
+            )
         buffer.clear()
         return 0
 
@@ -231,7 +227,7 @@ class SessionLevelGenerator:
             self._cdf_cache[urbanization_class] = cdfs
         return cdfs
 
-    def _draw_subscriber_batched(
+    def _draw_subscriber(
         self, subscriber, horizon: float
     ) -> Optional[_SubscriberDraws]:
         """Draw one subscriber's week (all RNG consumption, no emission)."""
@@ -340,15 +336,6 @@ class SessionLevelGenerator:
         obs.add("generator.sessions", n_sessions)
         obs.add("generator.flows", total_flows)
 
-        # Long sessions whose subscriber moves mid-session exercise the
-        # scalar handover path; everything else rides the bulk path.
-        spanning = durations > config.long_session_minutes
-        mid_hours = mid_communes = None
-        if spanning.any():
-            mid_hours = np.minimum(hours + durations / 120.0, WEEK_HOURS - 1e-6)
-            mid_communes = itinerary.locations_at(mid_hours)
-            spanning &= mid_communes != communes
-
         draws = _SubscriberDraws()
         draws.imsi = subscriber.imsi_hash
         draws.wants_4g = subscriber.has_4g_device
@@ -356,223 +343,82 @@ class SessionLevelGenerator:
         draws.timestamps = timestamps
         draws.durations = durations
         draws.n_flows = n_flows
-        draws.flow_starts = flow_starts
-        draws.total_flows = total_flows
         draws.flow_times = flow_times
         draws.flow_dl = flow_dl
         draws.flow_ul = flow_ul
         draws.flow_ids = flow_ids
         draws.feature_codes = feature_codes
-        draws.spanning = spanning if spanning.any() else None
-        draws.mid_hours = mid_hours
-        draws.mid_communes = mid_communes
+        draws.spanning = None
+
+        # Long sessions whose subscriber moves mid-session exercise the
+        # scalar handover path; everything else rides the bulk path.
+        spanning = durations > config.long_session_minutes
+        if spanning.any():
+            mid_hours = np.minimum(hours + durations / 120.0, WEEK_HOURS - 1e-6)
+            mid_communes = itinerary.locations_at(mid_hours)
+            spanning &= mid_communes != communes
+            if spanning.any():
+                part = draws.take(spanning)
+                part.mid_hours = mid_hours[spanning]
+                part.mid_communes = mid_communes[spanning]
+                draws = draws.take(~spanning)
+                draws.spanning = part
         return draws
 
-    def _emit_subscriber(self, draws: _SubscriberDraws) -> None:
-        """Emit one subscriber's drawn week through the session manager."""
-        manager = self._session_manager
-        imsi = draws.imsi
-        wants_4g = draws.wants_4g
-        communes = draws.communes
-        timestamps = draws.timestamps
-        durations = draws.durations
-        n_flows = draws.n_flows
-        flow_times = draws.flow_times
-        flow_dl, flow_ul = draws.flow_dl, draws.flow_ul
-        flow_ids, feature_codes = draws.flow_ids, draws.feature_codes
-        codebook = self._fingerprints.codebook
+    def _emit_spanning(self, part: _SubscriberDraws) -> None:
+        """Emit handover-spanning sessions through the scalar path.
 
-        if draws.spanning is None:
-            teids, tech_codes = manager.attach_bulk(
-                imsi, communes, wants_4g, timestamps
-            )
-            manager.report_flows_bulk(
-                session_teids=teids,
-                flows_per_session=n_flows,
-                timestamps_s=flow_times,
-                dl_bytes=flow_dl,
-                ul_bytes=flow_ul,
-                flow_ids=flow_ids,
-                feature_codes=feature_codes,
-                codebook=codebook,
-            )
-            manager.detach_bulk(
-                imsi, teids, tech_codes, timestamps + durations * 60.0
-            )
-            return
-        spanning = draws.spanning
-        mid_hours, mid_communes = draws.mid_hours, draws.mid_communes
-        flow_starts = draws.flow_starts
-        bulk = ~spanning
-        if bulk.any():
-            keep_flows = np.repeat(bulk, n_flows)
-            teids, tech_codes = manager.attach_bulk(
-                imsi, communes[bulk], wants_4g, timestamps[bulk]
-            )
-            manager.report_flows_bulk(
-                session_teids=teids,
-                flows_per_session=n_flows[bulk],
-                timestamps_s=flow_times[keep_flows],
-                dl_bytes=flow_dl[keep_flows],
-                ul_bytes=flow_ul[keep_flows],
-                flow_ids=flow_ids[keep_flows],
-                feature_codes=feature_codes[keep_flows],
-                codebook=codebook,
-            )
-            manager.detach_bulk(
-                imsi, teids, tech_codes, timestamps[bulk] + durations[bulk] * 60.0
-            )
-        # Spanning flows, in session then flow order, decoded at once.
-        decoded = iter(
-            codebook.decode(feature_codes[np.repeat(spanning, n_flows)])
-        )
-        for i in np.flatnonzero(spanning).tolist():
+        Each session's last flow rides after the move to the session's
+        mid-point commune; the ULI it carries is whatever the handover
+        left (possibly stale after an intra-RA move).
+        """
+        manager = self._session_manager
+        flow_starts = np.cumsum(part.n_flows) - part.n_flows
+        cell_ids: List[int] = []
+        decoded = iter(self._fingerprints.codebook.decode(part.feature_codes))
+        for i in range(len(part.communes)):
             session = manager.attach(
-                imsi_hash=imsi,
-                commune_id=int(communes[i]),
-                wants_4g=wants_4g,
-                timestamp_s=float(timestamps[i]),
+                imsi_hash=part.imsi,
+                commune_id=int(part.communes[i]),
+                wants_4g=part.wants_4g,
+                timestamp_s=float(part.timestamps[i]),
             )
             base = int(flow_starts[i])
-            k = int(n_flows[i])
-            mid_s = float(mid_hours[i]) * 3600.0
+            k = int(part.n_flows[i])
+            mid_s = float(part.mid_hours[i]) * 3600.0
             for f in range(k):
                 idx = base + f
-                flow_time = float(flow_times[idx])
+                flow_time = float(part.flow_times[idx])
                 if f == k - 1:
                     session = self._handover.move(
-                        session, int(mid_communes[i]), wants_4g, mid_s
+                        session, int(part.mid_communes[i]), part.wants_4g, mid_s
                     )
                     flow_time = mid_s
                 sni, host, hint, port, protocol = next(decoded)
                 manager.report_flow(
                     session,
                     FlowDescriptor(
-                        flow_id=int(flow_ids[idx]),
+                        flow_id=int(part.flow_ids[idx]),
                         sni=sni,
                         host=host,
                         server_port=port,
                         protocol=protocol,
                         payload_hint=hint,
                     ),
-                    dl_bytes=float(flow_dl[idx]),
-                    ul_bytes=float(flow_ul[idx]),
+                    dl_bytes=float(part.flow_dl[idx]),
+                    ul_bytes=float(part.flow_ul[idx]),
                     timestamp_s=flow_time,
                 )
+                cell_ids.append(session.uli.cell_id)
             manager.detach(
-                session, timestamp_s=float(timestamps[i]) + float(durations[i]) * 60.0
-            )
-
-    def _run_subscriber(self, subscriber, horizon: float) -> None:
-        rng = self._rng
-        model = self._model
-        config = self._config
-        itinerary = self._mobility.itinerary_for(subscriber)
-        home = subscriber.home_commune
-        home_cls = self._population.country.class_of(home)
-        curves = model.class_temporal_weights[home_cls]
-        bins_per_hour = model.axis.bins_per_hour
-        adoption = model.adoption[home]
-
-        for service_index in subscriber.adopted_services:
-            # Per-adopter weekly volume: the commune-level expectation is
-            # adoption * per-adopter, so divide the per-subscriber figure
-            # by the local adoption rate.
-            p_adopt = max(float(adoption[service_index]), 1e-6)
-            weekly_dl = (
-                float(model.per_subscriber_dl[home, service_index])
-                / p_adopt
-                * subscriber.activity_scale
-            )
-            weekly_ul = (
-                float(model.per_subscriber_ul[home, service_index])
-                / p_adopt
-                * subscriber.activity_scale
-            )
-            n_sessions = int(rng.poisson(config.sessions_per_service))
-            if n_sessions == 0 or weekly_dl + weekly_ul <= 0:
-                continue
-
-            weights = curves[service_index]
-            bins = rng.choice(len(weights), size=n_sessions, p=weights / weights.sum())
-            jitter = np.exp(
-                rng.normal(0.0, config.session_volume_sigma, n_sessions)
-            )
-            jitter /= jitter.sum()
-            service_name = model.head_names[service_index]
-
-            for k in range(n_sessions):
-                start_hour = (bins[k] + rng.random()) / bins_per_hour
-                if start_hour >= horizon:
-                    continue
-                self._one_session(
-                    subscriber,
-                    itinerary,
-                    service_name,
-                    start_hour,
-                    weekly_dl * float(jitter[k]),
-                    weekly_ul * float(jitter[k]),
-                )
-
-    def _one_session(
-        self,
-        subscriber,
-        itinerary,
-        service_name: str,
-        start_hour: float,
-        dl_bytes: float,
-        ul_bytes: float,
-    ) -> None:
-        rng = self._rng
-        config = self._config
-        commune = itinerary.location_at(start_hour)
-        timestamp = start_hour * 3600.0
-        session = self._session_manager.attach(
-            imsi_hash=subscriber.imsi_hash,
-            commune_id=commune,
-            wants_4g=subscriber.has_4g_device,
-            timestamp_s=timestamp,
-        )
-        self.sessions_generated += 1
-        obs.add("generator.sessions")
-
-        duration_minutes = float(rng.exponential(15.0)) + 1.0
-        n_flows = 1 + int(rng.geometric(1.0 / config.flows_per_session) - 1)
-        splits = rng.dirichlet(np.ones(n_flows))
-
-        # Long sessions may span a mobility change, exercising the
-        # handover path (and the ULI staleness it creates).
-        span_move = duration_minutes > config.long_session_minutes
-        mid_hour = min(start_hour + duration_minutes / 120.0, WEEK_HOURS - 1e-6)
-        mid_commune = itinerary.location_at(mid_hour)
-
-        for f in range(n_flows):
-            flow = self._fingerprints.emit_flow(service_name)
-            flow_time = timestamp + f * 30.0
-            true_commune = commune
-            if span_move and mid_commune != commune and f == n_flows - 1:
-                session = self._handover.move(
-                    session,
-                    mid_commune,
-                    subscriber.has_4g_device,
-                    mid_hour * 3600.0,
-                )
-                flow_time = mid_hour * 3600.0
-                true_commune = mid_commune
-            self._session_manager.report_flow(
                 session,
-                flow,
-                dl_bytes=dl_bytes * float(splits[f]),
-                ul_bytes=ul_bytes * float(splits[f]),
-                timestamp_s=flow_time,
+                timestamp_s=float(part.timestamps[i])
+                + float(part.durations[i]) * 60.0,
             )
-            self.flows_generated += 1
-            obs.add("generator.flows")
-            if self.auditor is not None:
-                self.auditor.record(true_commune, session.uli)
-
-        end = timestamp + duration_minutes * 60.0
-        self._session_manager.detach(session, timestamp_s=end)
+        if self.auditor is not None:
+            true_communes = np.repeat(part.communes, part.n_flows)
+            true_communes[flow_starts + part.n_flows - 1] = part.mid_communes
+            self.auditor.record(true_communes, np.asarray(cell_ids))
 
 
 __all__ = ["WorkloadConfig", "SessionLevelGenerator"]

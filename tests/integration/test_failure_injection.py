@@ -95,7 +95,8 @@ class TestDegenerateWorkloads:
 
         engine = DpiEngine(FingerprintDatabase(catalog, seed=0))
         aggregator = CommuneAggregator(country, catalog, engine)
-        aggregator.ingest_all(probe.drain())
+        for batch in probe.drain_batches():
+            aggregator.ingest_columnar(batch)
         dataset = aggregator.finalize()
         weekend = dataset.all_national_series("dl")[:, :48].sum()
         week_rest = dataset.all_national_series("dl")[:, 48:].sum()

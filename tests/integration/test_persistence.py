@@ -6,6 +6,9 @@ from repro.dataset.aggregation import CommuneAggregator
 from repro.dataset.store import MobileTrafficDataset
 from repro.dpi.classifier import DpiEngine
 from repro.dpi.fingerprints import FingerprintDatabase
+from repro.network.probes import CoreProbe, ProbeRecordBatch
+from repro.traffic.generator import SessionLevelGenerator
+from repro.traffic.subscribers import SubscriberPopulation
 from repro.traffic.trace import TraceReader, TraceWriter
 
 
@@ -15,17 +18,20 @@ class TestTraceThroughAggregation:
     ):
         """Writing probe records to disk and re-aggregating them yields
         the same dataset as the in-memory pipeline."""
-        generator = session_artifacts.extras["generator"]
         country = session_artifacts.country
         catalog = session_artifacts.catalog
 
-        # Re-run a fresh probe capture into a trace file.
-        from repro.network.probes import CoreProbe
-
-        probe = CoreProbe().attach_to(generator.session_manager)
-        model = session_artifacts.model
+        # Re-run one subscriber's week through a fresh probe capture.
         subscriber = session_artifacts.extras["population"].subscribers[0]
-        generator._run_subscriber(subscriber, 168.0)
+        generator = SessionLevelGenerator(
+            session_artifacts.model,
+            SubscriberPopulation([subscriber], country),
+            session_artifacts.extras["topology"],
+            FingerprintDatabase(catalog, seed=5),
+            seed=6,
+        )
+        probe = CoreProbe().attach_to(generator.session_manager)
+        generator.run_week()
         records = probe.drain()
         if not records:
             return  # subscriber adopted nothing; nothing to verify
@@ -37,7 +43,7 @@ class TestTraceThroughAggregation:
         def aggregate(stream):
             engine = DpiEngine(FingerprintDatabase(catalog, seed=0))
             agg = CommuneAggregator(country, catalog, engine)
-            agg.ingest_all(stream)
+            agg.ingest_columnar(ProbeRecordBatch.from_records(list(stream)))
             return agg.finalize()
 
         from_memory = aggregate(records)

@@ -1,8 +1,8 @@
 """Unit tests for the columnar (bulk) session/probe fast path.
 
 The bulk API must be observationally equivalent to the scalar one:
-same probe records, same counters, and no double-delivery when a tap
-listens on both the scalar and bulk planes.
+same probe records, same counters, and no double-delivery to a probe
+that taps the scalar and bulk planes of one manager.
 """
 
 from dataclasses import replace
@@ -16,8 +16,6 @@ from repro.network.gtp import (
     EMPTY_CODEBOOK,
     FeatureCodebook,
     FlowDescriptor,
-    GtpcMessage,
-    GtpuPacket,
 )
 from repro.network.probes import CoreProbe, ProbeRecordBatch, ProbeStats
 from repro.network.session import SessionManager
@@ -49,12 +47,12 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
     """Drive n_sessions through attach/report/detach on the bulk path."""
     commune_ids = np.arange(n_sessions, dtype=np.int64)
     timestamps = np.arange(n_sessions, dtype=np.float64)
-    teids, tech_codes = manager.attach_bulk(imsi, commune_ids, False, timestamps)
+    created = manager.attach_bulk(imsi, commune_ids, False, timestamps)
     n_flows = n_sessions * flows_per
     codes, overflow = CODEBOOK.encode(_features(n_flows))
     assert overflow == ()
     manager.report_flows_bulk(
-        session_teids=teids,
+        session_teids=created.teids,
         flows_per_session=np.full(n_sessions, flows_per, dtype=np.int64),
         timestamps_s=np.linspace(10.0, 20.0, n_flows),
         dl_bytes=np.full(n_flows, 500.0),
@@ -63,8 +61,8 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
         feature_codes=codes,
         codebook=CODEBOOK,
     )
-    manager.detach_bulk(imsi, teids, tech_codes, timestamps + 100.0)
-    return teids
+    manager.detach_bulk(imsi, created.teids, created.tech_codes, timestamps + 100.0)
+    return created.teids
 
 
 def _flow_features(records):
@@ -84,7 +82,6 @@ def _flow_features(records):
 class TestBulkProbe:
     def test_bulk_records_join_planes(self, manager):
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2)
         records = probe.drain()
         assert len(records) == 6
@@ -98,21 +95,19 @@ class TestBulkProbe:
         ]
 
     def test_create_bulk_counts_request_and_response(self, manager):
-        probe = CoreProbe().attach_to_bulk(manager)
+        probe = CoreProbe().attach_to(manager)
         n = 4
-        teids, tech_codes = manager.attach_bulk(
-            7, np.arange(n), False, np.zeros(n)
-        )
+        created = manager.attach_bulk(7, np.arange(n), False, np.zeros(n))
         assert probe.n_tracked_tunnels == n
         # each create is a request/response pair on the wire
         assert probe.stats.control_messages == 2 * n
-        manager.detach_bulk(7, teids, tech_codes, np.full(n, 9.0))
+        manager.detach_bulk(7, created.teids, created.tech_codes, np.full(n, 9.0))
         assert probe.n_tracked_tunnels == 0
         # deletes are single messages, so 2n creates + n deletes
         assert probe.stats.control_messages == 3 * n
 
     def test_orphan_flows_counted(self, manager):
-        probe = CoreProbe().attach_to_bulk(manager)
+        probe = CoreProbe().attach_to(manager)
         codes, overflow = EMPTY_CODEBOOK.encode(
             [(None, None, None, 80, "tcp")] * 2
         )
@@ -132,12 +127,10 @@ class TestBulkProbe:
 
     def test_drain_batches_matches_drain(self, manager):
         scalar_probe = CoreProbe().attach_to(manager)
-        scalar_probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, scalar_probe, n_sessions=3, flows_per=4)
         expected = scalar_probe.drain()
 
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=3, flows_per=4)
         got = [r for batch in probe.drain_batches() for r in batch.to_records()]
         assert [(r.imsi_hash, r.flow.flow_id, r.dl_bytes) for r in got] == [
@@ -147,23 +140,9 @@ class TestBulkProbe:
 
 
 class TestMaterialization:
-    def test_scalar_listeners_see_materialized_events(self, manager):
-        """With only legacy taps attached, bulk calls materialize
-        per-message scalar events so old listeners miss nothing."""
-        control, user = [], []
-        manager.add_control_listener(control.append)
-        manager.add_user_plane_listener(user.append)
-        _bulk_session_batch(manager, None, n_sessions=2, flows_per=3)
-        # 2 creates x (request+response) + 2 single-message deletes
-        assert len(control) == 6
-        assert all(isinstance(m, GtpcMessage) for m in control)
-        assert len(user) == 6
-        assert all(isinstance(p, GtpuPacket) for p in user)
-
     def test_no_double_delivery_with_bulk_listener(self, manager):
         """A probe tapping both planes must see each event exactly once."""
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=3)
         assert probe.stats.user_packets == 6
         assert probe.stats.control_messages == 6
@@ -192,7 +171,6 @@ class TestMaterialization:
 
         bulk_mgr = SessionManager(topology, as_generator(3))
         bulk_probe = CoreProbe().attach_to(bulk_mgr)
-        bulk_probe.attach_to_bulk(bulk_mgr)
         _bulk_session_batch(bulk_mgr, bulk_probe, imsi=42, n_sessions=3, flows_per=2)
 
         scalar_records = scalar_probe.drain()
@@ -211,7 +189,6 @@ class TestMaterialization:
 class TestProbeRecordBatch:
     def test_round_trip(self, manager):
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
         batches = probe.drain_batches()
         records = [r for b in batches for r in b.to_records()]
@@ -231,7 +208,6 @@ class TestProbeRecordBatch:
 
     def test_concat_preserves_order(self, manager):
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
         (batch,) = probe.drain_batches()
         half = len(batch) // 2
@@ -245,7 +221,6 @@ class TestProbeRecordBatch:
 
     def test_concat_recodes_to_the_first_codebook(self, manager):
         probe = CoreProbe().attach_to(manager)
-        probe.attach_to_bulk(manager)
         _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
         records = probe.drain()
         sni, host, hint, port, protocol = FOREIGN

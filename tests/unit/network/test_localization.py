@@ -1,10 +1,7 @@
 """Unit tests for ULI localization auditing."""
 
-import numpy as np
 import pytest
 
-from repro.geo.coverage import Technology
-from repro.network.gtp import UserLocationInformation
 from repro.network.localization import LocalizationAuditor
 from repro.network.topology import build_topology
 
@@ -15,39 +12,30 @@ def auditor(country):
     return LocalizationAuditor(topology, seed=3), topology
 
 
-def uli_for_station(station):
-    return UserLocationInformation(
-        technology=station.technology,
-        routing_area_id=station.routing_area_id,
-        cell_id=station.bs_id,
-        cell_commune_id=station.commune_id,
-    )
-
-
 class TestRecord:
     def test_same_commune_small_error(self, auditor, country):
         audit, topology = auditor
         station = topology.base_stations[0]
-        sample = audit.record(station.commune_id, uli_for_station(station))
-        assert sample.commune_correct
+        (error,) = audit.record([station.commune_id], [station.bs_id])
+        assert audit.commune_accuracy() == 1.0
         # Within a ~16 km2 commune the error stays within a few km.
-        assert sample.error_km < 2 * country.grid.cell_km
+        assert error < 2 * country.grid.cell_km
 
     def test_stale_uli_large_error(self, auditor, country):
         audit, topology = auditor
         station = topology.base_stations[0]
         far_commune = country.n_communes - 1
-        sample = audit.record(far_commune, uli_for_station(station))
-        assert not sample.commune_correct
-        assert sample.error_km > country.grid.cell_km
+        (error,) = audit.record([far_commune], [station.bs_id])
+        assert audit.commune_accuracy() == 0.0
+        assert error > country.grid.cell_km
 
     def test_summary_statistics(self, auditor, country):
         audit, topology = auditor
         station = topology.base_stations[0]
-        for _ in range(50):
-            audit.record(station.commune_id, uli_for_station(station))
+        for _ in range(5):
+            audit.record([station.commune_id] * 10, [station.bs_id] * 10)
         summary = audit.summary()
-        assert summary["samples"] == 50
+        assert summary["samples"] == audit.n_samples == 50
         assert summary["commune_accuracy"] == 1.0
         assert 0 < summary["median_error_km"] <= summary["p90_error_km"]
 

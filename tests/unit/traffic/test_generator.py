@@ -76,11 +76,29 @@ class TestGeneration:
             )
         assert communes <= visited
 
-    def test_auditor_hook(self, setup, country):
-        generator, probe, _, topology = setup
+    def test_auditor_hook(self, setup, catalog, intensity_model):
+        generator, probe, population, topology = setup
         generator.auditor = LocalizationAuditor(topology, seed=9)
-        generator.run_week(time_limit_hours=48.0)
-        assert len(generator.auditor.samples) == generator.flows_generated
+        generator.run_week()
+        assert generator.auditor.n_samples == generator.flows_generated
+
+        # Chunked emission, with handover-spanning sessions on the
+        # scalar path: still one sample per flow, drawn in the same
+        # order as the per-subscriber flushes above.
+        chunked = SessionLevelGenerator(
+            intensity_model,
+            population,
+            topology,
+            FingerprintDatabase(catalog, seed=43),
+            seed=44,
+        )
+        chunked.auditor = LocalizationAuditor(topology, seed=9)
+        chunked.run_week(chunk_size=64)
+        assert chunked._handover.stats.moves > 0
+        assert chunked.auditor.n_samples == chunked.flows_generated
+        assert np.array_equal(
+            chunked.auditor.errors_km(), generator.auditor.errors_km()
+        )
 
     def test_deterministic(self, country, catalog, intensity_model):
         def run():
