@@ -19,9 +19,10 @@ a change that silently drifts a figure fails CI even while every test
 stays green.
 
 :mod:`~repro.fidelity.contract` and :mod:`~repro.fidelity.extract` are
-stdlib-only so tooling (``tools/check_docs.py``, ``show``/``diff``/
-``gate``) can load the contract without the simulation stack; only
-``run`` imports the experiment layer.
+stdlib-only so tooling (``tools/check_docs.py``, which renders the docs'
+findings table from the contract, and ``show``/``diff``/``gate``) can
+load the contract without the simulation stack; only ``run`` imports
+the experiment layer.
 """
 
 from repro.fidelity.contract import (

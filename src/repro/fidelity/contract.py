@@ -21,9 +21,9 @@ Determinism: every finding value is ``seeded`` — a pure function of the
 scorecard's ``(seed, n_communes)`` — which is what makes the committed
 baseline (``fidelity-baseline.json``) a meaningful gate.
 
-This module is stdlib-only: ``tools/check_docs.py`` cross-checks the
-table against ``docs/observability.md`` in both directions without
-importing the simulation stack.
+This module is stdlib-only, so ``tools/check_docs.py`` can render the
+findings table in ``docs/observability.md`` from it without importing
+the simulation stack: change a finding here, then run that script.
 """
 
 from __future__ import annotations

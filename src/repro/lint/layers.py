@@ -3,9 +3,10 @@
 Every module under ``src/repro`` belongs to exactly one *layer*; a
 module may import only from its own layer and from the layers its layer
 declares as dependencies.  The spec below is the single source of
-truth — ``docs/static-analysis.md`` carries a human-readable copy that
-``tools/check_docs.py`` cross-checks bidirectionally, and
-:mod:`repro.lint.program` enforces it over the whole tree (RPL201).
+truth: :mod:`repro.lint.program` enforces it over the whole tree
+(RPL201), and the layer table in ``docs/static-analysis.md`` is
+generated from it — after changing a layer, run
+``tools/check_docs.py``.
 
 Layers are matched by **longest dotted prefix**, so a package can span
 several layers: ``repro.dataset.store`` is ``datastore`` while

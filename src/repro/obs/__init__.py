@@ -17,9 +17,9 @@ the ``repro-obs`` CLI.  Event counters are deterministic for a fixed
 ``(seed, n_shards)`` regardless of worker count; timings are
 explicitly non-deterministic and never compared.
 
-This package is stdlib-only (no numpy) so tooling — the docs
-cross-checker, the CLI's ``diff``/``show``/``list-metrics`` — can load
-the contract without the simulation stack.
+This package is stdlib-only (no numpy) so tooling — the docs table
+generator ``tools/check_docs.py``, the CLI's ``diff``/``show``/
+``list-metrics`` — can load the contract without the simulation stack.
 """
 
 from repro.obs.events import (

@@ -3,9 +3,9 @@
 Every metric the pipeline can emit is declared up front in
 :data:`SPECS` — name, kind, unit, pipeline stage, determinism class,
 and a one-line description.  The table *is* the metrics contract:
-``docs/observability.md`` documents exactly these names, the CI docs
-job cross-checks the two, and :meth:`MetricsRegistry.add` rejects
-names that were never declared, so an undocumented metric cannot ship.
+:meth:`MetricsRegistry.add` rejects names that were never declared, and
+the metric tables in ``docs/`` are generated from it — after changing a
+spec, run ``tools/check_docs.py`` to regenerate them.
 
 Determinism classes
 -------------------
@@ -281,7 +281,8 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.errors", _C, "queries", "serve", _EV,
-            "queries rejected as malformed or out of range",
+            "queries rejected by validation as malformed or out of range "
+            "(unknown service, bad bounds)",
         ),
         MetricSpec(
             "serve.index_builds", _C, "indexes", "serve", _EV,
@@ -290,12 +291,13 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.cache_hits", _C, "queries", "serve", _EV,
-            "queries answered from the result cache (LRU-replayed, "
-            "worker-count independent)",
+            "queries answered from the result cache (pure LRU replay of "
+            "the key sequence, parent-side, worker-count independent)",
         ),
         MetricSpec(
             "serve.cache_misses", _C, "queries", "serve", _EV,
-            "queries that missed the result cache and were computed",
+            "queries that missed the result cache and were computed "
+            "(same parent-side LRU replay)",
         ),
         MetricSpec(
             "serve.load_requests", _C, "requests", "serve", _EV,
@@ -312,15 +314,17 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.latency_p50_s", _G, "seconds", "serve", _TI,
-            "median simulated open-loop request latency",
+            "median simulated open-loop request latency of a harness run",
         ),
         MetricSpec(
             "serve.latency_p95_s", _G, "seconds", "serve", _TI,
-            "95th-percentile simulated open-loop request latency",
+            "95th-percentile simulated open-loop request latency of a "
+            "harness run",
         ),
         MetricSpec(
             "serve.latency_p99_s", _G, "seconds", "serve", _TI,
-            "99th-percentile simulated open-loop request latency",
+            "99th-percentile simulated open-loop request latency of a "
+            "harness run",
         ),
         MetricSpec(
             "serve.throughput_rps", _G, "requests/s", "serve", _TI,
@@ -366,8 +370,8 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.shed.queue_full", _C, "requests", "serve", _TI,
-            "requests shed by the queue-pressure hash (priority-aware, "
-            "batch and low-priority shed first)",
+            "requests shed by queue pressure: the priority-aware hash "
+            "(batch and low-priority shed first) or the hard depth bound",
         ),
         MetricSpec(
             "serve.shed.stale_answers", _C, "requests", "serve", _TI,
@@ -380,11 +384,12 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.health.state", _G, "state", "serve", _TI,
-            "serving health state (0 ok, 1 degraded, 2 shedding)",
+            "serving health ladder rung (0 ok, 1 degraded, 2 shedding)",
         ),
         MetricSpec(
             "serve.health.transitions", _C, "transitions", "serve", _TI,
-            "health state-machine transitions over one harness run",
+            "health state-machine transitions (ratchet steps) over one "
+            "harness run",
         ),
         MetricSpec(
             "serve.cache.corrupt_detected", _C, "entries", "serve", _TI,
@@ -393,8 +398,8 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "serve.overload.goodput_rps", _G, "requests/s", "serve", _TI,
-            "admitted requests completing within deadline per second "
-            "under the overload schedule",
+            "fresh answers per second under the overload schedule "
+            "(admitted requests completing within deadline)",
         ),
         MetricSpec(
             "serve.overload.admitted_p99_s", _G, "seconds", "serve", _TI,

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Documentation checks: markdown links and the metrics contract.
+"""Documentation checks: markdown links and the generated contract tables.
 
-Two stdlib-only checks, run by the ``docs`` CI job (no installs):
+Two checks, both stdlib-only (the ``docs`` CI job runs them with no
+installs):
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
    in every tracked ``*.md`` file must resolve to an existing file or
@@ -10,43 +11,22 @@ Two stdlib-only checks, run by the ``docs`` CI job (no installs):
    under GitHub's slug rules.  External (``http``/``https``/``mailto``)
    targets are skipped; fenced code blocks are stripped first so
    example snippets cannot trip the check.
-2. **Metrics contract** — the tables under the "The metrics contract"
-   section of ``docs/observability.md`` and the declared specs in
-   :data:`repro.obs.metrics.SPECS` must agree in *both* directions:
-   every declared metric is documented, every documented metric is
-   declared, and the documented unit and stage columns match the spec.
-3. **Findings contract** — the table under the "Fidelity scorecard"
-   section of ``docs/observability.md`` and the declared specs in
-   :data:`repro.fidelity.contract.FINDINGS` must agree in *both*
-   directions, including each finding's documented unit and paper
-   target.
-4. **Resilience metrics** — the table under the "Resilience metrics"
-   section of ``docs/robustness.md`` and the ``resilience.*`` subset of
-   :data:`repro.obs.metrics.SPECS` must agree in both directions (name,
-   unit, stage), so the robustness doc can never drift from the
-   supervisor's actual instrumentation.
-5. **Lint rule catalog** — the table under the "Rule catalog" section
-   of ``docs/static-analysis.md`` and the rules the analyzer actually
-   ships (:func:`repro.lint.rules.default_rules` plus
-   :data:`repro.lint.program.PROGRAM_RULES`) must agree in both
-   directions, including each rule's name and summary line.
-6. **Layer DAG** — the table under "The layer DAG" section of
-   ``docs/static-analysis.md`` and :data:`repro.lint.layers.LAYERS`
-   must agree in both directions: every declared layer is documented
-   with exactly its prefixes and allowed dependencies, and no
-   documented layer is undeclared.
-7. **Serving metrics** — the table under the "Serving metrics" section
-   of ``docs/serving.md`` and the ``serve.*`` subset of
-   :data:`repro.obs.metrics.SPECS` must agree in both directions (name,
-   unit, stage), mirroring the resilience check.
-8. **Serving event kinds** — the table under the "Event kinds" section
-   of ``docs/serving.md``, the declared kinds in
-   :data:`repro.obs.events.KINDS`, and the literal ``log_event(...)``
-   emission sites under ``src/repro/serve`` must all agree: every kind
-   the serving layer emits is documented and declared, and every
-   documented kind is actually emitted.
+2. **Generated blocks** — every contract table in the docs sits between
+   a ``<!-- generated: NAME -->`` line and a ``<!-- end generated -->``
+   line and is rendered from the code that declares it: the metric
+   tables from :data:`repro.obs.metrics.SPECS`, the findings table from
+   :data:`repro.fidelity.contract.FINDINGS`, the lint rule catalog and
+   layer DAG from :mod:`repro.lint`, and the event-kind list from
+   :data:`repro.obs.events.KINDS`.  The check re-renders each block and
+   rewrites a stale one in place.  It also reports an unknown block
+   name, an opening marker with no end marker, and any declared metric,
+   finding, rule, layer or event kind that no block renders.
 
-Exit status 0 when clean, 1 with one problem per line otherwise.
+To change a contract, declare it in code and run this script: it
+rewrites the tables, and a second run passes.
+
+Exit status 0 when clean; 1 when a block was rewritten or a problem was
+found, with one line per problem.
 
 Usage::
 
@@ -58,7 +38,14 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+from repro.fidelity.contract import FINDINGS
+from repro.fidelity.scorecard import _format_band
+from repro.lint.layers import LAYERS
+from repro.lint.reporters import _rule_catalog
+from repro.obs.events import KINDS
+from repro.obs.metrics import SPECS, MetricSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,24 +55,13 @@ SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", ".claude"}
 _FENCE = re.compile(r"^(```|~~~)")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
-
-#: First-column backticked dotted name in a markdown table row — the
-#: shape of the contract tables in docs/observability.md.
-_METRIC_ROW = re.compile(
-    r"^\|\s*`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`\s*\|"
-    r"\s*([^|]+?)\s*\|"  # unit column
-    r"\s*([^|]+?)\s*\|"  # stage column
-)
-
-#: Finding row in the fidelity scorecard table: name, unit, target.
-_FINDING_ROW = re.compile(
-    r"^\|\s*`([a-z0-9_]+(?:\.[a-z0-9_]+)+)`\s*\|"
-    r"\s*([^|]+?)\s*\|"  # unit column
-    r"\s*([^|]+?)\s*\|"  # paper-target column
-)
-
-_HEADING = re.compile(r"^##\s+(.*)$")
 _ANY_HEADING = re.compile(r"^#{1,6}\s+(.*)$")
+
+_OPEN = re.compile(r"^<!-- generated: (.+) -->$")
+_CLOSE = "<!-- end generated -->"
+
+#: A rendered block: its markdown lines and the declared items it shows.
+Block = Tuple[List[str], Set[str]]
 
 
 def _slugify(heading: str) -> str:
@@ -102,19 +78,6 @@ def _anchors(path: Path) -> set:
         if match:
             slugs.add(_slugify(match.group(1)))
     return slugs
-
-
-def _section(text: str, title: str) -> str:
-    """The body of one ``## title`` section (up to the next ``## ``)."""
-    lines, keep = [], False
-    for line in text.splitlines():
-        match = _HEADING.match(line)
-        if match:
-            keep = match.group(1).strip() == title
-            continue
-        if keep:
-            lines.append(line)
-    return "\n".join(lines)
 
 
 def _markdown_files(root: Path) -> List[Path]:
@@ -167,374 +130,152 @@ def check_links(root: Path) -> List[str]:
     return problems
 
 
-#: Section headings the contract checks parse their tables from.
-METRICS_SECTION = "The metrics contract"
-FINDINGS_SECTION = "Fidelity scorecard"
-RESILIENCE_SECTION = "Resilience metrics"
+def _table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> List[str]:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    return lines + ["| " + " | ".join(row) + " |" for row in rows]
 
 
-def _documented_metrics(doc: Path) -> Dict[str, Tuple[str, str]]:
-    """Metric name -> (unit, stage) as documented in the contract tables."""
-    documented: Dict[str, Tuple[str, str]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), METRICS_SECTION)
-    for line in text.splitlines():
-        match = _METRIC_ROW.match(line)
-        if match:
-            documented[match.group(1)] = (match.group(2), match.group(3))
-    return documented
+def _metric_table(specs: List[MetricSpec]) -> Block:
+    rows = [(f"`{s.name}`", s.unit, s.stage, s.description) for s in specs]
+    table = _table(("Metric", "Unit", "Stage", "Meaning"), rows)
+    return table, {f"metric {s.name!r}" for s in specs}
 
 
-def _documented_findings(doc: Path) -> Dict[str, Tuple[str, str]]:
-    """Finding name -> (unit, target) documented in the scorecard table."""
-    documented: Dict[str, Tuple[str, str]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), FINDINGS_SECTION)
-    for line in text.splitlines():
-        match = _FINDING_ROW.match(line)
-        if match:
-            documented[match.group(1)] = (match.group(2), match.group(3))
-    return documented
+def render_blocks() -> Dict[str, Block]:
+    """Every generated block, by name, rendered from the declarations.
 
-
-def check_metrics_contract(root: Path) -> List[str]:
-    doc = root / "docs" / "observability.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.obs.metrics import SPECS
-    except ImportError as exc:
-        return [f"cannot import repro.obs.metrics (set PYTHONPATH=src): {exc}"]
-
-    documented = _documented_metrics(doc)
-    problems = []
-    rel = doc.relative_to(root)
-    for name in sorted(set(SPECS) - set(documented)):
-        problems.append(f"{rel}: declared metric {name!r} is undocumented")
-    for name in sorted(set(documented) - set(SPECS)):
-        problems.append(
-            f"{rel}: documented metric {name!r} is not declared in "
-            "repro.obs.metrics.SPECS"
-        )
-    for name in sorted(set(SPECS) & set(documented)):
-        unit, stage = documented[name]
-        spec = SPECS[name]
-        if unit != spec.unit:
-            problems.append(
-                f"{rel}: {name} documented unit {unit!r} != "
-                f"declared {spec.unit!r}"
-            )
-        if stage != spec.stage:
-            problems.append(
-                f"{rel}: {name} documented stage {stage!r} != "
-                f"declared {spec.stage!r}"
-            )
-    return problems
-
-
-def check_findings_contract(root: Path) -> List[str]:
-    doc = root / "docs" / "observability.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.fidelity.contract import FINDINGS
-    except ImportError as exc:
-        return [
-            f"cannot import repro.fidelity.contract (set PYTHONPATH=src): "
-            f"{exc}"
+    Metric tables come one per ``(kind, determinism)`` pair in
+    :data:`SPECS` (so a new pair is a new block the docs must place)
+    plus the ``resilience.*`` and ``serve.*`` slices.
+    """
+    groups: Dict[str, List[MetricSpec]] = {}
+    for spec in SPECS.values():
+        pair = f"metrics {spec.kind.value} {spec.determinism.value}"
+        groups.setdefault(pair, []).append(spec)
+    for prefix in ("resilience.", "serve."):
+        groups[f"metrics {prefix}*"] = [
+            spec for spec in SPECS.values() if spec.name.startswith(prefix)
         ]
+    blocks = {name: _metric_table(specs) for name, specs in groups.items()}
 
-    documented = _documented_findings(doc)
-    problems = []
-    rel = doc.relative_to(root)
-    for name in sorted(set(FINDINGS) - set(documented)):
-        problems.append(f"{rel}: declared finding {name!r} is undocumented")
-    for name in sorted(set(documented) - set(FINDINGS)):
-        problems.append(
-            f"{rel}: documented finding {name!r} is not declared in "
-            "repro.fidelity.contract.FINDINGS"
-        )
-    for name in sorted(set(FINDINGS) & set(documented)):
-        unit, target = documented[name]
-        spec = FINDINGS[name]
-        if unit != spec.unit:
-            problems.append(
-                f"{rel}: {name} documented unit {unit!r} != "
-                f"declared {spec.unit!r}"
-            )
-        if target != f"{spec.target:g}":
-            problems.append(
-                f"{rel}: {name} documented target {target!r} != "
-                f"declared {spec.target:g}"
-            )
-    return problems
-
-
-def check_resilience_metrics(root: Path) -> List[str]:
-    """``docs/robustness.md`` vs the ``resilience.*`` slice of SPECS."""
-    doc = root / "docs" / "robustness.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.obs.metrics import SPECS
-    except ImportError as exc:
-        return [f"cannot import repro.obs.metrics (set PYTHONPATH=src): {exc}"]
-
-    declared = {
-        name: (spec.unit, spec.stage)
-        for name, spec in SPECS.items()
-        if name.startswith("resilience.")
-    }
-    documented: Dict[str, Tuple[str, str]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), RESILIENCE_SECTION)
-    for line in text.splitlines():
-        match = _METRIC_ROW.match(line)
-        if match:
-            documented[match.group(1)] = (match.group(2), match.group(3))
-
-    problems = []
-    rel = doc.relative_to(root)
-    for name in sorted(set(declared) - set(documented)):
-        problems.append(
-            f"{rel}: declared resilience metric {name!r} is undocumented"
-        )
-    for name in sorted(set(documented) - set(declared)):
-        problems.append(
-            f"{rel}: documented metric {name!r} is not a declared "
-            "resilience.* metric in repro.obs.metrics.SPECS"
-        )
-    for name in sorted(set(declared) & set(documented)):
-        if documented[name] != declared[name]:
-            problems.append(
-                f"{rel}: {name} documented as {documented[name]} != "
-                f"declared {declared[name]}"
-            )
-    return problems
+    blocks["findings"] = (
+        _table(
+            ("Finding", "Unit", "Paper target", "Accept", "Warn", "Source",
+             "Meaning"),
+            (
+                (f"`{s.name}`", s.unit, f"{s.target:g}",
+                 _format_band(s.accept.to_list()),
+                 _format_band(s.warn.to_list()), s.source, s.description)
+                for s in FINDINGS.values()
+            ),
+        ),
+        {f"finding {name!r}" for name in FINDINGS},
+    )
+    rules = _rule_catalog()
+    blocks["lint rules"] = (
+        _table(
+            ("code", "name", "checks that"),
+            ((f"`{r['id']}`", r["name"], r["shortDescription"]["text"])
+             for r in rules),
+        ),
+        {f"rule {r['id']}" for r in rules},
+    )
+    blocks["lint layers"] = (
+        _table(
+            ("layer", "prefixes", "may import"),
+            (
+                (f"`{spec.name}`",
+                 ", ".join(f"`{prefix}`" for prefix in spec.prefixes),
+                 ", ".join(spec.deps) or "—")
+                for spec in LAYERS
+            ),
+        ),
+        {f"layer {spec.name!r}" for spec in LAYERS},
+    )
+    blocks["event kinds"] = (
+        [f"- `{kind}`" for kind in KINDS],
+        {f"event kind {kind!r}" for kind in KINDS},
+    )
+    return blocks
 
 
-#: Section headings in docs/static-analysis.md the lint checks parse.
-RULES_SECTION = "Rule catalog"
-LAYERS_SECTION = "The layer DAG"
-
-#: ``| `RPL123` | name | summary |`` row in the rule catalog table.
-_RULE_ROW = re.compile(
-    r"^\|\s*`(RPL\d{3})`\s*\|\s*([^|]+?)\s*\|\s*([^|]+?)\s*\|"
-)
-
-#: ``| `layer` | `prefix`, ... | deps |`` row in the layer DAG table.
-_LAYER_ROW = re.compile(
-    r"^\|\s*`([a-z][a-z-]*)`\s*\|\s*([^|]+?)\s*\|\s*([^|]+?)\s*\|"
-)
+def _declared() -> Set[str]:
+    """Every declared item some generated block must render."""
+    return (
+        {f"metric {name!r}" for name in SPECS}
+        | {f"finding {name!r}" for name in FINDINGS}
+        | {f"rule {rule['id']}" for rule in _rule_catalog()}
+        | {f"layer {spec.name!r}" for spec in LAYERS}
+        | {f"event kind {kind!r}" for kind in KINDS}
+    )
 
 
-def check_lint_rules(root: Path) -> List[str]:
-    """``docs/static-analysis.md`` rule catalog vs the shipped rules."""
-    doc = root / "docs" / "static-analysis.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.lint.program import PROGRAM_RULES
-        from repro.lint.rules import default_rules
-    except ImportError as exc:
-        return [f"cannot import repro.lint (set PYTHONPATH=src): {exc}"]
-
-    declared: Dict[str, Tuple[str, str]] = {
-        "RPL000": ("parse-failure", "file does not parse")
-    }
-    for rule in list(default_rules()) + list(PROGRAM_RULES):
-        declared[rule.code] = (rule.name, rule.summary)
-
-    documented: Dict[str, Tuple[str, str]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), RULES_SECTION)
-    for line in text.splitlines():
-        match = _RULE_ROW.match(line)
-        if match:
-            documented[match.group(1)] = (match.group(2), match.group(3))
-
-    problems = []
-    rel = doc.relative_to(root)
-    for code in sorted(set(declared) - set(documented)):
-        problems.append(f"{rel}: shipped rule {code} is undocumented")
-    for code in sorted(set(documented) - set(declared)):
-        problems.append(
-            f"{rel}: documented rule {code} does not exist in repro.lint"
-        )
-    for code in sorted(set(declared) & set(documented)):
-        if documented[code] != declared[code]:
-            problems.append(
-                f"{rel}: {code} documented as {documented[code]} != "
-                f"shipped {declared[code]}"
-            )
-    return problems
-
-
-def check_layer_dag(root: Path) -> List[str]:
-    """``docs/static-analysis.md`` layer table vs repro.lint.layers."""
-    doc = root / "docs" / "static-analysis.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.lint.layers import LAYERS
-    except ImportError as exc:
-        return [f"cannot import repro.lint.layers (set PYTHONPATH=src): {exc}"]
-
-    declared = {
-        spec.name: (tuple(spec.prefixes), tuple(spec.deps))
-        for spec in LAYERS
-    }
-    documented: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), LAYERS_SECTION)
-    for line in text.splitlines():
-        match = _LAYER_ROW.match(line)
-        if not match:
-            continue
-        prefixes = tuple(
-            p.strip().strip("`") for p in match.group(2).split(",")
-        )
-        deps_cell = match.group(3).strip()
-        deps = (
-            ()
-            if deps_cell in ("—", "-", "")
-            else tuple(d.strip() for d in deps_cell.split(","))
-        )
-        documented[match.group(1)] = (prefixes, deps)
-
-    problems = []
-    rel = doc.relative_to(root)
-    for name in sorted(set(declared) - set(documented)):
-        problems.append(f"{rel}: declared layer {name!r} is undocumented")
-    for name in sorted(set(documented) - set(declared)):
-        problems.append(
-            f"{rel}: documented layer {name!r} is not declared in "
-            "repro.lint.layers.LAYERS"
-        )
-    for name in sorted(set(declared) & set(documented)):
-        doc_prefixes, doc_deps = documented[name]
-        decl_prefixes, decl_deps = declared[name]
-        if doc_prefixes != decl_prefixes:
-            problems.append(
-                f"{rel}: layer {name} documented prefixes "
-                f"{doc_prefixes} != declared {decl_prefixes}"
-            )
-        if doc_deps != decl_deps:
-            problems.append(
-                f"{rel}: layer {name} documented deps {doc_deps} != "
-                f"declared {decl_deps}"
-            )
-    return problems
-
-
-#: Section headings in docs/serving.md the serving checks parse.
-SERVE_METRICS_SECTION = "Serving metrics"
-SERVE_EVENTS_SECTION = "Event kinds"
-
-#: ``| `kind` | ... |`` row in the event-kind table (undotted names).
-_KIND_ROW = re.compile(r"^\|\s*`([a-z][a-z_]*)`\s*\|")
-
-#: Literal first argument of an ``obs.log_event("kind", ...)`` call.
-_LOG_EVENT_CALL = re.compile(r"log_event\(\s*\"([a-z_]+)\"")
-
-
-def check_serve_metrics(root: Path) -> List[str]:
-    """``docs/serving.md`` vs the ``serve.*`` slice of SPECS."""
-    doc = root / "docs" / "serving.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.obs.metrics import SPECS
-    except ImportError as exc:
-        return [f"cannot import repro.obs.metrics (set PYTHONPATH=src): {exc}"]
-
-    declared = {
-        name: (spec.unit, spec.stage)
-        for name, spec in SPECS.items()
-        if name.startswith("serve.")
-    }
-    documented: Dict[str, Tuple[str, str]] = {}
-    text = _section(doc.read_text(encoding="utf-8"), SERVE_METRICS_SECTION)
-    for line in text.splitlines():
-        match = _METRIC_ROW.match(line)
-        if match:
-            documented[match.group(1)] = (match.group(2), match.group(3))
-
-    problems = []
-    rel = doc.relative_to(root)
-    for name in sorted(set(declared) - set(documented)):
-        problems.append(
-            f"{rel}: declared serving metric {name!r} is undocumented"
-        )
-    for name in sorted(set(documented) - set(declared)):
-        problems.append(
-            f"{rel}: documented metric {name!r} is not a declared "
-            "serve.* metric in repro.obs.metrics.SPECS"
-        )
-    for name in sorted(set(declared) & set(documented)):
-        if documented[name] != declared[name]:
-            problems.append(
-                f"{rel}: {name} documented as {documented[name]} != "
-                f"declared {declared[name]}"
-            )
-    return problems
-
-
-def check_serve_events(root: Path) -> List[str]:
-    """``docs/serving.md`` event table vs KINDS and the emission sites."""
-    doc = root / "docs" / "serving.md"
-    if not doc.exists():
-        return [f"{doc.relative_to(root)}: missing"]
-    try:
-        from repro.obs.events import KINDS
-    except ImportError as exc:
-        return [f"cannot import repro.obs.events (set PYTHONPATH=src): {exc}"]
-
-    emitted = set()
-    for source in sorted((root / "src" / "repro" / "serve").glob("*.py")):
-        emitted.update(_LOG_EVENT_CALL.findall(source.read_text("utf-8")))
-
-    documented = set()
-    text = _section(doc.read_text(encoding="utf-8"), SERVE_EVENTS_SECTION)
-    for line in text.splitlines():
-        match = _KIND_ROW.match(line)
-        if match:
-            documented.add(match.group(1))
-
-    problems = []
-    rel = doc.relative_to(root)
-    for kind in sorted(emitted - documented):
-        problems.append(
-            f"{rel}: event kind {kind!r} emitted by repro.serve is "
-            "undocumented"
-        )
-    for kind in sorted(documented - emitted):
-        problems.append(
-            f"{rel}: documented event kind {kind!r} has no emission "
-            "site under src/repro/serve"
-        )
-    for kind in sorted(documented - set(KINDS)):
-        problems.append(
-            f"{rel}: documented event kind {kind!r} is not declared in "
-            "repro.obs.events.KINDS"
-        )
+def check_generated(root: Path) -> List[str]:
+    """Re-render every generated block, rewriting stale ones in place."""
+    blocks = render_blocks()
+    problems: List[str] = []
+    rendered: Set[str] = set()
+    for path in _markdown_files(root):
+        rel = path.relative_to(root)
+        text = path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        out: List[str] = []
+        i = 0
+        while i < len(lines):
+            line = lines[i]
+            out.append(line)
+            i += 1
+            if line == _CLOSE:
+                problems.append(f"{rel}:{i}: end marker with no open block")
+                continue
+            match = _OPEN.match(line)
+            if not match:
+                continue
+            name = match.group(1)
+            end = i
+            while end < len(lines) and not (
+                lines[end] == _CLOSE or _OPEN.match(lines[end])
+            ):
+                end += 1
+            if end == len(lines) or lines[end] != _CLOSE:
+                problems.append(
+                    f"{rel}:{i}: generated block {name!r} has no "
+                    f"'{_CLOSE}' line"
+                )
+                continue
+            body = lines[i:end]
+            if name not in blocks:
+                problems.append(f"{rel}:{i}: unknown generated block {name!r}")
+            else:
+                table, items = blocks[name]
+                rendered |= items
+                fresh = ["", *table, ""]
+                if body != fresh:
+                    problems.append(
+                        f"{rel}:{i}: generated block {name!r} was stale; "
+                        "rewritten from the code"
+                    )
+                    body = fresh
+            out += body + [_CLOSE]
+            i = end + 1
+        new_text = "\n".join(out)
+        if new_text != text:
+            path.write_text(new_text, encoding="utf-8")
+    for item in sorted(_declared() - rendered):
+        problems.append(f"declared {item} is rendered by no generated block")
     return problems
 
 
 def main(argv: List[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else REPO_ROOT
-    problems = (
-        check_links(root)
-        + check_metrics_contract(root)
-        + check_findings_contract(root)
-        + check_resilience_metrics(root)
-        + check_lint_rules(root)
-        + check_layer_dag(root)
-        + check_serve_metrics(root)
-        + check_serve_events(root)
-    )
+    problems = check_links(root) + check_generated(root)
     for problem in problems:
         print(problem)
     n_files = len(_markdown_files(root))
     if problems:
         print(f"check_docs: {len(problems)} problem(s) in {n_files} files")
         return 1
-    print(f"check_docs: OK ({n_files} markdown files, links + contract)")
+    print(f"check_docs: OK ({n_files} markdown files, links + generated)")
     return 0
 
 
