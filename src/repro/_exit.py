@@ -39,7 +39,6 @@ EXIT_MEANINGS: Dict[int, str] = {
 #: CLI module -> exit codes it may produce.  Keys are the ``*.cli``
 #: modules behind the ``repro-*`` console scripts; values are sorted.
 CLI_EXIT_MATRIX: Dict[str, Tuple[int, ...]] = {
-    "repro.bench.cli": (0, 1, 2, 3),
     "repro.dataset.cli": (0, 1, 2, 3),
     "repro.experiments.cli": (0, 1, 2, 3),
     "repro.fidelity.cli": (0, 1, 2, 3),

@@ -22,7 +22,6 @@ without ``fork`` fall back to in-process execution.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Set
 
@@ -350,7 +349,7 @@ class WorkerContext:
 # Worker-process-only context, installed by the pool initializer inside
 # each forked child.  The parent process never assigns it, so plan state
 # cannot leak between successive builds or into re-entrant use — the
-# public executors assert it stays None on the parent.
+# supervised executor asserts it stays None on the parent.
 _WORKER_CONTEXT: Optional[WorkerContext] = None
 
 
@@ -389,42 +388,6 @@ def _worker_run_shard(task: tuple) -> ShardResult:
     return run_shard_attempt(context, shard_index, attempt, in_worker=True)
 
 
-def execute_shards(plan: ShardPlan, n_workers: int) -> List[ShardResult]:
-    """Run every shard, across ``n_workers`` processes when possible.
-
-    The *bare* executor: no supervision, no retries — one worker
-    failure fails the whole build.  It remains the minimal-overhead
-    reference path (benchmarks measure the supervised executor against
-    it); production builds go through
-    :func:`repro.resilience.supervisor.execute_shards_supervised`.
-
-    Shard results are identical whether shards run in-process or in
-    worker processes (each shard consumes only its own parent-spawned
-    RNG stream), so the in-process path doubles as the fallback on
-    platforms without ``fork``.
-    """
-    n_shards = plan.n_shards
-    if n_workers <= 1 or n_shards == 1:
-        return [run_shard(plan, i) for i in range(n_shards)]
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return [run_shard(plan, i) for i in range(n_shards)]
-    worker_context = WorkerContext.for_plan(plan)
-    with context.Pool(
-        processes=min(n_workers, n_shards),
-        initializer=_init_worker,
-        initargs=(worker_context,),
-    ) as pool:
-        results = pool.map(
-            _worker_run_shard, [(i, 0) for i in range(n_shards)]
-        )
-    assert _WORKER_CONTEXT is None, (
-        "worker context leaked into the parent process"
-    )
-    return sorted(results, key=lambda result: result.shard_index)
-
-
 __all__ = [
     "ShardPlan",
     "ShardResult",
@@ -434,5 +397,4 @@ __all__ = [
     "partition_subscribers",
     "run_shard",
     "run_shard_attempt",
-    "execute_shards",
 ]

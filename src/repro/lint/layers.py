@@ -154,11 +154,6 @@ LAYERS: Tuple[LayerSpec, ...] = (
         ("repro.serve",),
         ("foundation", "obs", "geo", "datastore", "resilience", "analysis"),
     ),
-    LayerSpec(
-        "bench",
-        ("repro.bench",),
-        ("foundation", "obs", "geo", "dataset", "serve"),
-    ),
 )
 
 

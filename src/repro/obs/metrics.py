@@ -406,19 +406,6 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
             "99th-percentile simulated latency over admitted requests "
             "under the overload schedule",
         ),
-        # --- benchmark observatory -----------------------------------
-        MetricSpec(
-            "bench.legs", _C, "legs", "bench", _EV,
-            "micro benchmark legs executed by repro-bench",
-        ),
-        MetricSpec(
-            "bench.history_appends", _C, "records", "bench", _EV,
-            "run records appended to the benchmark history store",
-        ),
-        MetricSpec(
-            "bench.gate_regressions", _C, "indicators", "bench", _EV,
-            "gate indicators found outside their declared noise band",
-        ),
     ]
 )
 

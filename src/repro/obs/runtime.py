@@ -4,8 +4,9 @@ The instrumented pipeline calls three functions — :func:`add`,
 :func:`set_gauge` and :func:`span` — at every interesting stage.  By
 default nothing is active and each call is a single global load plus a
 ``None`` check (the disabled path allocates nothing and touches no
-dict), so instrumentation stays in place permanently at negligible
-cost.  :func:`enable` activates a fresh :class:`ObsSession` (metrics
+dict), so instrumentation stays in place permanently; its last
+recorded cost is in ``docs/observability.md`` ("Overhead").
+:func:`enable` activates a fresh :class:`ObsSession` (metrics
 registry + span tree); :func:`observed` scopes one around a block::
 
     from repro import obs
@@ -47,7 +48,6 @@ class ObsSession:
         "registry",
         "root",
         "stack",
-        "api_events",
         "events",
         "log_events",
         "_t0",
@@ -59,10 +59,6 @@ class ObsSession:
         #: Innermost-active-last stack of open spans; the root is always
         #: open so top-level spans have a parent.
         self.stack = [self.root]
-        #: Instrumentation API invocations observed (add/gauge/span
-        #: completions) — the call-site count the disabled-overhead
-        #: estimate in ``benchmarks/test_perf_pipeline.py`` scales by.
-        self.api_events = 0
         #: Structured event log (``repro.obs.events``); only populated
         #: when ``log_events`` is True.
         self.events: List[Event] = []
@@ -155,7 +151,6 @@ def add(name: str, value: Number = 1) -> None:
     session = _ACTIVE
     if session is None:
         return
-    session.api_events += 1
     session.registry.add(name, value)
     if session.log_events and SPECS[name].determinism is not Determinism.TIMING:
         # Timing-class counters (overload/shed outcomes under a real
@@ -170,7 +165,6 @@ def set_gauge(name: str, value: Number) -> None:
     session = _ACTIVE
     if session is None:
         return
-    session.api_events += 1
     session.registry.set_gauge(name, value)
     if session.log_events and SPECS[name].determinism is not Determinism.TIMING:
         # Timing-class gauges (RSS, wall-clock) would make the event
@@ -188,7 +182,6 @@ def observe(name: str, value: float) -> None:
     session = _ACTIVE
     if session is None:
         return
-    session.api_events += 1
     session.registry.observe(name, value)
 
 
@@ -197,7 +190,6 @@ def merge_histogram(name: str, hist: LatencyHistogram) -> None:
     session = _ACTIVE
     if session is None:
         return
-    session.api_events += 1
     session.registry.merge_histogram(name, hist)
 
 
@@ -258,7 +250,6 @@ class _SpanTimer:
         elapsed = clock.now_s() - self._t0
         session = self._session
         self._node.record(elapsed, clock.peak_rss_bytes(), self._attrs)
-        session.api_events += 1
         session.stack.pop()
         if session.log_events:
             session.events.append(("span_end", self._name, None))
@@ -315,7 +306,6 @@ class _ShardCapture:
                 "counters": counters,
                 "histograms": session.registry.export_histograms(),
                 "spans": session.export()["spans"],
-                "api_events": session.api_events,
                 "events": session.events,
             }
         _ACTIVE = self._outer
@@ -332,8 +322,6 @@ def absorb_shard(export: Optional[Dict[str, Any]]) -> None:
     Counters merge by summation; the shard's span tree is grafted under
     the currently open span.  Callers iterate shards in index order, so
     absorbed output is deterministic for a fixed ``(seed, n_shards)``.
-    The shard's instrumentation-call count joins ``api_events`` so the
-    disabled-overhead estimate sees every call site the build hit.
     """
     session = _ACTIVE
     if session is None or export is None:
@@ -344,7 +332,6 @@ def absorb_shard(export: Optional[Dict[str, Any]]) -> None:
             name, LatencyHistogram.from_dict(export["histograms"][name])
         )
     session.stack[-1].graft(SpanNode.from_dict(export["spans"]))
-    session.api_events += int(export.get("api_events", 0))
     if session.log_events:
         session.events.extend(
             (str(kind), str(name), value)

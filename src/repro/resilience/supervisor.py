@@ -1,8 +1,7 @@
 """The supervised shard executor: retries, watchdog, checkpoint, degrade.
 
-Replaces the bare ``pool.map`` of :func:`repro.dataset.parallel.
-execute_shards` for production builds.  Every shard attempt runs under
-supervision:
+Every sharded build runs its shards here, in-process or across a
+forked pool, and every shard attempt runs under supervision:
 
 - **typed failures** — an attempt that raises, times out, comes back
   corrupt, or reports dropped records becomes a :class:`ShardFailure`
@@ -471,12 +470,13 @@ def execute_shards_supervised(
     """Run every shard under supervision; see the module docstring.
 
     ``seed`` keys the deterministic backoff schedule only — shard
-    content comes from the plan's pre-spawned RNG streams, exactly as
-    in the bare executor.  With ``resume=False`` an existing checkpoint
-    directory is written to but never read, so a build can refresh its
-    checkpoints from scratch.  With ``spill`` set, accepted partials
-    beyond the store's resident budget go to disk and the report holds
-    compact handles (see :meth:`ExecutionReport.iter_results`).
+    content comes from the plan's pre-spawned RNG streams, so it never
+    depends on retries or on ``n_workers``.  With ``resume=False`` an
+    existing checkpoint directory is written to but never read, so a
+    build can refresh its checkpoints from scratch.  With ``spill`` set,
+    accepted partials beyond the store's resident budget go to disk and
+    the report holds compact handles (see
+    :meth:`ExecutionReport.iter_results`).
     """
     if policy is None:
         policy = RetryPolicy()

@@ -57,7 +57,6 @@ class TestSessionLifecycle:
     def test_fresh_session_is_empty(self):
         with obs.observed() as session:
             assert len(session.registry) == 0
-            assert session.api_events == 0
 
 
 class TestRecording:
@@ -70,14 +69,6 @@ class TestRecording:
         assert session.registry.get("aggregation.total_bytes") == pytest.approx(
             9.5
         )
-
-    def test_api_events_count_instrumentation_calls(self):
-        with obs.observed() as session:
-            obs.add("generator.flows")
-            obs.set_gauge("aggregation.total_bytes", 1.0)
-            with obs.span("generate"):
-                pass
-        assert session.api_events == 3
 
     def test_nested_spans_build_a_tree(self):
         with obs.observed() as session:

@@ -249,6 +249,26 @@ class TestSimulateOverload:
                 == forward.shed_cause[old_index]
             )
 
+    def test_shedding_grows_with_offered_load(self):
+        # Fixed service times well inside the server's capacity, so only
+        # the offered rate differs: 1x the token rate is admitted in
+        # full, 4x must shed a strictly larger fraction without
+        # collapsing to zero admissions.
+        policy = OverloadPolicy(tokens_per_s=1000.0)
+        n = 400
+        shed = {}
+        for multiplier in (1, 4):
+            spacing_s = 1.0 / (multiplier * policy.tokens_per_s)
+            arrivals, service, modes, priorities, rids = _uniform_schedule(
+                n, spacing_s=spacing_s, service=1e-4
+            )
+            outcome = simulate_overload(
+                policy, arrivals, service, modes, priorities, rids, [None] * n
+            )
+            shed[multiplier] = outcome.n_shed / n
+        assert shed[1] == 0.0
+        assert shed[1] < shed[4] < 1.0
+
 
 class TestServeHealth:
     def test_starts_ok(self):

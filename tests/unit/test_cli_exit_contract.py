@@ -13,6 +13,7 @@ directions of that contract:
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,6 @@ from repro._exit import (
     EXIT_OK,
     EXIT_USAGE,
 )
-from repro.bench.cli import main as main_bench
-from repro.bench.history import append_record, make_record
 from repro.dataset.cli import main as main_dataset
 from repro.experiments.cli import main as main_experiments
 from repro.fidelity.cli import main as main_scorecard
@@ -37,6 +36,8 @@ from repro.serve.cli import main as main_serve
 
 ALL_CODES = (EXIT_OK, EXIT_FINDINGS, EXIT_USAGE, EXIT_INTERNAL)
 
+PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
+
 
 class TestStaticContract:
     def test_constants_are_the_documented_values(self):
@@ -45,7 +46,6 @@ class TestStaticContract:
 
     def test_every_cli_declares_all_four_codes(self):
         assert sorted(CLI_EXIT_MATRIX) == [
-            "repro.bench.cli",
             "repro.dataset.cli",
             "repro.experiments.cli",
             "repro.fidelity.cli",
@@ -61,6 +61,18 @@ class TestStaticContract:
 
         for module in CLI_EXIT_MATRIX:
             assert hasattr(importlib.import_module(module), "main")
+
+    def test_matrix_matches_console_scripts(self):
+        # A regex, not tomllib: Python 3.9 ships no TOML parser.
+        text = PYPROJECT.read_text(encoding="utf-8")
+        section = re.search(
+            r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S
+        )
+        assert section is not None
+        modules = re.findall(
+            r'^[\w-]+\s*=\s*"([\w.]+):\w+"', section.group(1), re.M
+        )
+        assert sorted(modules) == sorted(CLI_EXIT_MATRIX)
 
 
 class TestLintCli:
@@ -232,58 +244,6 @@ class TestScorecardCli:
 
         monkeypatch.setattr(fid_cli.fid, "load_scorecard", boom)
         assert main_scorecard(["show", "whatever.json"]) == EXIT_INTERNAL
-        assert "internal error" in capsys.readouterr().err
-
-
-class TestBenchCli:
-    _CONFIG = {"subscribers": 10, "seed": 7}
-
-    def _legs(self, p99=1e-4, rps=100.0):
-        return {
-            "build": {"records_per_s": 50_000.0, "peak_rss_bytes": 1 << 26},
-            "serve": {
-                "latency_p99_s": p99,
-                "throughput_rps": rps,
-                "saturation_rps": 10 * rps,
-            },
-        }
-
-    def _history(self, tmp_path, *leg_payloads):
-        path = tmp_path / "history.jsonl"
-        for legs in leg_payloads:
-            append_record(path, make_record(self._CONFIG, legs, sha="test"))
-        return str(path)
-
-    def test_0_gate_within_bands(self, tmp_path, capsys):
-        history = self._history(tmp_path, self._legs(), self._legs())
-        assert main_bench(["gate", "--history", history]) == EXIT_OK
-        assert "within their noise bands" in capsys.readouterr().err
-
-    def test_0_gate_no_baseline(self, tmp_path, capsys):
-        history = self._history(tmp_path, self._legs())
-        assert main_bench(["gate", "--history", history]) == EXIT_OK
-        assert "vacuously" in capsys.readouterr().err
-
-    def test_1_gate_regression(self, tmp_path, capsys):
-        history = self._history(
-            tmp_path, self._legs(), self._legs(p99=1e-2, rps=10.0)
-        )
-        assert main_bench(["gate", "--history", history]) == EXIT_FINDINGS
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_2_missing_history(self, tmp_path, capsys):
-        missing = str(tmp_path / "no-history.jsonl")
-        assert main_bench(["gate", "--history", missing]) == EXIT_USAGE
-        assert "repro-bench" in capsys.readouterr().err
-
-    def test_3_internal_failure(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.cli as bench_cli
-
-        def boom(path):
-            raise RuntimeError("synthetic crash")
-
-        monkeypatch.setattr(bench_cli.bench_history, "load_history", boom)
-        assert main_bench(["gate", "--history", "whatever"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
 
 
