@@ -13,7 +13,7 @@ per commune over the week.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Any, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -28,7 +28,15 @@ from repro.services.catalog import ServiceCatalog
 
 
 class CommuneAggregator:
-    """Accumulates classified probe batches into dataset tensors."""
+    """Accumulates classified probe batches into dataset tensors.
+
+    ``partial`` starts the aggregator from a shard partial's state (see
+    :meth:`merge` for what it must carry) instead of zeros.  The
+    partial's tensors and user sets are adopted, not copied: later
+    merges fold into them, so a parent reducing shards never holds a
+    tensor pair beyond the partials'.  Adopting is bit-identical to
+    merging the partial into a zeroed aggregator.
+    """
 
     def __init__(
         self,
@@ -36,6 +44,7 @@ class CommuneAggregator:
         catalog: ServiceCatalog,
         engine: DpiEngine,
         axis: TimeAxis = TimeAxis(1),
+        partial: Optional[Any] = None,
     ):
         self._country = country
         self._catalog = catalog
@@ -55,20 +64,30 @@ class CommuneAggregator:
             dtype=np.int64,
         )
         n_communes = country.n_communes
-        self.dl = np.zeros((n_communes, len(head), axis.n_bins), dtype=np.float64)
-        self.ul = np.zeros_like(self.dl)
-        self.national_dl = np.zeros(len(catalog))
-        self.national_ul = np.zeros(len(catalog))
         # Byte totals accumulate through fixed-block summers so the
-        # result is bit-identical however the record stream is chunked
-        # (streaming vs in-memory builds); merged-in shard totals fold
-        # sequentially into the offsets.
+        # result is bit-identical however the record stream is chunked;
+        # merged-in shard totals fold sequentially into the offsets.
         self._total_acc = BlockSumAccumulator()
         self._unclassified_acc = BlockSumAccumulator()
-        self._merged_total_bytes = 0.0
-        self._merged_unclassified_bytes = 0.0
-        self._users_seen: List[Set[int]] = [set() for _ in range(n_communes)]
-        self.records_ingested = 0
+        if partial is None:
+            self.dl = np.zeros(
+                (n_communes, len(head), axis.n_bins), dtype=np.float64
+            )
+            self.ul = np.zeros_like(self.dl)
+            self.national_dl = np.zeros(len(catalog))
+            self.national_ul = np.zeros(len(catalog))
+            self._merged_total_bytes = 0.0
+            self._merged_unclassified_bytes = 0.0
+            self._users_seen: List[Set[int]] = [set() for _ in range(n_communes)]
+            self.records_ingested = 0
+        else:
+            self.dl, self.ul = partial.dl, partial.ul
+            self.national_dl = partial.national_dl
+            self.national_ul = partial.national_ul
+            self._merged_total_bytes = partial.total_bytes
+            self._merged_unclassified_bytes = partial.unclassified_bytes
+            self._users_seen = partial.users_seen
+            self.records_ingested = partial.records_ingested
 
     def ingest_columnar(self, batch: ProbeRecordBatch) -> int:
         """Classify and accumulate one columnar probe batch."""

@@ -113,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RECORDS",
         help="records per streamed probe chunk for --session runs "
-        "(default 8192; 0 disables streaming and materializes the "
-        "whole week); never changes dataset content",
+        "(a positive count, default 8192); never changes dataset content",
     )
     build.add_argument(
         "--spill-dir",
@@ -211,9 +210,7 @@ def _build(args: argparse.Namespace) -> int:
         if args.session:
             kwargs = {}
             if args.chunk_size is not None:
-                kwargs["chunk_size"] = (
-                    None if args.chunk_size == 0 else args.chunk_size
-                )
+                kwargs["chunk_size"] = args.chunk_size
             if args.spill_budget_mb is not None:
                 kwargs["spill_budget_bytes"] = int(
                     args.spill_budget_mb * KIB * KIB

@@ -1,20 +1,11 @@
-"""Merging datasets from sharded runs, and the shard-partial spill substrate.
+"""The spill substrate behind bounded-memory sharded builds.
 
-Session-level generation parallelizes naturally by splitting the
-subscriber panel into shards and running each through its own pipeline
-over the *same country*; :func:`merge_panels` recombines the resulting
-datasets.  Traffic tensors and national totals add; users add (the
-shards observe disjoint subscribers); the classified fraction is
-volume-weighted.
-
-The second half of this module is the **spill substrate** behind
-bounded-memory sharded builds: when the resident set of accepted shard
-partials exceeds a budget, the supervisor spills them to disk through a
-:class:`SpillStore` and keeps only a compact
-:class:`SpilledShardResult` handle; the merge then loads one partial at
-a time, in shard-index order, so peak RSS is one partial — not all of
-them.  The on-disk format is the same atomic pickled envelope the
-resilience checkpoints use (write to temp, flush + fsync,
+When the resident set of accepted shard partials exceeds a budget, the
+supervisor spills them to disk through a :class:`SpillStore` and keeps
+only a compact :class:`SpilledShardResult` handle; the merge then loads
+one partial at a time, in shard-index order, so peak RSS is one partial
+— not all of them.  The on-disk format is the same atomic pickled
+envelope the resilience checkpoints use (write to temp, flush + fsync,
 ``os.replace``), generalized here as :func:`write_envelope` /
 :func:`read_envelope` so both layers share one crash-safe codec.
 """
@@ -24,72 +15,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
-
-import numpy as np
-
-from repro.dataset.store import MobileTrafficDataset
-
-
-def _check_compatible(datasets: Sequence[MobileTrafficDataset]) -> None:
-    first = datasets[0]
-    for other in datasets[1:]:
-        if other.head_names != first.head_names:
-            raise ValueError("datasets have different head services")
-        if other.all_service_names != first.all_service_names:
-            raise ValueError("datasets have different catalogs")
-        if other.dl.shape != first.dl.shape:
-            raise ValueError(
-                f"tensor shapes differ: {other.dl.shape} vs {first.dl.shape}"
-            )
-        if other.axis.bins_per_hour != first.axis.bins_per_hour:
-            raise ValueError("datasets have different time resolutions")
-        if not np.array_equal(other.commune_classes, first.commune_classes):
-            raise ValueError(
-                "datasets cover different countries (commune classes differ)"
-            )
-
-
-def merge_panels(
-    datasets: Sequence[MobileTrafficDataset],
-) -> MobileTrafficDataset:
-    """Merge datasets produced by disjoint subscriber panels.
-
-    All datasets must share the country (same communes and metadata) and
-    the catalog.  Returns a new dataset; inputs are unchanged.
-    """
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("nothing to merge")
-    if len(datasets) == 1:
-        return datasets[0]
-    _check_compatible(datasets)
-
-    first = datasets[0]
-    dl = np.sum([d.dl for d in datasets], axis=0, dtype=np.float64)
-    ul = np.sum([d.ul for d in datasets], axis=0, dtype=np.float64)
-    national_dl = np.sum([np.asarray(d.national_dl) for d in datasets], axis=0)
-    national_ul = np.sum([np.asarray(d.national_ul) for d in datasets], axis=0)
-    users = np.sum([d.users for d in datasets], axis=0)
-
-    volumes = np.array([d.total_volume() for d in datasets])
-    fractions = np.array([d.classified_fraction for d in datasets])
-    total = volumes.sum()
-    classified = float((volumes * fractions).sum() / total) if total else 0.0
-
-    return replace(
-        first,
-        dl=dl.astype(np.float32),
-        ul=ul.astype(np.float32),
-        national_dl=national_dl,
-        national_ul=national_ul,
-        users=users,
-        classified_fraction=classified,
-        meta={**first.meta, "merged_panels": float(len(datasets))},
-    )
-
+from typing import Any, Optional, Union
 
 # ----------------------------------------------------------------------
 # crash-safe pickled envelopes (shared by spills and checkpoints)
@@ -293,7 +221,6 @@ __all__ = [
     "SPILL_SCHEMA",
     "SpillStore",
     "SpilledShardResult",
-    "merge_panels",
     "partial_nbytes",
     "read_envelope",
     "write_envelope",

@@ -1,23 +1,26 @@
 """Sharded execution of the session-level measurement chain.
 
-The session-level pipeline is embarrassingly parallel across
-subscribers: each subscriber's week touches only their own sessions, and
-every downstream structure (aggregation tensors, national counters,
-per-commune user sets, DPI/probe accounting) is a sum over subscribers.
-This module partitions the population into shards, runs one full
-generator → probe → DPI → aggregation chain per shard, and reduces the
-plain partial states back into one aggregator on the parent.
+Every session-level build runs here: the builder partitions the
+population into shards (one, by default), runs one full generator →
+probe → DPI → aggregation chain per shard, and reduces the plain
+partial states back into one aggregator on the parent.  The chain is
+embarrassingly parallel across subscribers: each subscriber's week
+touches only their own sessions, and every downstream structure
+(aggregation tensors, national counters, per-commune user sets,
+DPI/probe accounting) is a sum over subscribers.
 
 Determinism contract: shard RNG streams are spawned by the *parent* from
 the builder seed (``spawn(rng, "builder.shard", index=i)``), one per
-shard in index order, and shard partials are merged in index order.
-Results are therefore a function of ``(seed, n_shards)`` only —
-``n_workers`` changes wall-clock, never a single bit of the dataset.
+shard in index order, and shard partials are merged in index order; a
+one-shard plan draws from the builder's own stream instead (see
+:func:`_run_shard`).  Results are therefore a function of
+``(seed, n_shards)`` only — ``n_workers`` changes wall-clock, never a
+single bit of the dataset.
 
 Workers are forked (copy-on-write) so the shared read-only artifacts
 (country, intensity model, topology, population) are not pickled;
-only the compact :class:`ShardResult` partials travel back.  Platforms
-without ``fork`` fall back to in-process execution.
+only the compact :class:`ShardResult` partials travel back.  A single
+shard, one worker, or a platform without ``fork`` runs in-process.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.dpi.classifier import ClassificationReport, DpiEngine
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.geo.country import Country
 from repro.network.handover import HandoverStats
+from repro.network.localization import LocalizationAuditor
 from repro.network.probes import CoreProbe, ProbeStats
 from repro.network.topology import NetworkTopology
 from repro.services.catalog import ServiceCatalog
@@ -62,10 +66,11 @@ class ShardPlan:
     control_loss_rate: float
     shard_subscribers: List[List[Subscriber]]
     shard_rngs: List[np.random.Generator]
-    #: Records per streamed probe chunk inside each shard; ``None``
-    #: materializes the whole shard before aggregating (legacy path).
-    #: Bit-identical either way — see ``builder.build_session_level_dataset``.
-    chunk_size: Optional[int] = 8192
+    #: Records per streamed probe chunk inside each shard.  Never
+    #: changes content — see ``builder.build_session_level_dataset``.
+    chunk_size: int = 8192
+    #: Attach a localization auditor to the (single) shard's generator.
+    audit_localization: bool = False
 
     @property
     def n_shards(self) -> int:
@@ -104,21 +109,16 @@ class ShardResult:
     #: Probe records lost inside the shard (injected or real outage
     #: windows); surfaced so degraded coverage is accounted, not silent.
     records_dropped: int = 0
-
-
-class MergedHandover:
-    """Stand-in for a generator's ``_handover`` in sharded runs."""
-
-    def __init__(self, stats: HandoverStats):
-        self.stats = stats
+    #: The shard's localization auditor when the plan asked for one.
+    auditor: Optional[LocalizationAuditor] = None
 
 
 class MergedGeneratorStats:
-    """Read-only stand-in for the generator object in sharded extras.
+    """Read-only stand-in for the generator object in build extras.
 
     Exposes the counters downstream consumers read
-    (``sessions_generated``, ``flows_generated``, ``_handover.stats``);
-    the live per-shard generators never leave their workers.
+    (``sessions_generated``, ``flows_generated``, ``handover_stats``);
+    the live per-shard generators never leave their shards.
     """
 
     def __init__(
@@ -129,11 +129,11 @@ class MergedGeneratorStats:
     ):
         self.sessions_generated = sessions_generated
         self.flows_generated = flows_generated
-        self._handover = MergedHandover(handover_stats)
+        self.handover_stats = handover_stats
 
 
 class MergedProbeStats:
-    """Read-only stand-in for the probe object in sharded extras."""
+    """Read-only stand-in for the probe object in build extras."""
 
     def __init__(self, stats: ProbeStats):
         self.stats = stats
@@ -217,6 +217,12 @@ def _run_shard(
 ) -> ShardResult:
     fire_stage_faults(faults, "generate", in_worker)
     srng = plan.shard_rngs[shard_index]
+    # A one-shard plan's stream is the builder's own generator, drawn
+    # under the builder's labels, so one-shard datasets keep the bytes
+    # they were pinned at.  Per-subscriber RNG streams (ROADMAP, "Exact,
+    # order-free builds") make every shard count draw alike and retire
+    # this distinction.
+    label = "builder" if plan.n_shards == 1 else "shard"
     engine = DpiEngine(FingerprintDatabase(plan.catalog, seed=0))
     aggregator = CommuneAggregator(
         plan.country, plan.catalog, engine, axis=plan.axis
@@ -231,7 +237,7 @@ def _run_shard(
     fingerprints = FingerprintDatabase(
         plan.catalog,
         unclassifiable_rate=plan.unclassifiable_rate,
-        seed=spawn(srng, "shard.fingerprints"),
+        seed=spawn(srng, f"{label}.fingerprints"),
     )
     generator = SessionLevelGenerator(
         plan.model,
@@ -239,40 +245,36 @@ def _run_shard(
         plan.topology,
         fingerprints,
         config=plan.workload_config,
-        seed=spawn(srng, "shard.generator"),
+        seed=spawn(srng, f"{label}.generator"),
     )
     probe = CoreProbe(
         control_loss_rate=plan.control_loss_rate,
-        seed=spawn(srng, "shard.probe"),
+        seed=spawn(srng, f"{label}.probe"),
         codebook=fingerprints.codebook,
     )
     probe.attach_to(generator.session_manager)
+    if plan.audit_localization:
+        generator.auditor = LocalizationAuditor(
+            plan.topology, seed=spawn(srng, f"{label}.auditor")
+        )
     drop_fraction = drop_fraction_for(faults)
-    dropped_total = [0]
-    if plan.chunk_size is not None:
-        # Streamed: each probe chunk folds into the aggregator as soon
-        # as it fills, so the shard never materializes its whole week.
-        # The outage-drop fault clips each chunk's tail — deterministic
-        # for a fixed chunk size, like the legacy per-batch clipping.
-        def _ingest(batch) -> None:
-            if drop_fraction > 0.0:
-                batch, dropped = _drop_batch_tail(batch, drop_fraction)
-                dropped_total[0] += dropped
-            aggregator.ingest_columnar(batch)
+    records_dropped = 0
 
-        probe.stream_to(_ingest, chunk_rows=plan.chunk_size)
-        generator.run_week(chunk_size=plan.chunk_size)
-        fire_stage_faults(faults, "aggregate", in_worker)
-        probe.flush_stream()
-    else:
-        generator.run_week()
-        fire_stage_faults(faults, "aggregate", in_worker)
-        for batch in probe.drain_batches():
-            if drop_fraction > 0.0:
-                batch, dropped = _drop_batch_tail(batch, drop_fraction)
-                dropped_total[0] += dropped
-            aggregator.ingest_columnar(batch)
-    records_dropped = dropped_total[0]
+    # Each probe chunk folds into the aggregator as soon as it fills, so
+    # the shard never materializes its whole week.  The outage-drop
+    # fault clips each chunk's tail — deterministic for a fixed chunk
+    # size.
+    def _ingest(batch) -> None:
+        nonlocal records_dropped
+        if drop_fraction > 0.0:
+            batch, dropped = _drop_batch_tail(batch, drop_fraction)
+            records_dropped += dropped
+        aggregator.ingest_columnar(batch)
+
+    probe.stream_to(_ingest, chunk_rows=plan.chunk_size)
+    generator.run_week(chunk_size=plan.chunk_size)
+    fire_stage_faults(faults, "aggregate", in_worker)
+    probe.flush_stream()
     result = _shard_result(
         shard_index,
         aggregator,
@@ -283,6 +285,7 @@ def _run_shard(
         generator.flows_generated,
     )
     result.records_dropped = records_dropped
+    result.auditor = generator.auditor
     fire_stage_faults(faults, "result", in_worker)
     return _corrupt_result(result) if wants_corrupt_result(faults) else result
 

@@ -71,7 +71,7 @@ def run(
         "probes inspect GTP-C for ULI and GTP-U for traffic",
         probe.stats.records > 0 and probe.stats.orphan_packets == 0,
     )
-    handover = generator._handover.stats
+    handover = generator.handover_stats
     result.add_check(
         "ULI updates only on RA/RAT events",
         handover.stale_moves,

@@ -282,11 +282,12 @@ class CoreProbe:
         """Stream records to ``sink`` in ~``chunk_rows``-record chunks.
 
         This is the bounded-memory path: instead of accumulating every
-        record until :meth:`drain_batches`, the probe coalesces arrivals
-        exactly as the drain would and hands each full chunk to
-        ``sink(batch)`` immediately, so the working set never exceeds
-        one chunk.  Call :meth:`flush_stream` after the generator run to
-        push the partial tail chunk.  Returns self for chaining.
+        record until :meth:`drain`, the probe coalesces arrivals into
+        columnar batches (scalar records packed in arrival order) and
+        hands each full chunk to ``sink(batch)`` immediately, so the
+        working set never exceeds one chunk.  Call :meth:`flush_stream`
+        after the generator run to push the partial tail chunk.  Returns
+        self for chaining.
         """
         if chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -451,31 +452,6 @@ class CoreProbe:
             else:
                 out.append(item)
         return out
-
-    def drain_batches(self, chunk_rows: int = 8192) -> List[ProbeRecordBatch]:
-        """Return and clear the accumulated records as columnar batches.
-
-        Scalar records interleaved with batches (mixed scalar/bulk taps)
-        are packed into batches in arrival order, and consecutive small
-        batches are coalesced to at least ``chunk_rows`` records so
-        downstream vectorized aggregation works on few large batches
-        instead of one per subscriber.
-        """
-        store, self._records = self._records, []
-        raw = _pack_runs(store, self._codebook)
-
-        batches: List[ProbeRecordBatch] = []
-        pending: List[ProbeRecordBatch] = []
-        pending_rows = 0
-        for batch in raw:
-            pending.append(batch)
-            pending_rows += len(batch)
-            if pending_rows >= chunk_rows:
-                batches.append(ProbeRecordBatch.concat(pending))
-                pending, pending_rows = [], 0
-        if pending:
-            batches.append(ProbeRecordBatch.concat(pending))
-        return batches
 
     @property
     def n_tracked_tunnels(self) -> int:

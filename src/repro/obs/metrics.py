@@ -169,11 +169,11 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         # --- sharded execution --------------------------------------
         MetricSpec(
             "shard.fan_out", _C, "shards", "parallel", _EV,
-            "shards executed by sharded builds",
+            "shards executed by session builds (1 for a one-shard build)",
         ),
         MetricSpec(
             "shard.results_merged", _C, "shards", "parallel", _EV,
-            "shard partials folded back into the parent aggregator",
+            "shard partials of every session build absorbed by the parent",
         ),
         # --- resilient execution ------------------------------------
         MetricSpec(

@@ -10,12 +10,14 @@ two fingerprints against values pinned in this file:
 - the DPI :class:`~repro.dpi.classifier.ClassificationReport`, with the
   byte totals compared bit for bit through ``float.hex``.
 
-The configurations cover the streamed chain, the in-memory drain, two
-forked workers with every shard partial spilled, and the audited build
-(the localization auditor only observes, so it must not move a bit).  A
-change to generation, GTP, the probe, DPI or aggregation that alters a
-single output bit fails here; a change that only makes the chain faster
-must leave every value untouched.
+The configurations cover the streamed chain, two forked workers with
+every shard partial spilled, the audited build (the localization
+auditor only observes, so it must not move a bit), and one-shard builds
+under a retry policy or with their partial spilled (supervision and
+memory settings never change content).  A change to generation, GTP,
+the probe, DPI or aggregation that alters a single output bit fails
+here; a change that only makes the chain faster must leave every value
+untouched.
 """
 
 import hashlib
@@ -25,19 +27,21 @@ import pytest
 
 from repro.dataset.builder import build_session_level_dataset
 from repro.geo.country import CountryConfig
+from repro.resilience.retry import RetryPolicy
 
 N_SUBSCRIBERS = 200
 COUNTRY = CountryConfig(n_communes=64)
 
 CONFIGS = {
     "stream": dict(n_shards=1, chunk_size=8192),
-    "memory": dict(n_shards=1, chunk_size=None),
     "sharded_spilled": dict(n_shards=2, n_workers=2, spill=True),
     "audited": dict(n_shards=1, audit_localization=True),
+    "retry": dict(n_shards=1, retry_policy=RetryPolicy()),
+    "spilled": dict(n_shards=1, spill=True),
 }
 
 _STREAM_1 = {
-    "digest": "d3c72f81eb8df1b4e4adbeb0d9d9e0251102051b32b90e0e3a63acb80940de03",
+    "digest": "33fa05ab4bab55cde85e013923d1139bfb80eed2d30322a8729abf8ab4532528",
     "report": {
         "flows_total": 17770,
         "flows_classified": 15710,
@@ -47,7 +51,7 @@ _STREAM_1 = {
     },
 }
 _STREAM_2 = {
-    "digest": "9d68dace57fd537ef53391869ede70a86322bb138eaa0b092cd856671e6a27d3",
+    "digest": "94cb8a61cb80cf05d91829930e751a2b717b049b39c2cb4f01dd4a01c13a5d31",
     "report": {
         "flows_total": 18251,
         "flows_classified": 16151,
@@ -59,9 +63,8 @@ _STREAM_2 = {
 
 GOLDEN = {
     (1, "stream"): _STREAM_1,
-    # The in-memory drain and the audited build are byte-identical to
-    # the streamed chain.
-    (1, "memory"): _STREAM_1,
+    # The audited, retried and spilled one-shard builds are
+    # byte-identical to the plain streamed chain.
     (1, "sharded_spilled"): {
         "digest": "fd96d7493e3e9608f7c7449759f0b095688fe1f7dcde7b733cbfd46d508b6f0d",
         "report": {
@@ -73,8 +76,9 @@ GOLDEN = {
         },
     },
     (1, "audited"): _STREAM_1,
+    (1, "retry"): _STREAM_1,
+    (1, "spilled"): _STREAM_1,
     (2, "stream"): _STREAM_2,
-    (2, "memory"): _STREAM_2,
     (2, "sharded_spilled"): {
         "digest": "013d58f318986847d7fd0aa741a87271c9eaf381050446fd7ddb198c2d26d9e1",
         "report": {
@@ -86,6 +90,8 @@ GOLDEN = {
         },
     },
     (2, "audited"): _STREAM_2,
+    (2, "retry"): _STREAM_2,
+    (2, "spilled"): _STREAM_2,
 }
 
 

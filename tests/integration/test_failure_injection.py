@@ -90,13 +90,12 @@ class TestDegenerateWorkloads:
         generator = SessionLevelGenerator(
             model, population, topology, fingerprints, seed=7
         )
-        probe = CoreProbe().attach_to(generator.session_manager)
-        generator.run_week(time_limit_hours=48.0)  # only the weekend
-
         engine = DpiEngine(FingerprintDatabase(catalog, seed=0))
         aggregator = CommuneAggregator(country, catalog, engine)
-        for batch in probe.drain_batches():
-            aggregator.ingest_columnar(batch)
+        probe = CoreProbe().attach_to(generator.session_manager)
+        probe.stream_to(aggregator.ingest_columnar, chunk_rows=8192)
+        generator.run_week(time_limit_hours=48.0)  # only the weekend
+        probe.flush_stream()
         dataset = aggregator.finalize()
         weekend = dataset.all_national_series("dl")[:, :48].sum()
         week_rest = dataset.all_national_series("dl")[:, 48:].sum()

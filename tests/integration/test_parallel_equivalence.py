@@ -138,3 +138,13 @@ class TestBuilderValidation:
                 n_shards=2,
                 seed=1,
             )
+
+    def test_rejects_unset_chunk_size(self):
+        """Every build streams: there is no materializing chunk size."""
+        with pytest.raises(ValueError):
+            build_session_level_dataset(
+                n_subscribers=10,
+                country_config=CountryConfig(n_communes=16),
+                chunk_size=None,
+                seed=1,
+            )

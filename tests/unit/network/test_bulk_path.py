@@ -65,6 +65,13 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
     return created.teids
 
 
+def _streamed(probe):
+    """Collect ``probe``'s streamed batches; ``flush_stream`` ends the run."""
+    batches = []
+    probe.stream_to(batches.append, chunk_rows=8192)
+    return batches
+
+
 def _flow_features(records):
     return [
         (
@@ -125,18 +132,20 @@ class TestBulkProbe:
         assert probe.stats.orphan_packets == 2
         assert probe.drain() == []
 
-    def test_drain_batches_matches_drain(self, manager):
+    def test_streamed_batches_match_drain(self, manager):
         scalar_probe = CoreProbe().attach_to(manager)
         _bulk_session_batch(manager, scalar_probe, n_sessions=3, flows_per=4)
         expected = scalar_probe.drain()
 
         probe = CoreProbe().attach_to(manager)
+        batches = _streamed(probe)
         _bulk_session_batch(manager, probe, n_sessions=3, flows_per=4)
-        got = [r for batch in probe.drain_batches() for r in batch.to_records()]
+        probe.flush_stream()
+        got = [r for batch in batches for r in batch.to_records()]
         assert [(r.imsi_hash, r.flow.flow_id, r.dl_bytes) for r in got] == [
             (r.imsi_hash, r.flow.flow_id, r.dl_bytes) for r in expected
         ]
-        assert probe.drain_batches() == []
+        assert probe.drain() == []
 
 
 class TestMaterialization:
@@ -189,8 +198,9 @@ class TestMaterialization:
 class TestProbeRecordBatch:
     def test_round_trip(self, manager):
         probe = CoreProbe().attach_to(manager)
+        batches = _streamed(probe)
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
-        batches = probe.drain_batches()
+        probe.flush_stream()
         records = [r for b in batches for r in b.to_records()]
         sni, host, hint, port, protocol = FOREIGN
         foreign = replace(
@@ -208,8 +218,10 @@ class TestProbeRecordBatch:
 
     def test_concat_preserves_order(self, manager):
         probe = CoreProbe().attach_to(manager)
+        batches = _streamed(probe)
         _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
-        (batch,) = probe.drain_batches()
+        probe.flush_stream()
+        (batch,) = batches
         half = len(batch) // 2
         records = batch.to_records()
         first = ProbeRecordBatch.from_records(records[:half])
@@ -243,8 +255,10 @@ class TestProbeRecordBatch:
 
     def test_drop_tail_keeps_codes_and_overflow(self, manager):
         probe = CoreProbe(codebook=CODEBOOK).attach_to(manager)
+        batches = _streamed(probe)
         _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
-        (batch,) = probe.drain_batches()
+        probe.flush_stream()
+        (batch,) = batches
         kept, dropped = _drop_batch_tail(batch, 0.5)
         assert (len(kept), dropped) == (3, 3)
         assert kept.to_records() == batch.to_records()[:3]
