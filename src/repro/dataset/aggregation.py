@@ -9,6 +9,10 @@ demands are merged over several thousands of subscribers".
 The aggregator also estimates the "average number of users in each
 commune" the paper normalizes by, counting distinct subscribers observed
 per commune over the week.
+
+Flow bytes are integers, so the int64 tensors are exact in any ingest or
+merge order and are cast to the dataset's float dtypes once, at
+finalize.  Byte totals are read from the DPI report, the one ledger.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import numpy as np
 
 from repro import obs
 from repro._time import TimeAxis, WEEK_HOURS
-from repro.dataset.accumulate import BlockSumAccumulator
 from repro.dataset.store import MobileTrafficDataset
-from repro.dpi.classifier import DpiEngine
+from repro.dpi.classifier import ClassificationReport, DpiEngine
 from repro.geo.country import Country
 from repro.network.probes import ProbeRecordBatch
 from repro.services.catalog import ServiceCatalog
@@ -64,30 +67,22 @@ class CommuneAggregator:
             dtype=np.int64,
         )
         n_communes = country.n_communes
-        # Byte totals accumulate through fixed-block summers so the
-        # result is bit-identical however the record stream is chunked;
-        # merged-in shard totals fold sequentially into the offsets.
-        self._total_acc = BlockSumAccumulator()
-        self._unclassified_acc = BlockSumAccumulator()
         if partial is None:
             self.dl = np.zeros(
-                (n_communes, len(head), axis.n_bins), dtype=np.float64
+                (n_communes, len(head), axis.n_bins), dtype=np.int64
             )
             self.ul = np.zeros_like(self.dl)
-            self.national_dl = np.zeros(len(catalog))
-            self.national_ul = np.zeros(len(catalog))
-            self._merged_total_bytes = 0.0
-            self._merged_unclassified_bytes = 0.0
+            self.national_dl = np.zeros(len(catalog), dtype=np.int64)
+            self.national_ul = np.zeros(len(catalog), dtype=np.int64)
             self._users_seen: List[Set[int]] = [set() for _ in range(n_communes)]
             self.records_ingested = 0
         else:
             self.dl, self.ul = partial.dl, partial.ul
             self.national_dl = partial.national_dl
             self.national_ul = partial.national_ul
-            self._merged_total_bytes = partial.total_bytes
-            self._merged_unclassified_bytes = partial.unclassified_bytes
             self._users_seen = partial.users_seen
             self.records_ingested = partial.records_ingested
+            engine.report.merge(partial.report)
 
     def ingest_columnar(self, batch: ProbeRecordBatch) -> int:
         """Classify and accumulate one columnar probe batch."""
@@ -104,7 +99,6 @@ class CommuneAggregator:
         obs.add("aggregation.batches")
         dl, ul = batch.dl_bytes, batch.ul_bytes
         volumes = dl + ul
-        self._total_acc.update(volumes)
         commune_ids = batch.commune_ids
 
         # Distinct-user accounting: group subscriber hashes by commune
@@ -135,7 +129,6 @@ class CommuneAggregator:
 
         service_ids = self._service_id_of[positions]
         classified = service_ids >= 0
-        self._unclassified_acc.update(volumes[~classified])
         np.add.at(self.national_dl, service_ids[classified], dl[classified])
         np.add.at(self.national_ul, service_ids[classified], ul[classified])
 
@@ -149,14 +142,19 @@ class CommuneAggregator:
         return n
 
     @property
-    def total_bytes(self) -> float:
-        """Bytes ingested: merged shard totals plus locally streamed sum."""
-        return self._merged_total_bytes + self._total_acc.value
+    def report(self) -> ClassificationReport:
+        """The byte ledger: the engine's report over everything ingested."""
+        return self._engine.report
 
     @property
-    def unclassified_bytes(self) -> float:
-        """Unattributed bytes, accumulated the same chunk-invariant way."""
-        return self._merged_unclassified_bytes + self._unclassified_acc.value
+    def total_bytes(self) -> int:
+        """Bytes ingested, read from :attr:`report`."""
+        return self.report.bytes_total
+
+    @property
+    def unclassified_bytes(self) -> int:
+        """Bytes no service was attributed, read from :attr:`report`."""
+        return self.report.bytes_total - self.report.bytes_classified
 
     @property
     def users_seen(self) -> List[Set[int]]:
@@ -166,18 +164,17 @@ class CommuneAggregator:
     def merge(self, other) -> "CommuneAggregator":
         """Fold another aggregator's (or shard partial's) state into this one.
 
-        ``other`` needs the aggregation tensors (``dl``, ``ul``,
-        ``national_dl``, ``national_ul``), the byte/record counters and
-        ``users_seen`` — either a full :class:`CommuneAggregator` or a
-        plain shard-result carrier.  Merging is order-sensitive in
-        floating point, so callers reduce shards in a fixed order.
+        ``other`` needs the int64 aggregation tensors (``dl``, ``ul``,
+        ``national_dl``, ``national_ul``), its classification ``report``,
+        ``records_ingested`` and ``users_seen`` — either a full
+        :class:`CommuneAggregator` or a plain shard-result carrier.
+        Every sum is an integer one, so merge order never changes a bit.
         """
         self.dl += other.dl
         self.ul += other.ul
         self.national_dl += other.national_dl
         self.national_ul += other.national_ul
-        self._merged_unclassified_bytes += other.unclassified_bytes
-        self._merged_total_bytes += other.total_bytes
+        self.report.merge(other.report)
         self.records_ingested += other.records_ingested
         for commune_id, users in enumerate(other.users_seen):
             if users:
@@ -187,14 +184,12 @@ class CommuneAggregator:
     @property
     def classified_fraction(self) -> float:
         """Fraction of ingested volume attributed to a service."""
-        if self.total_bytes == 0:
-            return 0.0
-        return 1.0 - self.unclassified_bytes / self.total_bytes
+        return self.report.byte_coverage
 
     def finalize(self) -> MobileTrafficDataset:
         """Drop subscriber identifiers and emit the anonymized dataset."""
-        obs.set_gauge("aggregation.total_bytes", self.total_bytes)
-        obs.set_gauge("aggregation.unclassified_bytes", self.unclassified_bytes)
+        obs.set_gauge("aggregation.total_bytes", float(self.total_bytes))
+        obs.set_gauge("aggregation.unclassified_bytes", float(self.unclassified_bytes))
         country = self._country
         users = np.array([len(seen) for seen in self._users_seen], dtype=float)
         return MobileTrafficDataset(
@@ -203,8 +198,8 @@ class CommuneAggregator:
             all_service_names=[s.name for s in self._catalog],
             dl=self.dl.astype(np.float32),
             ul=self.ul.astype(np.float32),
-            national_dl=self.national_dl.copy(),
-            national_ul=self.national_ul.copy(),
+            national_dl=self.national_dl.astype(np.float64),
+            national_ul=self.national_ul.astype(np.float64),
             users=users,
             commune_classes=country.urbanization.classes.copy(),
             density=country.population.density_km2.copy(),

@@ -135,8 +135,10 @@ def build_session_level_dataset(
     datasets.  ``n_shards=None`` derives the shard count from
     ``n_workers``.
 
-    The returned artifacts include the DPI classification report and,
-    in ``extras``, merged read-only stats facades for
+    The returned artifacts include the DPI classification report — the
+    build's one byte ledger, kept in exact integer bytes;
+    ``dataset.classified_fraction`` is its ``byte_coverage`` — and, in
+    ``extras``, merged read-only stats facades for
     ``"generator"``/``"probe"``, the merged ``"aggregator"`` and the
     per-shard partials under ``"shards"``.  With
     ``audit_localization=True`` (one shard only) a
@@ -305,11 +307,11 @@ def build_session_level_dataset(
     sessions_generated = 0
     flows_generated = 0
     with obs.span("merge"):
-        # Fixed shard order keeps float accumulation deterministic;
         # iter_results pages spilled partials back one at a time, so
         # merge-side RSS is one partial regardless of shard count.  The
         # first partial becomes the merge target, so its arrays end up
-        # holding the merged totals.
+        # holding the merged totals; the aggregator folds each partial's
+        # DPI report into ``engine.report``, the build's byte ledger.
         for result in execution.iter_results():
             if aggregator is None:
                 aggregator = CommuneAggregator(
@@ -317,7 +319,6 @@ def build_session_level_dataset(
                 )
             else:
                 aggregator.merge(result)
-            engine.report.merge(result.report)
             probe_stats.merge(result.probe_stats)
             handover_stats.merge(result.handover_stats)
             sessions_generated += result.sessions_generated

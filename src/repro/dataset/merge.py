@@ -24,7 +24,7 @@ from typing import Any, Optional, Union
 # ----------------------------------------------------------------------
 
 #: Schema tag of spilled shard partials, bumped on layout change.
-SPILL_SCHEMA = "repro-spill/1"
+SPILL_SCHEMA = "repro-spill/2"
 
 
 def write_envelope(

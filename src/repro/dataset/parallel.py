@@ -11,10 +11,10 @@ DPI/probe accounting) is a sum over subscribers.
 
 Determinism contract: shard RNG streams are spawned by the *parent* from
 the builder seed (``spawn(rng, "builder.shard", index=i)``), one per
-shard in index order, and shard partials are merged in index order; a
-one-shard plan draws from the builder's own stream instead (see
-:func:`_run_shard`).  Results are therefore a function of
-``(seed, n_shards)`` only — ``n_workers`` changes wall-clock, never a
+shard in index order; a one-shard plan draws from the builder's own
+stream instead (see :func:`_run_shard`).  Partials are integer sums, so
+merging them is exact in any order.  Results are therefore a function
+of ``(seed, n_shards)`` only — ``n_workers`` changes wall-clock, never a
 single bit of the dataset.
 
 Workers are forked (copy-on-write) so the shared read-only artifacts
@@ -82,9 +82,10 @@ class ShardResult:
     """One shard's partial state — plain arrays/sets, picklable.
 
     Carries exactly the attributes
-    :meth:`~repro.dataset.aggregation.CommuneAggregator.merge` consumes,
-    plus the generator/probe/DPI accounting the builder folds into its
-    merged facades.  Worker processes return these instead of live
+    :meth:`~repro.dataset.aggregation.CommuneAggregator.merge` consumes
+    (int64 tensors, and the DPI ``report`` that is the shard's byte
+    ledger), plus the generator/probe accounting the builder folds into
+    its merged facades.  Worker processes return these instead of live
     aggregator or engine objects, whose indexes and resolved-code
     caches the parent does not need.
     """
@@ -94,8 +95,6 @@ class ShardResult:
     ul: np.ndarray
     national_dl: np.ndarray
     national_ul: np.ndarray
-    unclassified_bytes: float
-    total_bytes: float
     records_ingested: int
     users_seen: List[Set[int]]
     report: ClassificationReport
@@ -204,8 +203,8 @@ def _drop_batch_tail(batch, fraction: float):
 def _corrupt_result(result: ShardResult) -> ShardResult:
     """Damage a shard partial the way a torn capture file would."""
     if result.dl.size:
-        result.dl.flat[0] = np.nan
-    result.total_bytes = -abs(result.total_bytes) - 1.0
+        result.dl.flat[0] = -1
+    result.report.bytes_total = -abs(result.report.bytes_total) - 1
     return result
 
 
@@ -223,14 +222,16 @@ def _run_shard(
     # order-free builds") make every shard count draw alike and retire
     # this distinction.
     label = "builder" if plan.n_shards == 1 else "shard"
-    engine = DpiEngine(FingerprintDatabase(plan.catalog, seed=0))
     aggregator = CommuneAggregator(
-        plan.country, plan.catalog, engine, axis=plan.axis
+        plan.country,
+        plan.catalog,
+        DpiEngine(FingerprintDatabase(plan.catalog, seed=0)),
+        axis=plan.axis,
     )
     subscribers = plan.shard_subscribers[shard_index]
     if not subscribers:
         result = _shard_result(
-            shard_index, aggregator, engine, ProbeStats(), HandoverStats(), 0, 0
+            shard_index, aggregator, ProbeStats(), HandoverStats(), 0, 0
         )
         return _corrupt_result(result) if wants_corrupt_result(faults) else result
     population = SubscriberPopulation(subscribers, plan.country)
@@ -278,7 +279,6 @@ def _run_shard(
     result = _shard_result(
         shard_index,
         aggregator,
-        engine,
         probe.stats,
         generator._handover.stats,
         generator.sessions_generated,
@@ -293,7 +293,6 @@ def _run_shard(
 def _shard_result(
     shard_index: int,
     aggregator: CommuneAggregator,
-    engine: DpiEngine,
     probe_stats: ProbeStats,
     handover_stats: HandoverStats,
     sessions_generated: int,
@@ -305,11 +304,9 @@ def _shard_result(
         ul=aggregator.ul,
         national_dl=aggregator.national_dl,
         national_ul=aggregator.national_ul,
-        unclassified_bytes=aggregator.unclassified_bytes,
-        total_bytes=aggregator.total_bytes,
         records_ingested=aggregator.records_ingested,
         users_seen=aggregator.users_seen,
-        report=engine.report,
+        report=aggregator.report,
         probe_stats=probe_stats,
         handover_stats=handover_stats,
         sessions_generated=sessions_generated,

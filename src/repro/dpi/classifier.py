@@ -59,12 +59,15 @@ _TECHNIQUES = tuple(Technique)
 
 @dataclass
 class ClassificationReport:
-    """Aggregate accounting of a classification run."""
+    """Aggregate accounting of a classification run: a build's byte ledger.
+
+    Byte totals are integer sums, exact in any flow, batch or merge order.
+    """
 
     flows_total: int = 0
     flows_classified: int = 0
-    bytes_total: float = 0.0
-    bytes_classified: float = 0.0
+    bytes_total: int = 0
+    bytes_classified: int = 0
     by_technique: Dict[Technique, int] = field(
         default_factory=lambda: {t: 0 for t in Technique}
     )
@@ -79,9 +82,7 @@ class ClassificationReport:
         """Fraction of traffic volume attributed to a service (the 88 %)."""
         return self.bytes_classified / self.bytes_total if self.bytes_total else 0.0
 
-    def record(
-        self, technique: Optional[Technique], volume_bytes: float
-    ) -> None:
+    def record(self, technique: Optional[Technique], volume_bytes: int) -> None:
         """Account one flow's outcome."""
         self.flows_total += 1
         self.bytes_total += volume_bytes
@@ -206,7 +207,7 @@ class DpiEngine:
         self.report = ClassificationReport()
 
     def classify(
-        self, flow: FlowDescriptor, volume_bytes: float = 0.0
+        self, flow: FlowDescriptor, volume_bytes: int = 0
     ) -> Optional[str]:
         """Return the service name for a flow, or None if unclassifiable.
 
@@ -235,14 +236,16 @@ class DpiEngine:
         """Classify a batch of flows given as feature codes.
 
         ``keys`` are int64 codes against :attr:`codebook` (negative
-        codes index ``overflow``), ``volumes`` the per-flow byte
-        volumes.  Returns each flow's position in :attr:`service_names`,
+        codes index ``overflow``), ``volumes`` the per-flow integer byte
+        counts.  Returns each flow's position in :attr:`service_names`,
         -1 when unclassified, and updates :attr:`report` exactly as
         per-flow :meth:`classify` calls would: every flow is counted
-        individually even though each distinct code is matched once.
+        individually even though each distinct code is matched once,
+        and the integer byte totals do not depend on how the flow stream
+        is cut into batches.
         """
         codes = np.asarray(keys, dtype=np.int64)
-        volumes = np.asarray(volumes, dtype=np.float64)
+        volumes = np.asarray(volumes)
         n = len(codes)
         distinct, inverse = np.unique(codes, return_inverse=True)
         resolved, fresh = self._resolve(distinct, overflow)
@@ -250,14 +253,8 @@ class DpiEngine:
         classified = outcomes >= 0
         n_classified = int(classified.sum())
         report = self.report
-        # Byte totals continue from the report's running values through a
-        # sequential fold — the scalar add per flow that per-flow
-        # :meth:`classify` performs — so the accounting is bit-identical
-        # however the flow stream is chunked into batches.
-        report.bytes_total = _fold(report.bytes_total, volumes)
-        report.bytes_classified = _fold(
-            report.bytes_classified, volumes[classified]
-        )
+        report.bytes_total += int(volumes.sum())
+        report.bytes_classified += int(volumes[classified].sum())
         report.flows_total += n
         report.flows_classified += n_classified
         by_technique = np.bincount(
@@ -361,13 +358,6 @@ class DpiEngine:
         """Return the current report and start a fresh one."""
         report, self.report = self.report, ClassificationReport()
         return report
-
-
-def _fold(start: float, values: np.ndarray) -> float:
-    """``start + v0 + v1 + ...`` added strictly left to right."""
-    if not len(values):
-        return start
-    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 def _suffix_lookup(index: List[Tuple[str, str]], name: str) -> Optional[str]:

@@ -58,7 +58,6 @@ LAYERS: Tuple[LayerSpec, ...] = (
         "datastore",
         (
             "repro.dataset.store",
-            "repro.dataset.accumulate",
             "repro.dataset.merge",
             "repro.dataset.filters",
         ),

@@ -375,15 +375,15 @@ class GtpuPacket:
     timestamp_s: float
     teid: int
     flow: FlowDescriptor
-    dl_bytes: float
-    ul_bytes: float
+    dl_bytes: int
+    ul_bytes: int
 
     def __post_init__(self) -> None:
         if self.dl_bytes < 0 or self.ul_bytes < 0:
             raise ValueError("byte counters must be non-negative")
 
     @property
-    def total_bytes(self) -> float:
+    def total_bytes(self) -> int:
         return self.dl_bytes + self.ul_bytes
 
 

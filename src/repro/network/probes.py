@@ -52,11 +52,11 @@ class ProbeRecord:
     commune_id: int
     technology: Technology
     flow: FlowDescriptor
-    dl_bytes: float
-    ul_bytes: float
+    dl_bytes: int
+    ul_bytes: int
 
     @property
-    def total_bytes(self) -> float:
+    def total_bytes(self) -> int:
         return self.dl_bytes + self.ul_bytes
 
 
@@ -107,8 +107,8 @@ class ProbeRecordBatch:
                         protocol=protocol,
                         payload_hint=hint,
                     ),
-                    dl_bytes=float(self.dl_bytes[i]),
-                    ul_bytes=float(self.ul_bytes[i]),
+                    dl_bytes=int(self.dl_bytes[i]),
+                    ul_bytes=int(self.ul_bytes[i]),
                 )
             )
         return out
@@ -194,8 +194,8 @@ class ProbeRecordBatch:
             tech_codes=np.asarray(
                 [TECH_CODES[r.technology] for r in records], dtype=np.uint8
             ),
-            dl_bytes=np.asarray([r.dl_bytes for r in records]),
-            ul_bytes=np.asarray([r.ul_bytes for r in records]),
+            dl_bytes=np.asarray([r.dl_bytes for r in records], dtype=np.int64),
+            ul_bytes=np.asarray([r.ul_bytes for r in records], dtype=np.int64),
             flow_ids=np.asarray([r.flow.flow_id for r in records], dtype=np.int64),
             feature_codes=codes,
             codebook=codebook,

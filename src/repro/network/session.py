@@ -210,8 +210,8 @@ class SessionManager:
         self,
         session: UserSession,
         flow: FlowDescriptor,
-        dl_bytes: float,
-        ul_bytes: float,
+        dl_bytes: int,
+        ul_bytes: int,
         timestamp_s: float,
     ) -> GtpuPacket:
         """Account user-plane traffic for a flow inside a session."""

@@ -158,12 +158,12 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "aggregation.total_bytes", _G, "bytes", "aggregation", _DE,
-            "total traffic volume ingested by the aggregator",
+            "total traffic volume ingested, read from the DPI report",
             rel_tol=1e-9,
         ),
         MetricSpec(
             "aggregation.unclassified_bytes", _G, "bytes", "aggregation", _DE,
-            "ingested volume left unattributed by DPI",
+            "ingested volume left unattributed, read from the DPI report",
             rel_tol=1e-9,
         ),
         # --- sharded execution --------------------------------------

@@ -8,10 +8,10 @@ instead of re-running the shard — preserving the ``(seed, n_shards)``
 determinism contract because a shard's partial is bit-identical
 whether it was just computed or round-tripped through the checkpoint.
 
-Format (``repro-ckpt/1``): one file per shard,
+Format (``repro-ckpt/2``): one file per shard,
 ``shard-<index>.ckpt``, containing a pickled envelope::
 
-    {"schema": "repro-ckpt/1", "run_key": <str>,
+    {"schema": "repro-ckpt/2", "run_key": <str>,
      "shard_index": <int>, "sha256": <hex>, "payload": <bytes>}
 
 ``payload`` is the pickled ``ShardResult``; ``sha256`` is its digest,
@@ -35,7 +35,7 @@ from typing import List, Union
 from repro.dataset.merge import read_envelope, write_envelope
 
 #: Schema tag of the checkpoint envelope, bumped on layout change.
-SCHEMA = "repro-ckpt/1"
+SCHEMA = "repro-ckpt/2"
 
 _SUFFIX = ".ckpt"
 

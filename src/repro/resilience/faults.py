@@ -22,8 +22,9 @@ Fault classes (:data:`FAULT_KINDS`):
     the same timeout-class failure.
 ``corrupt_partial``
     The shard's :class:`~repro.dataset.parallel.ShardResult` comes back
-    damaged (NaN cells, negative byte totals) — the "truncated/garbled
-    capture file" case.  Parent-side validation must catch it.
+    damaged (a negative cell, a negative report byte total) — the
+    "truncated/garbled capture file" case.  Parent-side validation must
+    catch it.
 ``drop_records``
     A deterministic fraction of the shard's probe records never reaches
     aggregation — the "probe outage window" case.  The shard stays

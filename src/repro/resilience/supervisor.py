@@ -212,8 +212,8 @@ def validate_shard_result(
 
     Catches the ``corrupt_partial`` fault class and any real torn or
     garbled partial (a damaged checkpoint payload, a worker that died
-    mid-serialization): shape drift, non-finite cells, negative
-    accounting.
+    mid-serialization): shape or dtype drift, negative cells, byte
+    accounting outside ``0 <= classified <= total``.
     """
     problems: List[str] = []
     if not isinstance(result, ShardResult):
@@ -236,15 +236,15 @@ def validate_shard_result(
                 f"{name} shape {tuple(tensor.shape)} != expected {shape}"
             )
             continue
-        if not np.isfinite(tensor).all():
-            problems.append(f"{name} contains non-finite cells")
-        elif float(tensor.min(initial=0.0)) < 0.0:
+        if tensor.dtype != np.int64:
+            problems.append(f"{name} dtype {tensor.dtype} is not int64")
+        elif tensor.min(initial=0) < 0:
             problems.append(f"{name} contains negative volumes")
-    if result.total_bytes < 0.0:
-        problems.append(f"negative total_bytes {result.total_bytes}")
-    if result.unclassified_bytes < 0.0:
+    report = result.report
+    if not 0 <= report.bytes_classified <= report.bytes_total:
         problems.append(
-            f"negative unclassified_bytes {result.unclassified_bytes}"
+            f"report bytes classified {report.bytes_classified} "
+            f"outside [0, total {report.bytes_total}]"
         )
     if result.records_ingested < 0:
         problems.append(f"negative records_ingested {result.records_ingested}")

@@ -313,8 +313,10 @@ class SessionLevelGenerator:
         raw = rng.standard_exponential(total_flows)
         session_sums = np.add.reduceat(raw, flow_starts)
         splits = raw / np.repeat(session_sums, n_flows)
-        flow_dl = np.repeat(dl_sessions, n_flows) * splits
-        flow_ul = np.repeat(ul_sessions, n_flows) * splits
+        # Probes count whole bytes: integer volumes make every byte sum
+        # downstream exact, whatever order it is taken in.
+        flow_dl = np.rint(np.repeat(dl_sessions, n_flows) * splits).astype(np.int64)
+        flow_ul = np.rint(np.repeat(ul_sessions, n_flows) * splits).astype(np.int64)
         within = np.arange(total_flows) - np.repeat(flow_starts, n_flows)
         flow_times = np.repeat(timestamps, n_flows) + 30.0 * within
 
@@ -405,8 +407,8 @@ class SessionLevelGenerator:
                         protocol=protocol,
                         payload_hint=hint,
                     ),
-                    dl_bytes=float(part.flow_dl[idx]),
-                    ul_bytes=float(part.flow_ul[idx]),
+                    dl_bytes=int(part.flow_dl[idx]),
+                    ul_bytes=int(part.flow_ul[idx]),
                     timestamp_s=flow_time,
                 )
                 cell_ids.append(session.uli.cell_id)

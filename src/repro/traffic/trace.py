@@ -58,8 +58,8 @@ class TraceWriter:
                 flow.server_port,
                 flow.protocol,
                 flow.payload_hint or "",
-                f"{record.dl_bytes:.1f}",
-                f"{record.ul_bytes:.1f}",
+                record.dl_bytes,
+                record.ul_bytes,
             )
         )
         self.rows_written += 1
@@ -131,8 +131,8 @@ def _row_to_record(row) -> ProbeRecord:
         commune_id=int(commune_id),
         technology=Technology(int(technology)),
         flow=flow,
-        dl_bytes=float(dl_bytes),
-        ul_bytes=float(ul_bytes),
+        dl_bytes=int(dl_bytes),
+        ul_bytes=int(ul_bytes),
     )
 
 

@@ -7,8 +7,12 @@ two fingerprints against values pinned in this file:
   ``name|dtype|shape|`` and then the array bytes, in sorted name order
   (the same recipe as ``npz_digest`` in ``perfbench/workloads.py``, so
   zip timestamps never enter the digest);
-- the DPI :class:`~repro.dpi.classifier.ClassificationReport`, with the
-  byte totals compared bit for bit through ``float.hex``.
+- the DPI :class:`~repro.dpi.classifier.ClassificationReport`, whose
+  byte totals are exact integers.
+
+Every case also checks that the build keeps one byte ledger: the
+dataset's ``classified_fraction`` is the report's ``byte_coverage``,
+equal to the last bit.
 
 The configurations cover the streamed chain, two forked workers with
 every shard partial spilled, the audited build (the localization
@@ -41,22 +45,22 @@ CONFIGS = {
 }
 
 _STREAM_1 = {
-    "digest": "33fa05ab4bab55cde85e013923d1139bfb80eed2d30322a8729abf8ab4532528",
+    "digest": "d6579896968d92f68b379dfa2c49fb0569d5720973af8461aa90af1752a43dfb",
     "report": {
         "flows_total": 17770,
         "flows_classified": 15710,
-        "bytes_total": "0x1.5a2ef49441235p+36",
-        "bytes_classified": "0x1.34abd0de99c2bp+36",
+        "bytes_total": 92927904019,
+        "bytes_classified": 82858282443,
         "by_technique": {"sni": 12979, "host": 2731, "payload": 0, "port": 0},
     },
 }
 _STREAM_2 = {
-    "digest": "94cb8a61cb80cf05d91829930e751a2b717b049b39c2cb4f01dd4a01c13a5d31",
+    "digest": "c23fe4b78c85be8e2c3a723560c4ab008272d3bdea98eb8b9dfd91fd4369891c",
     "report": {
         "flows_total": 18251,
         "flows_classified": 16151,
-        "bytes_total": "0x1.05bac25bbb224p+36",
-        "bytes_classified": "0x1.d0beaedf0a59cp+35",
+        "bytes_total": 70257485172,
+        "bytes_classified": 62376998565,
         "by_technique": {"sni": 13219, "host": 2932, "payload": 0, "port": 0},
     },
 }
@@ -66,12 +70,12 @@ GOLDEN = {
     # The audited, retried and spilled one-shard builds are
     # byte-identical to the plain streamed chain.
     (1, "sharded_spilled"): {
-        "digest": "fd96d7493e3e9608f7c7449759f0b095688fe1f7dcde7b733cbfd46d508b6f0d",
+        "digest": "a26964fad42001e8bcc050b4f5f32a0fa47321ac225bb6d5aa1cf1c6fceac3a4",
         "report": {
             "flows_total": 17947,
             "flows_classified": 15786,
-            "bytes_total": "0x1.59c151f76669bp+36",
-            "bytes_classified": "0x1.2bdcc4bc84060p+36",
+            "bytes_total": 92812943282,
+            "bytes_classified": 80493693953,
             "by_technique": {"sni": 13025, "host": 2761, "payload": 0, "port": 0},
         },
     },
@@ -80,12 +84,12 @@ GOLDEN = {
     (1, "spilled"): _STREAM_1,
     (2, "stream"): _STREAM_2,
     (2, "sharded_spilled"): {
-        "digest": "013d58f318986847d7fd0aa741a87271c9eaf381050446fd7ddb198c2d26d9e1",
+        "digest": "37ee237fac39ad422db3f8fc4f2a24516be5f7d1063ee831f4734c7626bfb527",
         "report": {
             "flows_total": 18092,
             "flows_classified": 15899,
-            "bytes_total": "0x1.06cf2fc8a86ecp+36",
-            "bytes_classified": "0x1.cff99d1f4ebbap+35",
+            "bytes_total": 70547340421,
+            "bytes_classified": 62273677559,
             "by_technique": {"sni": 12990, "host": 2909, "payload": 0, "port": 0},
         },
     },
@@ -108,27 +112,34 @@ def npz_digest(path) -> str:
 
 def report_fields(report) -> dict:
     """A classification report as exact, JSON-comparable values."""
+    assert type(report.bytes_total) is int
+    assert type(report.bytes_classified) is int
     return {
         "flows_total": report.flows_total,
         "flows_classified": report.flows_classified,
-        "bytes_total": report.bytes_total.hex(),
-        "bytes_classified": report.bytes_classified.hex(),
+        "bytes_total": report.bytes_total,
+        "bytes_classified": report.bytes_classified,
         "by_technique": {t.value: n for t, n in report.by_technique.items()},
     }
 
 
 def build_fingerprint(tmp_path, seed: int, config: str) -> dict:
-    """Build one golden case; return its npz digest and report fields."""
+    """Build one golden case; return its npz digest and report fields.
+
+    Also asserts the one-ledger invariant on the in-memory build.
+    """
     kwargs = dict(CONFIGS[config])
     if kwargs.pop("spill", False):
         kwargs.update(spill_dir=tmp_path / "spill", spill_budget_bytes=0)
     artifacts = build_session_level_dataset(
         n_subscribers=N_SUBSCRIBERS, country_config=COUNTRY, seed=seed, **kwargs
     )
+    report = artifacts.dpi_report
+    assert artifacts.dataset.classified_fraction == report.byte_coverage
     path = artifacts.dataset.save(tmp_path / "golden.npz")
     return {
         "digest": npz_digest(path),
-        "report": report_fields(artifacts.dpi_report),
+        "report": report_fields(report),
     }
 
 

@@ -1,150 +1,76 @@
-"""Accumulation-order guarantees behind the streamed build paths.
+"""Numeric facts behind the aggregator's exact integer accumulation.
 
-The streaming refactor rests on three numeric facts, pinned here:
+Flow byte counts are int64, so every total the aggregator and the DPI
+report keep is an exact integer sum, whatever order or chunking the
+flows arrive in.  Two facts about what happens around those sums are
+pinned here:
 
-1. :class:`~repro.dataset.accumulate.BlockSumAccumulator` is a pure
-   function of the value *stream* — any chunking of the same stream
-   (scalar feeds, array feeds, ragged splits) yields bit-identical
-   totals, which is what keeps ``aggregation.total_bytes`` independent
-   of ``chunk_size``;
-2. float64 accumulation followed by a single float32 downcast is
-   bit-stable at 10⁶-subscriber magnitudes — the order-sensitive part
-   of the pipeline lives entirely in float64, and the lossy cast
-   happens exactly once at finalize;
-3. the flat bin-index arithmetic the aggregator scatters through
-   cannot silently overflow int64 (or even int32) at nationwide scale.
+1. an int64 total is cast to float32 (tensors) or float64 (national
+   vectors) exactly once, at finalize; at 10⁶-subscriber magnitudes
+   that single cast is deterministic and keeps the relative error at
+   one rounding, where a running float32 sum would lose whole flows;
+2. neither the byte totals nor the flat bin-index arithmetic the
+   aggregator scatters through can silently overflow int64 (or, for
+   the indices, even int32) at nationwide scale.
 """
 
 import numpy as np
 import pytest
 
 from repro._rng import as_generator
-from repro.dataset.accumulate import BLOCK_VALUES, BlockSumAccumulator
 
 
 def _weekly_volumes(n: int, seed: int = 99) -> np.ndarray:
-    """Flow volumes with a realistic heavy tail (bytes, float64)."""
+    """Whole-byte flow volumes with a realistic heavy tail (int64)."""
     rng = as_generator(seed)
-    return rng.lognormal(mean=13.0, sigma=2.0, size=n)
-
-
-def _chunks(values: np.ndarray, sizes) -> list:
-    out, start = [], 0
-    while start < len(values):
-        for size in sizes:
-            out.append(values[start : start + size])
-            start += size
-            if start >= len(values):
-                break
-    return out
-
-
-class TestBlockSumAccumulator:
-    def test_empty(self):
-        acc = BlockSumAccumulator()
-        assert acc.value == 0.0
-
-    def test_matches_running_scalar_sum_within_a_block(self):
-        values = _weekly_volumes(BLOCK_VALUES - 1)
-        acc = BlockSumAccumulator()
-        expected = 0.0
-        for value in values:
-            acc.add(float(value))
-            expected += float(value)
-        # Below one block nothing has been reduced: the tail sum is the
-        # only contribution, pairwise over < BLOCK_VALUES values.
-        assert acc.value == float(np.sum(values))
-
-    @pytest.mark.parametrize(
-        "sizes",
-        [
-            (1,),
-            (64,),
-            (997,),
-            (4096,),
-            (8192,),
-            (1, 4095, 64, 10_000),
-            (BLOCK_VALUES,),
-            (BLOCK_VALUES - 1, BLOCK_VALUES + 1),
-        ],
-    )
-    def test_chunking_invariance(self, sizes):
-        values = _weekly_volumes(3 * BLOCK_VALUES + 123)
-        reference = BlockSumAccumulator()
-        reference.update(values)
-        acc = BlockSumAccumulator()
-        for chunk in _chunks(values, sizes):
-            acc.update(chunk)
-        assert acc.value == reference.value  # exact, not approx
-
-    def test_scalar_and_array_feeds_identical(self):
-        values = _weekly_volumes(2 * BLOCK_VALUES + 57)
-        by_array = BlockSumAccumulator()
-        by_array.update(values)
-        by_scalar = BlockSumAccumulator()
-        for value in values:
-            by_scalar.add(float(value))
-        assert by_scalar.value == by_array.value
-
-    def test_mixed_feeds_identical(self):
-        values = _weekly_volumes(BLOCK_VALUES + 500)
-        mixed = BlockSumAccumulator()
-        for value in values[:700]:
-            mixed.add(float(value))
-        mixed.update(values[700:])
-        reference = BlockSumAccumulator()
-        reference.update(values)
-        assert mixed.value == reference.value
-
-    def test_count_mod_block_tracks_stream_position(self):
-        acc = BlockSumAccumulator()
-        acc.update(_weekly_volumes(BLOCK_VALUES + 7))
-        assert acc.count_mod_block == 7
-
-    def test_value_is_nondestructive(self):
-        acc = BlockSumAccumulator()
-        acc.update(_weekly_volumes(100))
-        first = acc.value
-        assert acc.value == first
-        acc.add(1.0)
-        assert acc.value == first + 1.0
+    return np.rint(rng.lognormal(mean=13.0, sigma=2.0, size=n)).astype(np.int64)
 
 
 class TestFloat32DowncastStability:
-    """The finalize-time ``float64 -> float32`` cast at full scale."""
+    """The finalize-time ``int64 -> float32`` cast at full scale."""
 
     def test_downcast_is_deterministic_at_national_magnitudes(self):
         # A busy commune/service/bin cell at 10^6 subscribers holds
-        # ~10^12..10^14 bytes; the cast of an exactly-reproduced
-        # float64 is itself exact, so chunking cannot leak through it.
-        totals = _weekly_volumes(50_000).reshape(50, 1000).sum(axis=1) * 1e4
-        assert float(totals.max()) > 1e12
+        # ~10^12..10^14 bytes; the cast of an exact int64 total is
+        # itself a pure function of that total, so chunking and merge
+        # order cannot leak through it.
+        totals = _weekly_volumes(50_000).reshape(50, 1000).sum(axis=1) * 10_000
+        assert int(totals.max()) > 10**12
         a = totals.astype(np.float32)
         b = totals.copy().astype(np.float32)
         assert a.tobytes() == b.tobytes()
 
-    def test_accumulate_in_float64_then_downcast_once(self):
+    def test_accumulate_in_int64_then_downcast_once(self):
         # Summing in float32 loses whole flows at scale (2^24 ulp steps
-        # around 10^13); the pipeline's float64-accumulate /
+        # around 10^13); the pipeline's exact-int64-accumulate /
         # downcast-once discipline keeps the relative error at the
         # single-rounding level.  This is the property that makes the
         # downcast *placement* (finalize, not per chunk) load-bearing.
         values = _weekly_volumes(200_000)
-        f64 = float(np.sum(values, dtype=np.float64))
+        exact = int(values.sum())
         running32 = np.float32(0.0)
         for chunk in np.array_split(values, 64):
-            running32 += np.float32(np.sum(chunk, dtype=np.float64))
-        once = np.float32(f64)
-        assert abs(float(once) - f64) / f64 < 1e-7
+            running32 += np.float32(chunk.sum())
+        once = np.float32(exact)
+        assert abs(float(once) - exact) / exact < 1e-7
         # The repeatedly-downcast running sum is measurably worse than
         # a single rounding (and chunking-dependent).
-        assert abs(float(running32) - f64) >= abs(float(once) - f64)
+        assert abs(float(running32) - exact) >= abs(float(once) - exact)
 
     def test_float32_tensor_cells_survive_week_scale(self):
         # One cell accumulating a week of a head service in a dense
         # commune stays far below float32 overflow (~3.4e38).
         cell = np.float32(1e14)
         assert np.isfinite(cell * np.float32(1e3))
+
+    def test_int64_byte_totals_have_headroom(self):
+        # A nationwide week (~10^6 subscribers x ~10^9 bytes each) is
+        # ~10^15 bytes: far inside int64, and below 2^53, so the float64
+        # national vectors and report ratios take the totals exactly.
+        nationwide = np.int64(10**6) * np.int64(10**9)
+        assert nationwide < np.iinfo(np.int64).max // 1000
+        assert int(nationwide) < 2**53
+        assert int(np.float64(nationwide)) == int(nationwide)
 
 
 class TestBinIndexOverflow:

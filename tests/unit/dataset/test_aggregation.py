@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro._rng import as_generator
 from repro._time import TimeAxis
 from repro.dataset.aggregation import CommuneAggregator
 from repro.dpi.classifier import DpiEngine
@@ -17,7 +18,7 @@ def aggregator(country, catalog):
     return CommuneAggregator(country, catalog, DpiEngine(db), axis=TimeAxis(1)), db
 
 
-def make_record(db, service, commune, hour, imsi=1, dl=100.0, ul=10.0, obfuscated=False):
+def make_record(db, service, commune, hour, imsi=1, dl=100, ul=10, obfuscated=False):
     return ProbeRecord(
         timestamp_s=hour * 3600.0,
         imsi_hash=imsi,
@@ -65,8 +66,8 @@ class TestIngest:
         agg, db = aggregator
         ingest(
             agg,
-            make_record(db, "YouTube", 0, 1.0, dl=880.0, ul=0.0),
-            make_record(db, "YouTube", 0, 1.0, dl=120.0, ul=0.0, obfuscated=True),
+            make_record(db, "YouTube", 0, 1.0, dl=880, ul=0),
+            make_record(db, "YouTube", 0, 1.0, dl=120, ul=0, obfuscated=True),
         )
         assert agg.classified_fraction == pytest.approx(0.88)
 
@@ -90,3 +91,62 @@ class TestIngest:
         ingest(agg, make_record(db, tail_name, 2, 5.0))
         assert agg.dl.sum() == 0  # head tensor untouched
         assert agg.national_dl[catalog.by_name(tail_name).service_id] == 100.0
+
+
+def random_batch(db, catalog, n_communes, seed, per_service=200):
+    """Flows of every head service with heavy-tailed whole-byte volumes.
+
+    Each seed draws its own subscriber hashes, so batches of different
+    seeds are disjoint subscriber sets, as shard partials are.
+    """
+    rng = as_generator(seed)
+    ids, codes = zip(
+        *(db.emit_flow_features(s.name, per_service) for s in catalog.head_services)
+    )
+    n = per_service * len(catalog.head_services)
+    return ProbeRecordBatch(
+        timestamps_s=rng.uniform(0.0, 7 * 24 * 3600.0, n),
+        imsi_hashes=rng.integers(0, 1000, n) + 1000 * seed,
+        commune_ids=rng.integers(0, n_communes, n),
+        tech_codes=np.zeros(n, dtype=np.uint8),
+        dl_bytes=np.rint(rng.lognormal(13.0, 2.0, n)).astype(np.int64),
+        ul_bytes=np.rint(rng.lognormal(10.0, 2.0, n)).astype(np.int64),
+        flow_ids=np.concatenate(ids),
+        feature_codes=np.concatenate(codes),
+        codebook=db.codebook,
+    )
+
+
+class TestMerge:
+    def test_merge_order_never_changes_a_bit(self, country, catalog):
+        db = FingerprintDatabase(catalog, seed=0)
+        batches = [random_batch(db, catalog, country.n_communes, s) for s in range(3)]
+
+        def fresh():
+            return CommuneAggregator(country, catalog, DpiEngine(db))
+
+        def merged(order):
+            parts = []
+            for batch in batches:
+                parts.append(fresh())
+                parts[-1].ingest_columnar(batch)
+            target = parts[order[0]]
+            for i in order[1:]:
+                target.merge(parts[i])
+            return target
+
+        one_pass = fresh()
+        for batch in batches:
+            one_pass.ingest_columnar(batch)
+        forward, backward = merged((0, 1, 2)), merged((2, 1, 0))
+        for agg in (backward, one_pass):
+            for name in ("dl", "ul", "national_dl", "national_ul"):
+                assert getattr(agg, name).tobytes() == getattr(forward, name).tobytes()
+            assert agg.report == forward.report
+            assert agg.users_seen == forward.users_seen
+        assert forward.dl.dtype == np.int64
+        assert forward.report.flows_total == sum(len(b) for b in batches)
+        assert forward.total_bytes == sum(
+            int(b.dl_bytes.sum() + b.ul_bytes.sum()) for b in batches
+        )
+        assert forward.classified_fraction == forward.report.byte_coverage

@@ -30,11 +30,11 @@ def _result(shard_index: int = 0, n_communes: int = 4) -> ShardResult:
         ul=rng.random((n_communes, 3, 8)),
         national_dl=rng.random(5),
         national_ul=rng.random(5),
-        unclassified_bytes=123.5,
-        total_bytes=999.25,
         records_ingested=42,
         users_seen=[{1, 2}, {3}, set(), {4, 5, 6}],
-        report=ClassificationReport(),
+        report=ClassificationReport(
+            flows_total=42, bytes_total=999, bytes_classified=876
+        ),
         probe_stats=ProbeStats(),
         handover_stats=HandoverStats(),
         sessions_generated=17,
@@ -140,7 +140,7 @@ class TestSpillStore:
         assert np.array_equal(loaded.dl, original.dl)
         assert np.array_equal(loaded.ul, original.ul)
         assert loaded.users_seen == original.users_seen
-        assert loaded.total_bytes == original.total_bytes
+        assert loaded.report == original.report
         # The on-disk payload excludes obs_export; everything else
         # round-trips through pickle bit-exactly.
         loaded.obs_export = None

@@ -110,7 +110,7 @@ class TestIndexedEquivalence:
         fast = DpiEngine(db, indexed=True)
         slow = DpiEngine(db, indexed=False)
         for flow in corpus:
-            volume = 100.0 + flow.flow_id
+            volume = 100 + flow.flow_id
             assert fast.classify(flow, volume) == slow.classify(flow, volume)
         assert fast.report.flows_total == slow.report.flows_total
         assert fast.report.flows_classified == slow.report.flows_classified
@@ -124,7 +124,7 @@ class TestIndexedEquivalence:
         )
         # The hand-picked foreign names take the overflow path.
         assert len(overflow) == 3
-        volumes = np.arange(1.0, len(corpus) + 1)
+        volumes = np.arange(1, len(corpus) + 1, dtype=np.int64)
 
         for indexed in (True, False):
             batched = DpiEngine(db, indexed=indexed)
@@ -144,12 +144,12 @@ class TestIndexedEquivalence:
         b = DpiEngine(db)
         half = len(corpus) // 2
         for flow in corpus[:half]:
-            a.classify(flow, 10.0)
+            a.classify(flow, 10)
         for flow in corpus[half:]:
-            b.classify(flow, 10.0)
+            b.classify(flow, 10)
         whole = DpiEngine(db)
         for flow in corpus:
-            whole.classify(flow, 10.0)
+            whole.classify(flow, 10)
         a.report.merge(b.report)
         assert a.report.flows_total == whole.report.flows_total
         assert a.report.flows_classified == whole.report.flows_classified
@@ -164,12 +164,14 @@ def names_of(engine, positions):
 
 
 def report_bits(report):
-    """A report's fields, byte totals as exact hex strings."""
+    """A report's fields; the byte totals are exact ints."""
+    assert type(report.bytes_total) is int
+    assert type(report.bytes_classified) is int
     return (
         report.flows_total,
         report.flows_classified,
-        report.bytes_total.hex(),
-        report.bytes_classified.hex(),
+        report.bytes_total,
+        report.bytes_classified,
         dict(report.by_technique),
     )
 

@@ -50,6 +50,19 @@ class TestGeneration:
         assert min(starts) >= 0
         assert max(starts) < 26.0
 
+    def test_streamed_bytes_are_int64(self, setup):
+        # Probes count whole bytes, so every batch reaching the
+        # aggregator carries int64 byte columns.
+        generator, probe, _, _ = setup
+        batches = []
+        probe.stream_to(batches.append, chunk_rows=512)
+        generator.run_week()
+        probe.flush_stream()
+        assert len(batches) > 1
+        for batch in batches:
+            assert batch.dl_bytes.dtype == np.int64
+            assert batch.ul_bytes.dtype == np.int64
+
     def test_volumes_positive_and_weekly_scale(
         self, setup, intensity_model
     ):

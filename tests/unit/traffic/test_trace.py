@@ -22,8 +22,8 @@ def make_record(i=0):
             protocol="tcp",
             payload_hint="quic-yt" if i % 3 == 0 else None,
         ),
-        dl_bytes=123.4 + i,
-        ul_bytes=5.6,
+        dl_bytes=123 + i,
+        ul_bytes=5,
     )
 
 
@@ -42,7 +42,9 @@ class TestRoundtrip:
             assert restored.technology is original.technology
             assert restored.flow.sni == original.flow.sni
             assert restored.flow.payload_hint == original.flow.payload_hint
-            assert restored.dl_bytes == pytest.approx(original.dl_bytes, abs=0.1)
+            assert restored.dl_bytes == original.dl_bytes
+            assert restored.ul_bytes == original.ul_bytes
+            assert type(restored.dl_bytes) is int
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
