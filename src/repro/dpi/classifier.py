@@ -18,18 +18,20 @@ Suffix matching is served by a reversed-label dict index
 (:class:`_SuffixIndex`): a name is matched by walking its label-boundary
 suffixes from longest to shortest and probing a dict at each step, so a
 lookup costs O(#labels of the name) instead of O(#registered patterns).
-The pre-index linear scan is retained behind ``indexed=False`` as the
-reference implementation for equivalence testing and benchmarking.
 
 Batches arrive as int64 feature codes against the database's
 :class:`~repro.network.gtp.FeatureCodebook`, one code per distinct
 feature tuple ``(sni, host, payload_hint, server_port, protocol)``.
-:meth:`DpiEngine.classify_batch` runs the match cascade once per
-distinct code on its decoded strings, then keeps only the integer
-outcome, in sorted arrays that grow with the distinct codes seen and
-are bounded by the codebook's feature space.  A code resolved once is
-never decoded again; codes of a batch's overflow table (features the
-codebook cannot encode) are batch-local and resolved per batch.
+Each technique reads one field of a code, so the engine compiles the
+cascade once, at construction, into one outcome table per field: the
+SNI and host tables hold one suffix lookup per codebook suffix,
+broadcast over its edge labels, which is sound while no fingerprint
+pattern depends on the label (the tests check every label).
+:meth:`DpiEngine.classify_batch` splits the codes with
+:meth:`~repro.network.gtp.FeatureCodebook.split` and resolves them with
+four array gathers in priority order; only the rows of a batch's
+overflow table (features the codebook cannot encode) are matched one
+by one.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro import obs
 from repro.dpi.fingerprints import FingerprintDatabase
-from repro.network.gtp import Features, FlowDescriptor
+from repro.network.gtp import Features, FlowDescriptor, endpoint_name
 
 
 class Technique(enum.Enum):
@@ -82,15 +84,6 @@ class ClassificationReport:
         """Fraction of traffic volume attributed to a service (the 88 %)."""
         return self.bytes_classified / self.bytes_total if self.bytes_total else 0.0
 
-    def record(self, technique: Optional[Technique], volume_bytes: int) -> None:
-        """Account one flow's outcome."""
-        self.flows_total += 1
-        self.bytes_total += volume_bytes
-        if technique is not None:
-            self.flows_classified += 1
-            self.bytes_classified += volume_bytes
-            self.by_technique[technique] += 1
-
     def merge(self, other: "ClassificationReport") -> "ClassificationReport":
         """Fold another report (e.g. one worker shard's) into this one."""
         self.flows_total += other.flows_total
@@ -117,8 +110,8 @@ class _SuffixIndex:
     __slots__ = ("_exact", "_prefixes")
 
     def __init__(self, pairs: Iterable[Tuple[str, str]]):
-        # Longest pattern first (stable), matching the linear scan's
-        # precedence for the rare name matched by several patterns.
+        # Longest pattern first (stable): the longest pattern wins for
+        # the rare name matched by several.
         ordered = sorted(pairs, key=lambda item: len(item[0]), reverse=True)
         self._exact: Dict[str, str] = {}
         self._prefixes: List[Tuple[str, str]] = []
@@ -144,7 +137,7 @@ class _SuffixIndex:
                 break
             candidate = candidate[dot + 1:]
         # A prefix-style pattern only beats the suffix match when it is
-        # longer — the same precedence the length-sorted scan applied.
+        # longer — the precedence of a longest-first scan of all patterns.
         for pattern, service in self._prefixes:
             if len(pattern) <= best_len:
                 break
@@ -154,40 +147,23 @@ class _SuffixIndex:
 
 
 class DpiEngine:
-    """Flow-to-service classifier over a fingerprint database.
+    """Flow-to-service classifier over a fingerprint database."""
 
-    ``indexed=False`` swaps the suffix-index kernel for the original
-    O(#patterns) linear suffix scan — kept as the reference
-    implementation for equivalence tests and benchmark baselines.
-    """
-
-    def __init__(self, database: FingerprintDatabase, indexed: bool = True):
-        self._db = database
-        self.indexed = bool(indexed)
-        # Linear indices are always built: they are the reference lookup
-        # and the source material for the dict index.
-        self._sni_index: List[Tuple[str, str]] = []
-        self._host_index: List[Tuple[str, str]] = []
+    def __init__(self, database: FingerprintDatabase):
+        sni: List[Tuple[str, str]] = []
+        host: List[Tuple[str, str]] = []
         self._hint_index: Dict[str, str] = {}
         self._port_index: Dict[Tuple[int, str], str] = {}
         for fp in database.all_fingerprints():
-            for suffix in fp.sni_suffixes:
-                self._sni_index.append((suffix, fp.service_name))
-            for suffix in fp.host_suffixes:
-                self._host_index.append((suffix, fp.service_name))
+            sni.extend((suffix, fp.service_name) for suffix in fp.sni_suffixes)
+            host.extend((suffix, fp.service_name) for suffix in fp.host_suffixes)
             for hint in fp.payload_hints:
                 self._hint_index[hint] = fp.service_name
             for port, protocol in fp.port_signatures:
                 self._port_index[(port, protocol)] = fp.service_name
-        self._sni_dict = _SuffixIndex(self._sni_index)
-        self._host_dict = _SuffixIndex(self._host_index)
-        # Longest suffix first, so "video.xx.fbcdn.net" beats "fbcdn.net".
-        self._sni_index.sort(key=lambda item: len(item[0]), reverse=True)
-        self._host_index.sort(key=lambda item: len(item[0]), reverse=True)
-        self._match = (
-            self._match_features if self.indexed else self._match_features_linear
-        )
-        #: The codebook :meth:`classify_batch` decodes its codes with.
+        self._sni_dict = _SuffixIndex(sni)
+        self._host_dict = _SuffixIndex(host)
+        #: The codebook :meth:`classify_batch` splits its codes with.
         self.codebook = database.codebook
         #: Service names in catalog order; :meth:`classify_batch`
         #: returns positions in this tuple.
@@ -200,11 +176,42 @@ class DpiEngine:
             for i, name in enumerate(self.service_names)
             for t, technique in enumerate(_TECHNIQUES)
         }
-        # Every codebook code resolved so far, sorted, with its packed
-        # outcome (-1: unclassified).
-        self._resolved_codes = np.empty(0, dtype=np.int64)
-        self._resolved_outcomes = np.empty(0, dtype=np.int64)
+        self._tables = self._compile()
         self.report = ClassificationReport()
+
+    def _compile(self) -> Tuple[np.ndarray, ...]:
+        """Packed outcomes (-1: no match) per SNI, host, hint and port field."""
+        codebook, packed = self.codebook, self._packed
+        dtype = np.min_scalar_type(-len(packed))
+
+        def endpoints(index: _SuffixIndex, technique: Technique) -> np.ndarray:
+            outcomes = [
+                packed.get((index.lookup(endpoint_name(suffix, 0)), technique), -1)
+                for suffix in codebook.suffixes
+            ]
+            return np.concatenate(
+                ([-1], np.repeat(outcomes, codebook.LABELS))
+            ).astype(dtype)
+
+        hints = np.asarray(
+            [-1]
+            + [
+                packed.get((self._hint_index.get(hint), Technique.PAYLOAD), -1)
+                for hint in codebook.hints
+            ],
+            dtype=dtype,
+        )
+        ports = np.full(codebook.PORT_FIELDS, -1, dtype=dtype)
+        for (port, protocol), service in self._port_index.items():
+            ports[codebook.port_field(port, protocol)] = packed[
+                (service, Technique.PORT)
+            ]
+        return (
+            endpoints(self._sni_dict, Technique.SNI),
+            endpoints(self._host_dict, Technique.HOST),
+            hints,
+            ports,
+        )
 
     def classify(
         self, flow: FlowDescriptor, volume_bytes: int = 0
@@ -212,20 +219,13 @@ class DpiEngine:
         """Return the service name for a flow, or None if unclassifiable.
 
         ``volume_bytes`` feeds the byte-coverage accounting of
-        :attr:`report`.  A scalar flow runs the match cascade itself
-        (one ``dpi.cache_misses``): only batches share resolved codes.
+        :attr:`report`.  The flow is encoded and classified as a
+        one-flow batch.
         """
-        outcome = self._match(
-            flow.sni, flow.host, flow.payload_hint, flow.server_port, flow.protocol
-        )
-        technique = outcome[1] if outcome else None
-        self.report.record(technique, volume_bytes)
-        obs.add("dpi.cache_misses")
-        if outcome is None:
-            obs.add("dpi.flows_unclassified")
-        else:
-            obs.add("dpi.flows_classified")
-        return outcome[0] if outcome else None
+        codes, overflow = self.codebook.encode([flow.features])
+        volumes = np.asarray([volume_bytes], dtype=np.int64)
+        position = int(self.classify_batch(codes, volumes, overflow)[0])
+        return self.service_names[position] if position >= 0 else None
 
     def classify_batch(
         self,
@@ -238,18 +238,28 @@ class DpiEngine:
         ``keys`` are int64 codes against :attr:`codebook` (negative
         codes index ``overflow``), ``volumes`` the per-flow integer byte
         counts.  Returns each flow's position in :attr:`service_names`,
-        -1 when unclassified, and updates :attr:`report` exactly as
-        per-flow :meth:`classify` calls would: every flow is counted
-        individually even though each distinct code is matched once,
-        and the integer byte totals do not depend on how the flow stream
-        is cut into batches.
+        -1 when unclassified, and updates :attr:`report`, whose integer
+        byte totals do not depend on how the flow stream is cut into
+        batches.
         """
         codes = np.asarray(keys, dtype=np.int64)
         volumes = np.asarray(volumes)
         n = len(codes)
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        resolved, fresh = self._resolve(distinct, overflow)
-        outcomes = resolved[inverse]
+        foreign = codes < 0
+        fields = self.codebook.split(np.maximum(codes, 0))
+        sni, host, hint, port = (t[f] for t, f in zip(self._tables, fields))
+        # Priority order: SNI > HOST > PAYLOAD > PORT.
+        outcomes = np.where(
+            sni >= 0,
+            sni,
+            np.where(host >= 0, host, np.where(hint >= 0, hint, port)),
+        )
+        if foreign.any():
+            rows = np.asarray(
+                [self._packed.get(self._match_features(*f), -1) for f in overflow],
+                dtype=outcomes.dtype,
+            )
+            outcomes[foreign] = rows[-1 - codes[foreign]]
         classified = outcomes >= 0
         n_classified = int(classified.sum())
         report = self.report
@@ -262,49 +272,9 @@ class DpiEngine:
         )
         for technique, count in zip(_TECHNIQUES, by_technique.tolist()):
             report.by_technique[technique] += count
-        obs.add("dpi.cache_hits", n - fresh)
-        obs.add("dpi.cache_misses", fresh)
         obs.add("dpi.flows_classified", n_classified)
         obs.add("dpi.flows_unclassified", n - n_classified)
         return np.where(classified, outcomes // len(_TECHNIQUES), -1)
-
-    def _resolve(
-        self, distinct: np.ndarray, overflow: Sequence[Features]
-    ) -> Tuple[np.ndarray, int]:
-        """Packed outcomes of sorted distinct codes, and how many were new.
-
-        Known codes are an array lookup; each new code is decoded and
-        matched once, and codebook codes join the resolved arrays (the
-        decoded strings are dropped).
-        """
-        known_codes = self._resolved_codes
-        slots = np.searchsorted(known_codes, distinct)
-        known = np.zeros(len(distinct), dtype=bool)
-        inside = slots < len(known_codes)
-        known[inside] = known_codes[slots[inside]] == distinct[inside]
-        outcomes = np.empty(len(distinct), dtype=np.int64)
-        outcomes[known] = self._resolved_outcomes[slots[known]]
-        new = ~known
-        fresh = distinct[new]
-        if not len(fresh):
-            return outcomes, 0
-        match, packed = self._match, self._packed.get
-        fresh_outcomes = np.fromiter(
-            (
-                packed(match(*features), -1)
-                for features in self.codebook.decode(fresh, overflow)
-            ),
-            dtype=np.int64,
-            count=len(fresh),
-        )
-        outcomes[new] = fresh_outcomes
-        lasting = fresh >= 0
-        at = slots[new][lasting]
-        self._resolved_codes = np.insert(known_codes, at, fresh[lasting])
-        self._resolved_outcomes = np.insert(
-            self._resolved_outcomes, at, fresh_outcomes[lasting]
-        )
-        return outcomes, len(fresh)
 
     def _match_features(
         self,
@@ -314,7 +284,7 @@ class DpiEngine:
         server_port: int,
         protocol: str,
     ) -> Optional[Tuple[str, Technique]]:
-        """Indexed match over raw flow features (the default kernel)."""
+        """The match cascade over raw features (overflow rows only)."""
         if sni:
             service = self._sni_dict.lookup(sni)
             if service:
@@ -330,49 +300,10 @@ class DpiEngine:
             return self._port_index[key], Technique.PORT
         return None
 
-    def _match_features_linear(
-        self,
-        sni: Optional[str],
-        host: Optional[str],
-        payload_hint: Optional[str],
-        server_port: int,
-        protocol: str,
-    ) -> Optional[Tuple[str, Technique]]:
-        """Linear-scan match over raw flow features (reference path)."""
-        if sni:
-            service = _suffix_lookup(self._sni_index, sni)
-            if service:
-                return service, Technique.SNI
-        if host:
-            service = _suffix_lookup(self._host_index, host)
-            if service:
-                return service, Technique.HOST
-        if payload_hint and payload_hint in self._hint_index:
-            return self._hint_index[payload_hint], Technique.PAYLOAD
-        key = (server_port, protocol)
-        if key in self._port_index:
-            return self._port_index[key], Technique.PORT
-        return None
-
     def reset_report(self) -> ClassificationReport:
         """Return the current report and start a fresh one."""
         report, self.report = self.report, ClassificationReport()
         return report
-
-
-def _suffix_lookup(index: List[Tuple[str, str]], name: str) -> Optional[str]:
-    """Longest-suffix match of a DNS name against an index.
-
-    Prefix-style patterns (ending with ``.``, e.g. ``"imap."``) match
-    name *prefixes* instead, covering protocol-conventional hostnames.
-    """
-    for suffix, service in index:
-        if suffix.endswith("."):
-            if name.startswith(suffix):
-                return service
-        elif name == suffix or name.endswith("." + suffix):
-            return service
-    return None
 
 
 __all__ = ["Technique", "ClassificationReport", "DpiEngine"]

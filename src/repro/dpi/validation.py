@@ -84,16 +84,22 @@ def confusion_matrix(
         fp.service_name for fp in database.all_fingerprints()
     ]
     index = {name: i for i, name in enumerate(names)}
+    # Matrix column of each engine position; position -1 reads the last
+    # entry, the unclassified column.
+    columns = np.asarray(
+        [index.get(name, len(names)) for name in engine.service_names]
+        + [len(names)]
+    )
+    obfuscated = None if include_obfuscated else False
+    volumes = np.zeros(flows_per_service, dtype=np.int64)
     matrix = np.zeros((len(names), len(names) + 1), dtype=np.int64)
     for i, name in enumerate(names):
-        for _ in range(flows_per_service):
-            obfuscated = None if include_obfuscated else False
-            flow = database.emit_flow(name, obfuscated=obfuscated)
-            outcome = engine.classify(flow)
-            if outcome is None or outcome not in index:
-                matrix[i, -1] += 1
-            else:
-                matrix[i, index[outcome]] += 1
+        codes, overflow = engine.codebook.encode(
+            database.emit_flow(name, obfuscated=obfuscated).features
+            for _ in range(flows_per_service)
+        )
+        positions = engine.classify_batch(codes, volumes, overflow)
+        matrix[i] = np.bincount(columns[positions], minlength=len(names) + 1)
     return ConfusionReport(service_names=names, matrix=matrix)
 
 

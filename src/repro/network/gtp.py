@@ -16,7 +16,7 @@ reproduce the probe's *information flow*, not the wire format.
 The columnar structures carry a flow's DPI features as one int64 code
 per flow against a :class:`FeatureCodebook`, not as five Python
 columns of strings: the generator builds codes with array arithmetic,
-and the classifier decodes each *distinct* code once.
+and the classifier looks each field of a code up in a table.
 """
 
 from __future__ import annotations
@@ -149,6 +149,11 @@ class FlowDescriptor:
         if self.protocol not in ("tcp", "udp"):
             raise ValueError(f"protocol must be tcp or udp, got {self.protocol!r}")
 
+    @property
+    def features(self) -> Features:
+        """The flow's DPI features, in :data:`Features` order."""
+        return (self.sni, self.host, self.payload_hint, self.server_port, self.protocol)
+
 
 #: A flow's DPI features in match order:
 #: ``(sni, host, payload_hint, server_port, protocol)``.
@@ -190,7 +195,8 @@ class FeatureCodebook:
     "udp")``.  Names outside this space (foreign domains, unknown
     hints) have no code: :meth:`encode` keeps such features in a
     batch-local overflow table and gives them negative codes,
-    ``-(1 + row)``.
+    ``-(1 + row)``.  :meth:`split` is the one place that unpacks codes
+    into fields; :meth:`decode` renders the fields back to features.
 
     The codebook holds strings only, no service ids: any two codebooks
     built from the same suffix and hint lists decode every code to the
@@ -277,21 +283,36 @@ class FeatureCodebook:
             codes.append(code)
         return np.asarray(codes, dtype=np.int64), tuple(overflow)
 
+    def split(
+        self, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The SNI, host, hint and port fields of non-negative codes.
+
+        Raises ``ValueError`` for a code outside the feature space and
+        for a provider label no prefix-style suffix renders.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        rest, ports = np.divmod(codes, self.PORT_FIELDS)
+        rest, hints = np.divmod(rest, self.hint_fields)
+        snis, hosts = np.divmod(rest, self.endpoints)
+        if (codes < 0).any() or (snis >= self.endpoints).any():
+            raise ValueError("code outside the codebook")
+        for fields in (snis, hosts):
+            index, label = np.divmod(fields - 1, self.LABELS)
+            if (self._is_prefix[index] & (label >= len(_PROVIDER_TAILS))).any():
+                raise ValueError("provider label outside the codebook")
+        return snis, hosts, hints, ports
+
     def decode(
         self, codes: np.ndarray, overflow: Sequence[Features] = ()
     ) -> List[Features]:
         """The feature tuples of an int64 code array, in order.
 
-        Negative codes index ``overflow``.  The fields are split with
-        array arithmetic; only the names are rendered one by one.
+        Negative codes index ``overflow``.  The fields come from
+        :meth:`split`; only the names are rendered one by one.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        fields = np.maximum(codes, 0)
-        rest, ports = np.divmod(fields, self.PORT_FIELDS)
-        rest, hints = np.divmod(rest, self.hint_fields)
-        snis, hosts = np.divmod(rest, self.endpoints)
-        if (snis >= self.endpoints).any():
-            raise ValueError("code outside the codebook")
+        snis, hosts, hints, ports = self.split(np.maximum(codes, 0))
         hint_names = (None,) + self.hints
         return [
             overflow[-1 - code] if code < 0 else (sni, host, hint_names[hint], port, proto)
@@ -330,8 +351,6 @@ class FeatureCodebook:
         """Rendered endpoint names of endpoint fields (None for 0)."""
         index, label = np.divmod(fields - 1, self.LABELS)
         is_prefix = self._is_prefix[index]
-        if (is_prefix & (label >= len(_PROVIDER_TAILS))).any():
-            raise ValueError("provider label outside the codebook")
         suffixes, heads, tails = self.suffixes, _EDGE_HEADS, _PROVIDER_TAILS
         return [
             None if f == 0 else suffixes[i] + tails[k] if p else heads[k] + suffixes[i]

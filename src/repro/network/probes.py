@@ -177,16 +177,7 @@ class ProbeRecordBatch:
         Flow features are encoded against ``codebook``; features it has
         no code for go to the batch's overflow table.
         """
-        codes, overflow = codebook.encode(
-            (
-                r.flow.sni,
-                r.flow.host,
-                r.flow.payload_hint,
-                r.flow.server_port,
-                r.flow.protocol,
-            )
-            for r in records
-        )
+        codes, overflow = codebook.encode(r.flow.features for r in records)
         return cls(
             timestamps_s=np.asarray([r.timestamp_s for r in records]),
             imsi_hashes=np.asarray([r.imsi_hash for r in records], dtype=np.int64),

@@ -93,12 +93,10 @@ class TestCounterInvariants:
         )
         # One PDP context (hence one TEID) per session.
         assert counters["gtp.teids_allocated"] == counters["generator.sessions"]
-        # Every flow's feature code is either resolved now (a miss) or
-        # was resolved before (a hit); every flow is classified or not.
+        # Every aggregated flow is classified or not, exactly once.
         assert (
-            counters["dpi.cache_hits"] + counters["dpi.cache_misses"]
-            == counters["dpi.flows_classified"]
-            + counters["dpi.flows_unclassified"]
+            counters["dpi.flows_classified"] + counters["dpi.flows_unclassified"]
+            == counters["aggregation.rows"]
         )
         assert counters["shard.fan_out"] == N_SHARDS
         assert counters["shard.results_merged"] == N_SHARDS

@@ -7,7 +7,8 @@ emit, through a batch's overflow table for anything else — and
 :meth:`~repro.dpi.classifier.DpiEngine.classify_batch` must return the
 same per-flow names and the same report, integer byte totals included,
 as per-flow :meth:`~repro.dpi.classifier.DpiEngine.classify`, however
-the flows are cut into batches.
+the flows are cut into batches.  Its compiled field tables must give
+the match cascade's answer on any features.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._rng import as_generator
-from repro.dpi.classifier import DpiEngine
+from repro.dpi.classifier import DpiEngine, Technique
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.network.gtp import FlowDescriptor
 from repro.services.catalog import HEAD_SERVICE_NAMES, build_catalog
@@ -26,10 +27,6 @@ SETTINGS = settings(max_examples=60, deadline=None)
 _CATALOG = build_catalog(n_services=60)
 _DB = FingerprintDatabase(_CATALOG, seed=0)
 _SERVICES = [s.name for s in _CATALOG]
-
-
-def features_of(flow: FlowDescriptor):
-    return (flow.sni, flow.host, flow.payload_hint, flow.server_port, flow.protocol)
 
 
 def names():
@@ -65,7 +62,7 @@ def features():
 def test_emitted_descriptors_round_trip(seed, service):
     db = FingerprintDatabase(_CATALOG, seed=seed)
     codebook = _DB.codebook  # a separate database decodes the same codes
-    scalar = [features_of(db.emit_flow(service)) for _ in range(5)]
+    scalar = [db.emit_flow(service).features for _ in range(5)]
     codes, overflow = codebook.encode(scalar)
     assert overflow == () and (codes >= 0).all()
     assert codebook.decode(codes) == scalar
@@ -89,6 +86,22 @@ def test_arbitrary_features_round_trip(rows):
     assert len(overflow) == len(set(overflow))
     for row, code in zip(rows, codes.tolist()):
         assert (_DB.codebook.encode([row])[1] == ()) == (code >= 0)
+
+
+@SETTINGS
+@given(rows=st.lists(features(), max_size=30))
+def test_field_tables_match_the_cascade(rows):
+    # Encodable rows resolve through the tables, the rest through the
+    # overflow path; either way the answer is the cascade's.
+    engine = DpiEngine(_DB)
+    codes, overflow = engine.codebook.encode(rows)
+    positions = engine.classify_batch(codes, np.zeros(len(rows), np.int64), overflow)
+    expected = [engine._match_features(*row) for row in rows]
+    assert [
+        engine.service_names[p] if p >= 0 else None for p in positions.tolist()
+    ] == [m and m[0] for m in expected]
+    techniques = [m[1] for m in expected if m]
+    assert engine.report.by_technique == {t: techniques.count(t) for t in Technique}
 
 
 def _corpus():
@@ -132,9 +145,7 @@ def test_any_chunking_matches_per_flow(expected, cuts):
     engine = DpiEngine(_DB)
     names = []
     for start, stop in zip(bounds, bounds[1:]):
-        codes, overflow = engine.codebook.encode(
-            features_of(f) for f in flows[start:stop]
-        )
+        codes, overflow = engine.codebook.encode(f.features for f in flows[start:stop])
         positions = engine.classify_batch(codes, volumes[start:stop], overflow)
         names += [
             engine.service_names[p] if p >= 0 else None for p in positions.tolist()

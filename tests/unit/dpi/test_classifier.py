@@ -3,11 +3,68 @@
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.dpi.classifier import DpiEngine, Technique
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.network.gtp import FlowDescriptor
-from repro.services.catalog import HEAD_SERVICE_NAMES
+from repro.services.catalog import HEAD_SERVICE_NAMES, build_catalog
+
+
+class LinearCascade:
+    """The reference classifier: the match cascade over raw features,
+    with a longest-first linear scan of every suffix pattern."""
+
+    def __init__(self, db):
+        fingerprints = db.all_fingerprints()
+        self.sni = _longest_first(
+            (s, fp.service_name) for fp in fingerprints for s in fp.sni_suffixes
+        )
+        self.host = _longest_first(
+            (s, fp.service_name) for fp in fingerprints for s in fp.host_suffixes
+        )
+        self.hints, self.ports = {}, {}
+        for fp in fingerprints:
+            self.hints.update(dict.fromkeys(fp.payload_hints, fp.service_name))
+            self.ports.update(dict.fromkeys(fp.port_signatures, fp.service_name))
+
+    def match(self, sni, host, payload_hint, server_port, protocol):
+        """``(service, technique)`` of a feature tuple, or None."""
+        if sni:
+            service = _suffix_lookup(self.sni, sni)
+            if service:
+                return service, Technique.SNI
+        if host:
+            service = _suffix_lookup(self.host, host)
+            if service:
+                return service, Technique.HOST
+        if payload_hint in self.hints:
+            return self.hints[payload_hint], Technique.PAYLOAD
+        if (server_port, protocol) in self.ports:
+            return self.ports[(server_port, protocol)], Technique.PORT
+        return None
+
+
+def _longest_first(pairs):
+    # Stable: among equally long patterns the catalog order wins.
+    return sorted(pairs, key=lambda item: len(item[0]), reverse=True)
+
+
+def _suffix_lookup(index, name):
+    """Longest-suffix match of a DNS name against an index.
+
+    Prefix-style patterns (ending with ``.``, e.g. ``"imap."``) match
+    name *prefixes* instead, covering protocol-conventional hostnames.
+    """
+    for suffix, service in index:
+        if suffix.endswith("."):
+            if name.startswith(suffix):
+                return service
+        elif name == suffix or name.endswith("." + suffix):
+            return service
+    return None
+
+
+def technique_counts(outcomes):
+    return {t: sum(o is not None and o[1] is t for o in outcomes) for t in Technique}
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +141,8 @@ class TestReporting:
 
 
 class TestIndexedEquivalence:
-    """The dict-index fast path must agree flow-for-flow with the
-    retained linear scan, and the batched entry point must keep the
+    """The compiled field tables must agree flow-for-flow with the
+    reference linear cascade, and the batched entry point must keep the
     same per-flow accounting."""
 
     @pytest.fixture(scope="class")
@@ -104,40 +161,84 @@ class TestIndexedEquivalence:
             FlowDescriptor(6, None, None, 5222, "tcp"),
             FlowDescriptor(7, None, None, 50000, "udp", payload_hint="wa-noise"),
         ]
+        # Technique priority: every field carries a match, and the
+        # higher-priority fields drop out one by one.
+        youtube = "edge-002.youtube.com"
+        flows += [
+            FlowDescriptor(flow_id, sni, host, 5222, "tcp", "wa-noise")
+            for flow_id, sni, host in (
+                (8, "edge-001.twitter.com", youtube),
+                (9, "mmsc.provider01.example", youtube),  # no SNI pattern
+                (10, None, youtube),
+                (11, None, None),
+            )
+        ]
         return flows
 
     def test_index_matches_linear_scan(self, db, corpus):
-        fast = DpiEngine(db, indexed=True)
-        slow = DpiEngine(db, indexed=False)
-        for flow in corpus:
-            volume = 100 + flow.flow_id
-            assert fast.classify(flow, volume) == slow.classify(flow, volume)
-        assert fast.report.flows_total == slow.report.flows_total
-        assert fast.report.flows_classified == slow.report.flows_classified
-        assert fast.report.bytes_classified == slow.report.bytes_classified
-        assert fast.report.by_technique == slow.report.by_technique
+        engine = DpiEngine(db)
+        outcomes = [LinearCascade(db).match(*flow.features) for flow in corpus]
+        names = [engine.classify(flow, 100 + flow.flow_id) for flow in corpus]
+        assert names == [o and o[0] for o in outcomes]
+        assert engine.report.flows_total == len(corpus)
+        assert engine.report.bytes_classified == sum(
+            100 + flow.flow_id for flow, o in zip(corpus, outcomes) if o
+        )
+        assert engine.report.by_technique == technique_counts(outcomes)
+
+    @pytest.mark.parametrize("field", ["sni", "host", "hint", "port"])
+    def test_tables_match_linear_scan_on_every_field_value(self, field):
+        # The session catalog's 60 services keep the linear scan over
+        # every endpoint value affordable.
+        db = FingerprintDatabase(build_catalog(n_services=60), seed=0)
+        codebook = db.codebook
+        if field in ("sni", "host"):
+            # Prefix-style suffixes render labels below 100 only.
+            values = np.concatenate(
+                [[0]]
+                + [
+                    codebook.suffix_field(s)
+                    + np.arange(100 if s.endswith(".") else codebook.LABELS)
+                    for s in codebook.suffixes
+                ]
+            )
+        elif field == "hint":
+            values = np.arange(codebook.hint_fields)
+        else:
+            values = np.arange(codebook.PORT_FIELDS)
+        # Every other field at "no match": no name, no hint, port 0/tcp.
+        fields = dict(sni=0, host=0, hint=0, port=0)
+        fields[field] = values
+        codes = codebook.pack(**fields)
+        reference = LinearCascade(db)
+        assert reference.match(None, None, None, 0, "tcp") is None
+        outcomes = [reference.match(*f) for f in codebook.decode(codes)]
+
+        engine = DpiEngine(db)
+        positions = engine.classify_batch(codes, np.ones(len(codes), dtype=np.int64))
+
+        assert names_of(engine, positions) == [o and o[0] for o in outcomes]
+        # One field varies, so each classified value has one technique:
+        # equal counts mean equal techniques value by value.
+        assert engine.report.by_technique == technique_counts(outcomes)
+        assert sum(o is not None for o in outcomes) > 0
 
     def test_batch_matches_per_flow(self, db, corpus):
-        codes, overflow = db.codebook.encode(
-            (f.sni, f.host, f.payload_hint, f.server_port, f.protocol)
-            for f in corpus
-        )
+        codes, overflow = db.codebook.encode(flow.features for flow in corpus)
         # The hand-picked foreign names take the overflow path.
         assert len(overflow) == 3
         volumes = np.arange(1, len(corpus) + 1, dtype=np.int64)
 
-        for indexed in (True, False):
-            batched = DpiEngine(db, indexed=indexed)
-            positions = batched.classify_batch(codes, volumes, overflow)
+        batched = DpiEngine(db)
+        positions = batched.classify_batch(codes, volumes, overflow)
 
-            scalar = DpiEngine(db, indexed=indexed)
-            expected = [
-                scalar.classify(flow, vol)
-                for flow, vol in zip(corpus, volumes.tolist())
-            ]
+        scalar = DpiEngine(db)
+        expected = [
+            scalar.classify(flow, vol) for flow, vol in zip(corpus, volumes.tolist())
+        ]
 
-            assert names_of(batched, positions) == expected
-            assert report_bits(batched.report) == report_bits(scalar.report)
+        assert names_of(batched, positions) == expected
+        assert report_bits(batched.report) == report_bits(scalar.report)
 
     def test_report_merge_adds_counts(self, db, corpus):
         a = DpiEngine(db)
@@ -177,30 +278,23 @@ def report_bits(report):
 
 
 class TestCodeResolution:
-    """Each distinct code is matched once; later batches reuse it."""
+    """Codes resolve through the codebook's fields; negative codes
+    through their own batch's overflow table."""
 
-    def _emitted(self, db, n=400):
-        _, codes = zip(
-            *(db.emit_flow_features(name, n // 20) for name in HEAD_SERVICE_NAMES)
-        )
-        return np.concatenate(codes)
-
-    def test_hits_plus_misses_count_every_flow(self, catalog):
-        db = FingerprintDatabase(catalog, seed=3)
-        engine = DpiEngine(db)
-        codes = self._emitted(db)
-        volumes = np.ones(len(codes))
-        with obs.observed() as session:
-            engine.classify_batch(codes, volumes)
-            first = session.registry.export_counters()
-            engine.classify_batch(codes, volumes)
-            second = session.registry.export_counters()
-        distinct = len(np.unique(codes))
-        assert first["dpi.cache_misses"] == distinct
-        assert first["dpi.cache_hits"] == len(codes) - distinct
-        # Everything was resolved by the first batch.
-        assert second["dpi.cache_misses"] == distinct
-        assert second["dpi.cache_hits"] == 2 * len(codes) - distinct
+    def test_codes_outside_the_codebook_rejected(self, engine):
+        codebook = engine.codebook
+        volumes = np.ones(1, dtype=np.int64)
+        past_the_space = codebook.pack(codebook.endpoints, 0, 0, 0)
+        # Prefix-style suffixes render provider labels below 100 only.
+        label_100 = codebook.suffix_field("imap.") + 100
+        for code in (
+            past_the_space,
+            codebook.pack(label_100, 0, 0, 0),
+            codebook.pack(0, label_100, 0, 0),
+        ):
+            with pytest.raises(ValueError):
+                engine.classify_batch(np.array([code], dtype=np.int64), volumes)
+        assert engine.report.flows_total == 0
 
     def test_overflow_codes_are_batch_local(self, catalog):
         db = FingerprintDatabase(catalog, seed=3)

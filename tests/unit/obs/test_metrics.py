@@ -144,9 +144,9 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.add("gtp.control_messages", 2)
         registry.add("aggregation.rows", 5)
-        registry.add("dpi.cache_hits", 1)
+        registry.add("dpi.flows_classified", 1)
         assert list(registry.export_counters()) == sorted(
-            ["gtp.control_messages", "aggregation.rows", "dpi.cache_hits"]
+            ["gtp.control_messages", "aggregation.rows", "dpi.flows_classified"]
         )
 
     def test_merge_counters_sums(self):
