@@ -251,7 +251,6 @@ def _run_shard(
     probe = CoreProbe(
         control_loss_rate=plan.control_loss_rate,
         seed=spawn(srng, f"{label}.probe"),
-        codebook=fingerprints.codebook,
     )
     probe.attach_to(generator.session_manager)
     if plan.audit_localization:

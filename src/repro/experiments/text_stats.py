@@ -76,7 +76,7 @@ def run(
         "ULI updates only on RA/RAT events",
         handover.stale_moves,
         "the ULI is updated upon possibly infrequent events",
-        handover.moves == 0 or handover.stale_moves >= 0,
+        handover.stale_moves > 0 and handover.updates > 0,
     )
     auditor = artifacts.extras["auditor"]
     audit = auditor.summary()

@@ -10,13 +10,20 @@ DPI then maps to services.  This package implements that whole substrate:
   (NodeB/RNC/SGSN/GGSN on the 3G side, eNodeB/MME/S-GW/P-GW on 4G);
 - :mod:`repro.network.topology` — deployment of the elements over a
   :class:`~repro.geo.country.Country`;
-- :mod:`repro.network.gtp` — GTP-C/GTP-U message structures, TEIDs, ULI;
-- :mod:`repro.network.session` — PDP context / EPS bearer lifecycle and
-  IP flow descriptors;
+- :mod:`repro.network.gtp` — columnar GTP-C/GTP-U batches (with the ULI
+  as columns), flow feature codes, TEIDs;
+- :mod:`repro.network.session` — PDP context / EPS bearer lifecycle of
+  whole batches of sessions;
 - :mod:`repro.network.handover` — routing/tracking-area updates that
   refresh the ULI when users move;
-- :mod:`repro.network.probes` — the passive probes emitting the records
-  the dataset pipeline consumes.
+- :mod:`repro.network.probes` — the passive probes emitting the record
+  batches the dataset pipeline consumes.
+
+Every session, handover-spanning ones included, takes this one
+columnar path: the generator attaches a chunk of sessions, reports
+their flows, moves the sessions whose subscriber changes commune
+before their last flow, reports those last flows, and detaches the
+chunk.
 """
 
 from repro.network.elements import (
@@ -25,16 +32,10 @@ from repro.network.elements import (
     CoreNodeRole,
     RoutingArea,
 )
-from repro.network.gtp import (
-    FlowDescriptor,
-    GtpcMessage,
-    GtpcMessageType,
-    GtpuPacket,
-    UserLocationInformation,
-)
+from repro.network.gtp import FlowDescriptor
 from repro.network.handover import HandoverManager
 from repro.network.probes import CoreProbe, ProbeRecord
-from repro.network.session import BearerState, SessionManager, UserSession
+from repro.network.session import SessionManager
 from repro.network.topology import NetworkTopology, build_topology
 
 __all__ = [
@@ -44,13 +45,7 @@ __all__ = [
     "RoutingArea",
     "NetworkTopology",
     "build_topology",
-    "UserLocationInformation",
-    "GtpcMessage",
-    "GtpcMessageType",
-    "GtpuPacket",
-    "BearerState",
     "FlowDescriptor",
-    "UserSession",
     "SessionManager",
     "HandoverManager",
     "CoreProbe",

@@ -9,9 +9,13 @@ interfaces:
 - **GTP-U** (user): the tunneled IP traffic itself, from which per-flow
   byte counts and DPI fingerprint material are extracted.
 
-This module models the message structures the probes parse.  Only the
-fields the measurement pipeline needs are carried — the point is to
-reproduce the probe's *information flow*, not the wire format.
+This module models the message structures the probes parse, as
+columnar batches: one entry per session (control plane) or per flow
+(user plane), each field a numpy array.  Only the fields the
+measurement pipeline needs are carried — the point is to reproduce the
+probe's *information flow*, not the wire format.  A control batch
+carries a technology code per entry; it names the message of either
+generation (GTPv1-C on 3G, GTPv2-C on 4G).
 
 The columnar structures carry a flow's DPI features as one int64 code
 per flow against a :class:`FeatureCodebook`, not as five Python
@@ -21,7 +25,7 @@ and the classifier looks each field of a code up in a table.
 
 from __future__ import annotations
 
-import enum
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -36,93 +40,6 @@ from repro.geo.coverage import Technology
 TECH_3G, TECH_4G = 0, 1
 TECH_BY_CODE = (Technology.G3, Technology.G4)
 TECH_CODES = {Technology.G3: TECH_3G, Technology.G4: TECH_4G}
-
-
-class GtpcMessageType(enum.Enum):
-    """Control-plane messages relevant to the probes.
-
-    The 3G names follow GTPv1-C (TS 29.060), the 4G names GTPv2-C
-    (TS 29.274); both planes transit the probed interfaces.
-    """
-
-    # 3G / GTPv1-C
-    CREATE_PDP_CONTEXT_REQUEST = "CreatePDPContextRequest"
-    CREATE_PDP_CONTEXT_RESPONSE = "CreatePDPContextResponse"
-    UPDATE_PDP_CONTEXT_REQUEST = "UpdatePDPContextRequest"
-    DELETE_PDP_CONTEXT_REQUEST = "DeletePDPContextRequest"
-    # 4G / GTPv2-C
-    CREATE_SESSION_REQUEST = "CreateSessionRequest"
-    CREATE_SESSION_RESPONSE = "CreateSessionResponse"
-    MODIFY_BEARER_REQUEST = "ModifyBearerRequest"
-    DELETE_SESSION_REQUEST = "DeleteSessionRequest"
-
-    @property
-    def is_3g(self) -> bool:
-        return "PDP" in self.value
-
-    @property
-    def creates_tunnel(self) -> bool:
-        return self in (
-            GtpcMessageType.CREATE_PDP_CONTEXT_REQUEST,
-            GtpcMessageType.CREATE_SESSION_REQUEST,
-        )
-
-    @property
-    def updates_location(self) -> bool:
-        return self in (
-            GtpcMessageType.CREATE_PDP_CONTEXT_REQUEST,
-            GtpcMessageType.UPDATE_PDP_CONTEXT_REQUEST,
-            GtpcMessageType.CREATE_SESSION_REQUEST,
-            GtpcMessageType.MODIFY_BEARER_REQUEST,
-        )
-
-    @property
-    def deletes_tunnel(self) -> bool:
-        return self in (
-            GtpcMessageType.DELETE_PDP_CONTEXT_REQUEST,
-            GtpcMessageType.DELETE_SESSION_REQUEST,
-        )
-
-
-@dataclass(frozen=True)
-class UserLocationInformation:
-    """The ULI information element (SAI/CGI on 3G, ECGI/TAI on 4G).
-
-    ``cell_commune_id`` is the commune of the reporting cell — the
-    simulator's stand-in for the cell identifier that the real pipeline
-    resolves to a commune through the operator's cell database.
-    """
-
-    technology: Technology
-    routing_area_id: int
-    cell_id: int
-    cell_commune_id: int
-
-    def __str__(self) -> str:
-        area = "TAI" if self.technology is Technology.G4 else "SAI"
-        return f"ULI[{area}={self.routing_area_id} cell={self.cell_id}]"
-
-
-@dataclass(frozen=True)
-class GtpcMessage:
-    """A control-plane message observed on Gn or S5/S8."""
-
-    message_type: GtpcMessageType
-    timestamp_s: float
-    imsi_hash: int
-    teid: int
-    uli: Optional[UserLocationInformation] = None
-
-    def __post_init__(self) -> None:
-        if self.message_type.updates_location and self.uli is None:
-            raise ValueError(
-                f"{self.message_type.value} must carry a ULI information element"
-            )
-
-    @property
-    def interface(self) -> str:
-        """The probed interface this message transits."""
-        return "Gn" if self.message_type.is_3g else "S5/S8"
 
 
 @dataclass(frozen=True)
@@ -381,42 +298,17 @@ class FeatureCodebook:
 EMPTY_CODEBOOK = FeatureCodebook()
 
 
-@dataclass(frozen=True)
-class GtpuPacket:
-    """An accounting record of user-plane traffic within one tunnel.
-
-    Rather than simulating individual IP packets, the simulator batches
-    the traffic a flow exchanges within one reporting interval into one
-    ``GtpuPacket`` carrying byte counters — the same granularity at which
-    the real probes export flow records.
-    """
-
-    timestamp_s: float
-    teid: int
-    flow: FlowDescriptor
-    dl_bytes: int
-    ul_bytes: int
-
-    def __post_init__(self) -> None:
-        if self.dl_bytes < 0 or self.ul_bytes < 0:
-            raise ValueError("byte counters must be non-negative")
-
-    @property
-    def total_bytes(self) -> int:
-        return self.dl_bytes + self.ul_bytes
-
-
 @dataclass
 class GtpcCreateBulk:
     """A columnar batch of session-establishment signalling.
 
     One entry per session; each entry stands for the request/response
-    *pair* the scalar :class:`GtpcMessage` path emits, so a probe
+    *pair* (CreatePDPContext on 3G, CreateSession on 4G), so a probe
     observing a batch of ``n`` sessions accounts ``2 n`` control
-    messages.  Carrying the ULI fields as parallel arrays lets the
-    probes maintain their tunnel tables without materializing one
-    message object per session — the bulk fast path of the measurement
-    chain.
+    messages.  The User Location Information element (SAI/CGI on 3G,
+    ECGI/TAI on 4G) rides as parallel columns: technology, routing
+    area, serving cell, and the cell's commune — the simulator's
+    stand-in for the operator's cell database.
     """
 
     timestamps_s: np.ndarray
@@ -429,6 +321,20 @@ class GtpcCreateBulk:
 
     def __len__(self) -> int:
         return len(self.teids)
+
+    def take(self, index: np.ndarray):
+        """The entries ``index`` selects, as a new batch of this type."""
+        return type(self)(
+            **{f.name: getattr(self, f.name)[index] for f in dataclasses.fields(self)}
+        )
+
+
+class GtpcUpdateBulk(GtpcCreateBulk):
+    """A columnar batch of ULI refreshes of established sessions.
+
+    The columns are a create batch's, carrying the refreshed ULI; each
+    entry is one message (UpdatePDPContext on 3G, ModifyBearer on 4G).
+    """
 
 
 @dataclass
@@ -506,16 +412,13 @@ class TeidAllocator:
 
 
 __all__ = [
-    "GtpcMessageType",
-    "UserLocationInformation",
-    "GtpcMessage",
     "FlowDescriptor",
     "Features",
     "FeatureCodebook",
     "EMPTY_CODEBOOK",
     "endpoint_name",
-    "GtpuPacket",
     "GtpcCreateBulk",
+    "GtpcUpdateBulk",
     "GtpcDeleteBulk",
     "GtpuBulk",
     "TeidAllocator",

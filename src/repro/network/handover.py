@@ -11,9 +11,13 @@ within an RA leave the session geo-referenced to the stale cell.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from repro.network.session import SessionManager, UserSession
+import numpy as np
+
+from repro.network.gtp import GtpcCreateBulk
+from repro.network.session import SessionManager
 from repro.network.topology import NetworkTopology
 
 
@@ -43,43 +47,66 @@ class HandoverStats:
 
 
 class HandoverManager:
-    """Decides whether a commune change refreshes the session's ULI."""
+    """Decides which commune changes refresh a session's ULI."""
 
-    def __init__(self, topology: NetworkTopology, sessions: SessionManager):
+    def __init__(
+        self,
+        topology: NetworkTopology,
+        sessions: SessionManager,
+        rng: np.random.Generator,
+    ):
+        """``rng`` picks the serving cells of refreshed ULIs; a stream
+        of its own keeps the attach stream's draws independent of how
+        sessions are batched."""
         self._topology = topology
         self._sessions = sessions
+        self._rng = rng
         self.stats = HandoverStats()
 
     def move(
         self,
-        session: UserSession,
-        new_commune_id: int,
-        wants_4g: bool,
-        timestamp_s: float,
-    ) -> UserSession:
-        """Register a move; update the ULI only when the standard says so.
+        sessions: GtpcCreateBulk,
+        new_commune_ids: np.ndarray,
+        wants_4g,
+        timestamps_s: np.ndarray,
+    ) -> GtpcCreateBulk:
+        """Register one move per session; update ULIs only where due.
 
-        Returns the (possibly unchanged) session.  When no update fires,
-        the session keeps its previous ULI — subsequent traffic is
-        geo-referenced to the stale commune, reproducing the paper's
-        median ~3 km localization error at the commune scale.
+        A move refreshes the ULI when the new commune lies in another
+        routing/tracking area than the serving cell, or offers another
+        technology than the session's.  Returns the sessions' ULI
+        columns after the moves: a session without an update keeps its
+        previous ULI — subsequent traffic is geo-referenced to the stale
+        commune, reproducing the paper's median ~3 km localization error
+        at the commune scale.
         """
-        self.stats.moves += 1
-        new_ra = self._topology.routing_area_of(new_commune_id)
-        new_tech = self._topology.available_technology(new_commune_id, wants_4g)
-
-        crosses_ra = new_ra != session.uli.routing_area_id
-        changes_rat = new_tech is not session.technology
-        if not crosses_ra and not changes_rat:
-            return session
-
-        if changes_rat:
-            self.stats.rat_updates += 1
-        else:
-            self.stats.ra_updates += 1
-        return self._sessions.update_location(
-            session, new_commune_id, wants_4g, timestamp_s
+        self.stats.moves += len(sessions)
+        new_tech = self._topology.available_technology_codes(
+            new_commune_ids, wants_4g
         )
+        crosses_ra = (
+            self._topology.routing_area_of(new_commune_ids)
+            != sessions.routing_area_ids
+        )
+        changes_rat = new_tech != sessions.tech_codes
+        update = np.flatnonzero(crosses_ra | changes_rat)
+        rat_updates = int(changes_rat.sum())
+        self.stats.rat_updates += rat_updates
+        self.stats.ra_updates += len(update) - rat_updates
+        if not len(update):
+            return sessions
+        refreshed = self._sessions.update_bulk(
+            sessions.imsi_hashes[update],
+            sessions.teids[update],
+            np.asarray(new_commune_ids)[update],
+            np.broadcast_to(wants_4g, len(sessions))[update],
+            np.asarray(timestamps_s)[update],
+            self._rng,
+        )
+        after = sessions.take(np.arange(len(sessions)))
+        for f in dataclasses.fields(refreshed):
+            getattr(after, f.name)[update] = getattr(refreshed, f.name)
+        return after
 
 
 __all__ = ["HandoverStats", "HandoverManager"]

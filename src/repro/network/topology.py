@@ -58,33 +58,6 @@ class NetworkTopology:
             raise LookupError(f"expected exactly one {role.value}, got {len(nodes)}")
         return nodes[0]
 
-    def serving_station(
-        self,
-        commune_id: int,
-        technology: Technology,
-        rng: np.random.Generator,
-    ) -> BaseStation:
-        """Pick the base station serving a user camped in a commune.
-
-        Falls back to 3G when the commune has no cell of the requested
-        technology.  A white zone is served from the nearest covered
-        commune (see :attr:`serving_communes`); ``LookupError`` is left
-        only for a topology without a single cell.
-        """
-        commune_id = int(self.serving_communes[commune_id])
-        for tech in (technology, Technology.G3):
-            ids = self._bs_by_commune_tech.get((commune_id, tech))
-            if ids:
-                return self.base_stations[ids[int(rng.integers(len(ids)))]]
-        raise LookupError(f"commune {commune_id} is a white zone (no coverage)")
-
-    def available_technology(self, commune_id: int, wants_4g: bool) -> Technology:
-        """Best technology a user can get in a commune (3G fallback)."""
-        commune_id = int(self.serving_communes[commune_id])
-        if wants_4g and (commune_id, Technology.G4) in self._bs_by_commune_tech:
-            return Technology.G4
-        return Technology.G3
-
     @property
     def serving_communes(self) -> np.ndarray:
         """The commune whose cells serve each commune.
@@ -113,7 +86,7 @@ class NetworkTopology:
         return mapping
 
     # ------------------------------------------------------------------
-    # vectorized lookups (the bulk session fast path)
+    # vectorized lookups (one call per batch of sessions)
     # ------------------------------------------------------------------
     @property
     def _vector_tables(self) -> dict:
@@ -156,11 +129,12 @@ class NetworkTopology:
     def available_technology_codes(
         self, commune_ids: np.ndarray, wants_4g
     ) -> np.ndarray:
-        """Vectorized :meth:`available_technology` (TECH_3G/TECH_4G codes).
+        """Best technology a user can get in each commune (3G fallback).
 
-        ``wants_4g`` is a scalar bool or a per-session bool array (how
-        the chunked emission path mixes subscribers with different
-        handsets in one batch).
+        Returns TECH_3G/TECH_4G codes.  ``wants_4g`` is a scalar bool or
+        a per-session bool array (how the chunked emission path mixes
+        subscribers with different handsets in one batch).  A white zone
+        offers what its serving commune offers.
         """
         from repro.network.gtp import TECH_3G, TECH_4G
 
@@ -179,9 +153,13 @@ class NetworkTopology:
     ) -> tuple:
         """Pick serving cells for a batch of sessions.
 
-        Returns ``(bs_ids, tech_codes, routing_area_ids, cell_communes)``
-        with the same 3G fallback and white-zone behaviour as
-        :meth:`serving_station`.
+        Returns ``(bs_ids, tech_codes, routing_area_ids, cell_communes)``:
+        one cell drawn uniformly among the serving commune's cells of
+        the session's technology, falling back to 3G where the commune
+        has none.  A white zone (a commune with no cell) is served from
+        the nearest covered commune (see :attr:`serving_communes`);
+        ``LookupError`` is left only for a topology without a single
+        cell.
         """
         from repro.network.gtp import TECH_3G
 
@@ -208,8 +186,8 @@ class NetworkTopology:
             tables["bs_commune"][bs_ids],
         )
 
-    def routing_area_of(self, commune_id: int) -> int:
-        """Routing/tracking area id of a commune."""
+    def routing_area_of(self, commune_id):
+        """Routing/tracking area id of a commune (or an array of them)."""
         return self._ra_of_commune[commune_id]
 
     @property

@@ -23,7 +23,6 @@ from repro import obs
 from repro._rng import SeedLike, as_generator, spawn
 from repro._time import WEEK_HOURS
 from repro.dpi.fingerprints import FingerprintDatabase
-from repro.network.gtp import FlowDescriptor
 from repro.network.handover import HandoverManager
 from repro.network.session import SessionManager
 from repro.network.topology import NetworkTopology
@@ -59,30 +58,20 @@ class _SubscriberDraws:
     manager calls) are split so the generator can buffer several
     subscribers' draws and emit them as one bulk batch without touching
     any RNG stream out of order.  Session columns have one entry per
-    session, flow columns one per flow in session order.
+    session, flow columns one per flow in session order.  A session is
+    ``spanning`` when its subscriber is in another commune,
+    ``mid_communes``, at its mid-point ``mid_hours``: its last flow
+    rides after that move.
     """
 
-    _SESSION_COLUMNS = ("communes", "timestamps", "durations", "n_flows")
-    _FLOW_COLUMNS = (
+    SESSION_COLUMNS = (
+        "communes", "timestamps", "durations", "n_flows",
+        "spanning", "mid_hours", "mid_communes",
+    )
+    FLOW_COLUMNS = (
         "flow_times", "flow_dl", "flow_ul", "flow_ids", "feature_codes",
     )
-    __slots__ = (
-        ("imsi", "wants_4g", "spanning", "mid_hours", "mid_communes")
-        + _SESSION_COLUMNS
-        + _FLOW_COLUMNS
-    )
-
-    def take(self, sessions: np.ndarray) -> "_SubscriberDraws":
-        """The draws of the sessions a boolean mask selects."""
-        flows = np.repeat(sessions, self.n_flows)
-        part = _SubscriberDraws()
-        part.imsi, part.wants_4g = self.imsi, self.wants_4g
-        part.spanning = None
-        for name in self._SESSION_COLUMNS:
-            setattr(part, name, getattr(self, name)[sessions])
-        for name in self._FLOW_COLUMNS:
-            setattr(part, name, getattr(self, name)[flows])
-        return part
+    __slots__ = ("imsi", "wants_4g") + SESSION_COLUMNS + FLOW_COLUMNS
 
 
 class SessionLevelGenerator:
@@ -108,7 +97,9 @@ class SessionLevelGenerator:
         self._mobility = MobilityModel(
             population.country, seed=spawn(rng, "generator.mobility")
         )
-        self._handover = HandoverManager(topology, self._session_manager)
+        self._handover = HandoverManager(
+            topology, self._session_manager, spawn(rng, "generator.handover")
+        )
         self._cdf_cache: Dict[object, np.ndarray] = {}
         self._head_names = list(model.head_names)
         self.sessions_generated = 0
@@ -139,13 +130,12 @@ class SessionLevelGenerator:
 
         Subscribers' weeks are drawn with vectorized RNG calls and
         buffered; each ~``chunk_size`` buffered flows leave as one bulk
-        attach/report/detach round-trip through the session manager
-        (``None`` flushes after every subscriber).  Long sessions during
-        which the subscriber changes commune take the scalar
-        attach/handover/detach path right after the buffer holding the
-        rest of that subscriber's week is flushed.  Every RNG stream is
-        consumed in exactly the per-subscriber order, so the emitted
-        event stream is identical for every chunk size.
+        round-trip through the session manager (``None`` flushes after
+        every subscriber): attach, flows, handovers of the sessions
+        whose subscriber moved, their last flows, detach.  Attach and
+        handover draws come from two streams, each consumed in
+        subscriber order, so the emitted sessions, cells and ULI updates
+        are identical for every chunk size.
         """
         horizon = time_limit_hours if time_limit_hours is not None else WEEK_HOURS
         if chunk_size is None:
@@ -160,15 +150,9 @@ class SessionLevelGenerator:
                 draws = self._draw_subscriber(subscriber, horizon)
                 if draws is None:
                     continue
-                if len(draws.communes):
-                    buffer.append(draws)
-                    pending_flows += len(draws.flow_ids)
-                if draws.spanning is not None:
-                    # Flush first so the network RNG stream and the
-                    # probe's record order stay in subscriber order.
-                    pending_flows = self._flush_chunk(buffer)
-                    self._emit_spanning(draws.spanning)
-                elif pending_flows >= chunk_size:
+                buffer.append(draws)
+                pending_flows += len(draws.flow_ids)
+                if pending_flows >= chunk_size:
                     pending_flows = self._flush_chunk(buffer)
             self._flush_chunk(buffer)
 
@@ -185,31 +169,67 @@ class SessionLevelGenerator:
         wants_4g = np.repeat(
             np.asarray([d.wants_4g for d in buffer], dtype=bool), sessions_per
         )
-        communes = np.concatenate([d.communes for d in buffer])
-        timestamps = np.concatenate([d.timestamps for d in buffer])
-        durations = np.concatenate([d.durations for d in buffer])
-        n_flows = np.concatenate([d.n_flows for d in buffer])
+        col = {
+            name: np.concatenate([getattr(d, name) for d in buffer])
+            for name in _SubscriberDraws.SESSION_COLUMNS
+            + _SubscriberDraws.FLOW_COLUMNS
+        }
+        n_flows, spanning = col["n_flows"], col["spanning"]
+        # A spanning session's last flow waits for the session's move.
+        last = (np.cumsum(n_flows) - 1)[spanning]
+        early = np.ones(len(col["flow_ids"]), dtype=bool)
+        early[last] = False
+        codebook = self._fingerprints.codebook
         manager = self._session_manager
         created = manager.attach_bulk(
-            imsi, communes, wants_4g, timestamps, subscribers=len(buffer)
+            imsi, col["communes"], wants_4g, col["timestamps"],
+            subscribers=len(buffer),
         )
         manager.report_flows_bulk(
             session_teids=created.teids,
-            flows_per_session=n_flows,
-            timestamps_s=np.concatenate([d.flow_times for d in buffer]),
-            dl_bytes=np.concatenate([d.flow_dl for d in buffer]),
-            ul_bytes=np.concatenate([d.flow_ul for d in buffer]),
-            flow_ids=np.concatenate([d.flow_ids for d in buffer]),
-            feature_codes=np.concatenate([d.feature_codes for d in buffer]),
-            codebook=self._fingerprints.codebook,
+            flows_per_session=n_flows - spanning,
+            timestamps_s=col["flow_times"][early],
+            dl_bytes=col["flow_dl"][early],
+            ul_bytes=col["flow_ul"][early],
+            flow_ids=col["flow_ids"][early],
+            feature_codes=col["feature_codes"][early],
+            codebook=codebook,
         )
+        tech_codes = created.tech_codes
+        if len(last):
+            mid_s = col["mid_hours"][spanning] * 3600.0
+            moved = self._handover.move(
+                created.take(spanning),
+                col["mid_communes"][spanning],
+                wants_4g[spanning],
+                mid_s,
+            )
+            manager.report_flows_bulk(
+                session_teids=moved.teids,
+                flows_per_session=np.ones(len(last), dtype=np.int64),
+                timestamps_s=mid_s,
+                dl_bytes=col["flow_dl"][last],
+                ul_bytes=col["flow_ul"][last],
+                flow_ids=col["flow_ids"][last],
+                feature_codes=col["feature_codes"][last],
+                codebook=codebook,
+            )
+            tech_codes = tech_codes.copy()
+            tech_codes[spanning] = moved.tech_codes
         manager.detach_bulk(
-            imsi, created.teids, created.tech_codes, timestamps + durations * 60.0
+            imsi,
+            created.teids,
+            tech_codes,
+            col["timestamps"] + col["durations"] * 60.0,
         )
         if self.auditor is not None:
-            self.auditor.record(
-                np.repeat(communes, n_flows), np.repeat(created.cell_ids, n_flows)
-            )
+            # Each flow's true commune and ULI cell, in flow order.
+            flow_communes = np.repeat(col["communes"], n_flows)
+            flow_cells = np.repeat(created.cell_ids, n_flows)
+            if len(last):
+                flow_communes[last] = col["mid_communes"][spanning]
+                flow_cells[last] = moved.cell_ids
+            self.auditor.record(flow_communes, flow_cells)
         buffer.clear()
         return 0
 
@@ -338,6 +358,15 @@ class SessionLevelGenerator:
         obs.add("generator.sessions", n_sessions)
         obs.add("generator.flows", total_flows)
 
+        # Long sessions may span a commune change: the mobility model
+        # says where the subscriber is at the session's mid-point.
+        spanning = durations > config.long_session_minutes
+        mid_hours, mid_communes = hours, communes
+        if spanning.any():
+            mid_hours = np.minimum(hours + durations / 120.0, WEEK_HOURS - 1e-6)
+            mid_communes = itinerary.locations_at(mid_hours)
+            spanning &= mid_communes != communes
+
         draws = _SubscriberDraws()
         draws.imsi = subscriber.imsi_hash
         draws.wants_4g = subscriber.has_4g_device
@@ -345,82 +374,15 @@ class SessionLevelGenerator:
         draws.timestamps = timestamps
         draws.durations = durations
         draws.n_flows = n_flows
+        draws.spanning = spanning
+        draws.mid_hours = mid_hours
+        draws.mid_communes = mid_communes
         draws.flow_times = flow_times
         draws.flow_dl = flow_dl
         draws.flow_ul = flow_ul
         draws.flow_ids = flow_ids
         draws.feature_codes = feature_codes
-        draws.spanning = None
-
-        # Long sessions whose subscriber moves mid-session exercise the
-        # scalar handover path; everything else rides the bulk path.
-        spanning = durations > config.long_session_minutes
-        if spanning.any():
-            mid_hours = np.minimum(hours + durations / 120.0, WEEK_HOURS - 1e-6)
-            mid_communes = itinerary.locations_at(mid_hours)
-            spanning &= mid_communes != communes
-            if spanning.any():
-                part = draws.take(spanning)
-                part.mid_hours = mid_hours[spanning]
-                part.mid_communes = mid_communes[spanning]
-                draws = draws.take(~spanning)
-                draws.spanning = part
         return draws
-
-    def _emit_spanning(self, part: _SubscriberDraws) -> None:
-        """Emit handover-spanning sessions through the scalar path.
-
-        Each session's last flow rides after the move to the session's
-        mid-point commune; the ULI it carries is whatever the handover
-        left (possibly stale after an intra-RA move).
-        """
-        manager = self._session_manager
-        flow_starts = np.cumsum(part.n_flows) - part.n_flows
-        cell_ids: List[int] = []
-        decoded = iter(self._fingerprints.codebook.decode(part.feature_codes))
-        for i in range(len(part.communes)):
-            session = manager.attach(
-                imsi_hash=part.imsi,
-                commune_id=int(part.communes[i]),
-                wants_4g=part.wants_4g,
-                timestamp_s=float(part.timestamps[i]),
-            )
-            base = int(flow_starts[i])
-            k = int(part.n_flows[i])
-            mid_s = float(part.mid_hours[i]) * 3600.0
-            for f in range(k):
-                idx = base + f
-                flow_time = float(part.flow_times[idx])
-                if f == k - 1:
-                    session = self._handover.move(
-                        session, int(part.mid_communes[i]), part.wants_4g, mid_s
-                    )
-                    flow_time = mid_s
-                sni, host, hint, port, protocol = next(decoded)
-                manager.report_flow(
-                    session,
-                    FlowDescriptor(
-                        flow_id=int(part.flow_ids[idx]),
-                        sni=sni,
-                        host=host,
-                        server_port=port,
-                        protocol=protocol,
-                        payload_hint=hint,
-                    ),
-                    dl_bytes=int(part.flow_dl[idx]),
-                    ul_bytes=int(part.flow_ul[idx]),
-                    timestamp_s=flow_time,
-                )
-                cell_ids.append(session.uli.cell_id)
-            manager.detach(
-                session,
-                timestamp_s=float(part.timestamps[i])
-                + float(part.durations[i]) * 60.0,
-            )
-        if self.auditor is not None:
-            true_communes = np.repeat(part.communes, part.n_flows)
-            true_communes[flow_starts + part.n_flows - 1] = part.mid_communes
-            self.auditor.record(true_communes, np.asarray(cell_ids))
 
 
 __all__ = ["WorkloadConfig", "SessionLevelGenerator"]

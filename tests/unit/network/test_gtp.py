@@ -1,70 +1,17 @@
 """Unit tests for GTP message structures."""
 
+import numpy as np
 import pytest
 
-from repro.geo.coverage import Technology
 from repro.network.gtp import (
+    TECH_3G,
+    TECH_4G,
     FeatureCodebook,
     FlowDescriptor,
-    GtpcMessage,
-    GtpcMessageType,
-    GtpuPacket,
+    GtpcCreateBulk,
+    GtpcUpdateBulk,
     TeidAllocator,
-    UserLocationInformation,
 )
-
-
-def make_uli(commune=3):
-    return UserLocationInformation(
-        technology=Technology.G3,
-        routing_area_id=1,
-        cell_id=10,
-        cell_commune_id=commune,
-    )
-
-
-class TestMessageTypes:
-    def test_3g_detection(self):
-        assert GtpcMessageType.CREATE_PDP_CONTEXT_REQUEST.is_3g
-        assert not GtpcMessageType.CREATE_SESSION_REQUEST.is_3g
-
-    def test_tunnel_lifecycle_flags(self):
-        assert GtpcMessageType.CREATE_SESSION_REQUEST.creates_tunnel
-        assert GtpcMessageType.DELETE_SESSION_REQUEST.deletes_tunnel
-        assert not GtpcMessageType.MODIFY_BEARER_REQUEST.creates_tunnel
-
-    def test_location_updates(self):
-        assert GtpcMessageType.UPDATE_PDP_CONTEXT_REQUEST.updates_location
-        assert GtpcMessageType.MODIFY_BEARER_REQUEST.updates_location
-        assert not GtpcMessageType.DELETE_SESSION_REQUEST.updates_location
-
-
-class TestGtpcMessage:
-    def test_uli_required_for_location_updates(self):
-        with pytest.raises(ValueError):
-            GtpcMessage(
-                message_type=GtpcMessageType.CREATE_SESSION_REQUEST,
-                timestamp_s=0.0,
-                imsi_hash=1,
-                teid=2,
-                uli=None,
-            )
-
-    def test_interface_by_generation(self):
-        msg3g = GtpcMessage(
-            GtpcMessageType.CREATE_PDP_CONTEXT_REQUEST, 0.0, 1, 2, make_uli()
-        )
-        assert msg3g.interface == "Gn"
-        msg4g = GtpcMessage(
-            GtpcMessageType.CREATE_SESSION_REQUEST, 0.0, 1, 2, make_uli()
-        )
-        assert msg4g.interface == "S5/S8"
-
-    def test_delete_needs_no_uli(self):
-        msg = GtpcMessage(
-            GtpcMessageType.DELETE_SESSION_REQUEST, 0.0, 1, 2
-        )
-        assert msg.uli is None
 
 
 class TestFlowDescriptor:
@@ -83,16 +30,23 @@ class TestFlowDescriptor:
             FlowDescriptor(1, None, None, 80, "sctp")
 
 
-class TestGtpuPacket:
-    def test_totals(self):
-        flow = FlowDescriptor(1, None, None, 80, "tcp")
-        pkt = GtpuPacket(0.0, 5, flow, dl_bytes=100.0, ul_bytes=20.0)
-        assert pkt.total_bytes == 120.0
-
-    def test_negative_rejected(self):
-        flow = FlowDescriptor(1, None, None, 80, "tcp")
-        with pytest.raises(ValueError):
-            GtpuPacket(0.0, 5, flow, dl_bytes=-1.0, ul_bytes=0.0)
+class TestControlBatches:
+    def test_take_keeps_type_and_rows(self):
+        columns = dict(
+            timestamps_s=np.arange(3.0),
+            imsi_hashes=np.array([1, 2, 3]),
+            teids=np.array([10, 20, 30]),
+            tech_codes=np.array([TECH_3G, TECH_4G, TECH_3G], dtype=np.uint8),
+            routing_area_ids=np.array([0, 1, 2]),
+            cell_ids=np.array([5, 6, 7]),
+            cell_commune_ids=np.array([8, 9, 10]),
+        )
+        for kind in (GtpcCreateBulk, GtpcUpdateBulk):
+            part = kind(**columns).take(np.array([False, True, True]))
+            assert type(part) is kind
+            assert len(part) == 2
+            assert part.teids.tolist() == [20, 30]
+            assert part.cell_commune_ids.tolist() == [9, 10]
 
 
 class TestTeidAllocator:

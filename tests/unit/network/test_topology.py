@@ -7,7 +7,7 @@ from repro._rng import as_generator, spawn
 from repro.geo.country import CountryConfig, build_country
 from repro.geo.coverage import Technology
 from repro.network.elements import CoreNodeRole
-from repro.network.gtp import TECH_BY_CODE
+from repro.network.gtp import TECH_3G, TECH_4G
 from repro.network.topology import build_topology
 
 
@@ -54,8 +54,18 @@ class TestDeployment:
 
 class TestServing:
     def test_serving_station_matches_commune(self, topology, rng):
-        bs = topology.serving_station(5, Technology.G3, rng)
-        assert bs.commune_id == 5
+        communes = np.array([5, 5, 9])
+        bs_ids, tech_codes, ra_ids, cell_communes = (
+            topology.serving_station_codes(
+                communes, np.full(3, TECH_3G, dtype=np.uint8), rng
+            )
+        )
+        assert cell_communes.tolist() == [5, 5, 9]
+        assert tech_codes.tolist() == [TECH_3G] * 3
+        for bs_id, ra_id in zip(bs_ids.tolist(), ra_ids.tolist()):
+            bs = topology.base_stations[bs_id]
+            assert bs.technology is Technology.G3
+            assert bs.routing_area_id == ra_id
 
     def test_4g_fallback_to_3g(self, topology, country, rng):
         only_3g = np.nonzero(
@@ -63,17 +73,25 @@ class TestServing:
         )[0]
         if only_3g.size == 0:
             pytest.skip("synthetic country fully 4G-covered")
-        bs = topology.serving_station(int(only_3g[0]), Technology.G4, rng)
-        assert bs.technology is Technology.G3
+        bs_ids, tech_codes, _, _ = topology.serving_station_codes(
+            only_3g[:1], np.array([TECH_4G], dtype=np.uint8), rng
+        )
+        assert tech_codes.tolist() == [TECH_3G]
+        assert topology.base_stations[int(bs_ids[0])].technology is Technology.G3
 
     def test_available_technology(self, topology, country):
-        idx_4g = int(np.nonzero(country.coverage.has_4g)[0][0])
-        assert topology.available_technology(idx_4g, wants_4g=True) is Technology.G4
-        assert topology.available_technology(idx_4g, wants_4g=False) is Technology.G3
+        idx_4g = np.nonzero(country.coverage.has_4g)[0][:1]
+        assert topology.available_technology_codes(idx_4g, True).tolist() == [TECH_4G]
+        assert topology.available_technology_codes(idx_4g, False).tolist() == [TECH_3G]
+        wants = np.array([True, False])
+        assert topology.available_technology_codes(
+            idx_4g.repeat(2), wants
+        ).tolist() == [TECH_4G, TECH_3G]
 
     def test_routing_area_of(self, topology):
         area_id = topology.routing_area_of(0)
         assert 0 in topology.routing_areas[area_id].commune_ids
+        assert topology.routing_area_of(np.array([0, 0])).tolist() == [area_id] * 2
 
 
 class TestWhiteZones:
@@ -103,26 +121,28 @@ class TestWhiteZones:
         )
 
     def test_scalar_and_vector_lookups_serve_white_zone(self, white_topology):
+        # A white zone offers its serving commune's technology, whether
+        # the handset flag is one scalar or a per-session array.
         served = int(white_topology.serving_communes[142])
-        bs = white_topology.serving_station(142, Technology.G4, as_generator(5))
-        assert bs.commune_id == served
-        tech = white_topology.available_technology(142, wants_4g=True)
-        codes = white_topology.available_technology_codes(
-            np.array([142]), np.array([True])
+        scalar = white_topology.available_technology_codes(np.array([142]), True)
+        vector = white_topology.available_technology_codes(
+            np.array([142, served]), np.array([True, True])
         )
-        assert TECH_BY_CODE[int(codes[0])] is tech
+        assert scalar.tolist() == vector[:1].tolist() == vector[1:].tolist()
         _, _, _, cell_communes = white_topology.serving_station_codes(
-            np.array([142, 142]), codes.repeat(2), as_generator(5)
+            np.array([142, 142]), scalar.repeat(2), as_generator(5)
         )
         assert cell_communes.tolist() == [served, served]
 
     def test_white_zone_lookup_is_the_served_communes_lookup(
         self, white_topology
     ):
-        # Same station and same draws: the RNG stream stays aligned.
+        # Same stations and same draws: the RNG stream stays aligned.
         served = int(white_topology.serving_communes[142])
+        tech = np.full(4, TECH_3G, dtype=np.uint8)
         a, b = as_generator(9), as_generator(9)
-        assert white_topology.serving_station(
-            142, Technology.G3, a
-        ) == white_topology.serving_station(served, Technology.G3, b)
+        white = white_topology.serving_station_codes(np.full(4, 142), tech, a)
+        plain = white_topology.serving_station_codes(np.full(4, served), tech, b)
+        for x, y in zip(white, plain):
+            assert np.array_equal(x, y)
         assert a.integers(1 << 30) == b.integers(1 << 30)

@@ -90,28 +90,83 @@ class TestGeneration:
         assert communes <= visited
 
     def test_auditor_hook(self, setup, catalog, intensity_model):
-        generator, probe, population, topology = setup
-        generator.auditor = LocalizationAuditor(topology, seed=9)
-        generator.run_week()
-        assert generator.auditor.n_samples == generator.flows_generated
+        _, _, population, topology = setup
+        # Every long session may span a move, so ULI updates fire.
+        config = WorkloadConfig(long_session_minutes=0.0)
 
-        # Chunked emission, with handover-spanning sessions on the
-        # scalar path: still one sample per flow, drawn in the same
-        # order as the per-subscriber flushes above.
-        chunked = SessionLevelGenerator(
+        def audited(chunk_size):
+            generator = SessionLevelGenerator(
+                intensity_model,
+                population,
+                topology,
+                FingerprintDatabase(catalog, seed=43),
+                config=config,
+                seed=44,
+            )
+            generator.auditor = LocalizationAuditor(topology, seed=9)
+            generator.run_week(chunk_size=chunk_size)
+            assert generator.auditor.n_samples == generator.flows_generated
+            return generator
+
+        per_subscriber = audited(None)
+        stats = per_subscriber._handover.stats
+        assert stats.moves > 0 and stats.updates > 0
+        # Attach and handover draws come from separate streams, each in
+        # subscriber order: the serving cells, hence the errors, do not
+        # depend on the chunk size (the whole week in one chunk too).
+        for chunk_size in (64, 1 << 20):
+            chunked = audited(chunk_size)
+            assert vars(chunked._handover.stats) == vars(stats)
+            assert np.array_equal(
+                chunked.auditor.errors_km(), per_subscriber.auditor.errors_km()
+            )
+
+    def test_spanning_last_flow_follows_the_handover(
+        self, setup, catalog, intensity_model, monkeypatch
+    ):
+        _, _, population, topology = setup
+        generator = SessionLevelGenerator(
             intensity_model,
             population,
             topology,
             FingerprintDatabase(catalog, seed=43),
+            config=WorkloadConfig(long_session_minutes=0.0),
             seed=44,
         )
-        chunked.auditor = LocalizationAuditor(topology, seed=9)
-        chunked.run_week(chunk_size=64)
-        assert chunked._handover.stats.moves > 0
-        assert chunked.auditor.n_samples == chunked.flows_generated
-        assert np.array_equal(
-            chunked.auditor.errors_km(), generator.auditor.errors_km()
-        )
+        probe = CoreProbe().attach_to(generator.session_manager)
+        moves = []
+        move = generator._handover.move
+
+        def spy(sessions, new_communes, wants_4g, timestamps_s):
+            moves.append((sessions, new_communes, wants_4g, timestamps_s))
+            return move(sessions, new_communes, wants_4g, timestamps_s)
+
+        monkeypatch.setattr(generator._handover, "move", spy)
+        generator.run_week(chunk_size=256)
+        # A spanning session's last flow is stamped at the move.
+        commune_at = {
+            (r.imsi_hash, r.timestamp_s): r.commune_id for r in probe.drain()
+        }
+        refreshed = stale = 0
+        for sessions, new_communes, wants_4g, timestamps_s in moves:
+            due = (
+                topology.routing_area_of(new_communes) != sessions.routing_area_ids
+            ) | (
+                topology.available_technology_codes(new_communes, wants_4g)
+                != sessions.tech_codes
+            )
+            for i in range(len(sessions)):
+                got = commune_at[
+                    (int(sessions.imsi_hashes[i]), float(timestamps_s[i]))
+                ]
+                if due[i]:
+                    assert got == topology.serving_communes[new_communes[i]]
+                    refreshed += 1
+                else:
+                    assert got == sessions.cell_commune_ids[i]
+                    assert got != new_communes[i]
+                    stale += 1
+        assert refreshed > 0 and stale > 0
 
     def test_deterministic(self, country, catalog, intensity_model):
         def run():
