@@ -10,6 +10,7 @@ subscribers through their week.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -107,39 +108,56 @@ class SubscriberPopulation:
         return counts
 
 
-def _draw_class(
-    rng: np.random.Generator, cls: UrbanizationClass
-) -> SubscriberClass:
-    mix = _CLASS_MIX[cls]
-    r = rng.random()
-    acc = 0.0
-    for subscriber_class, share in mix:
-        acc += share
-        if r < acc:
-            return subscriber_class
-    return mix[-1][0]
+#: Per urbanization class, the running share thresholds of
+#: ``_CLASS_MIX``: a uniform draw below ``thresholds[i]`` (and not below
+#: an earlier one) picks the mix's ``i``-th class.
+_CLASS_THRESHOLDS: Dict[UrbanizationClass, np.ndarray] = {
+    cls: np.asarray(list(accumulate(share for _, share in mix)))
+    for cls, mix in _CLASS_MIX.items()
+}
 
 
-def _pick_work_commune(
-    country: Country, home: int, rng: np.random.Generator
-) -> int:
-    """Pick a plausible work/school commune: a denser commune nearby.
+def _draw_classes(
+    country: Country, homes: np.ndarray, draws: np.ndarray
+) -> List[SubscriberClass]:
+    """Each subscriber's class from one uniform draw and their home.
 
-    Candidates are drawn among communes within a commuting radius,
-    weighted by population (jobs follow people); falls back to the home
-    commune when it is already the local maximum.
+    The first class whose running share exceeds the draw wins; a draw
+    past every threshold (the shares' rounding) takes the last class.
     """
-    grid = country.grid
-    xy = grid.coordinates_km
-    home_xy = xy[home]
-    d = np.linalg.norm(xy - home_xy, axis=1)
-    radius = 30.0
-    candidates = np.nonzero((d <= radius) & (d > 0))[0]
+    classes = country.urbanization.classes[homes]
+    picked: List[SubscriberClass] = [SubscriberClass.RESIDENT] * len(homes)
+    for cls, thresholds in _CLASS_THRESHOLDS.items():
+        rows = np.flatnonzero(classes == int(cls))
+        if not len(rows):
+            continue
+        mix = _CLASS_MIX[cls]
+        index = np.minimum(
+            np.searchsorted(thresholds, draws[rows], side="right"), len(mix) - 1
+        )
+        for row, i in zip(rows.tolist(), index.tolist()):
+            picked[row] = mix[i][0]
+    return picked
+
+
+def _work_commune_tables(
+    country: Country, home: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Candidate work/school communes of one home, with their CDF.
+
+    Candidates are the communes within a commuting radius, weighted by
+    population (jobs follow people); None when there are none, so the
+    subscriber works at home.
+    """
+    xy = country.grid.coordinates_km
+    d = np.linalg.norm(xy - xy[home], axis=1)
+    candidates = np.nonzero((d <= 30.0) & (d > 0))[0]
     if candidates.size == 0:
-        return home
+        return None
     weights = country.population.residents[candidates]
-    weights = weights / weights.sum()
-    return int(rng.choice(candidates, p=weights))
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return candidates, cdf
 
 
 def synthesize_population(
@@ -154,6 +172,10 @@ def synthesize_population(
     urbanization-dependent mix; service adoption follows the intensity
     model's per-commune adoption rates, so the session-level workload
     reproduces the same spatial sparsity as the volume model.
+
+    Each attribute has its own stream, drawn in one call for the whole
+    population (the work stream: one uniform per commuter or student,
+    in subscriber order, inverted through the home's candidate CDF).
     """
     if n_subscribers < 1:
         raise ValueError(f"n_subscribers must be >= 1, got {n_subscribers}")
@@ -170,31 +192,40 @@ def synthesize_population(
         country.n_communes, size=n_subscribers, p=residents / residents.sum()
     )
     n_head = model.adoption.shape[1]
+    classes = _draw_classes(country, homes, class_rng.random(n_subscribers))
+    adopted = adoption_rng.random((n_subscribers, n_head)) < model.adoption[homes]
+    has_4g = (device_rng.random(n_subscribers) < 0.62).tolist()
+    scales = scale_rng.lognormal(mean=-0.125, sigma=0.5, size=n_subscribers)
 
-    subscribers: List[Subscriber] = []
-    for i in range(n_subscribers):
+    commuting = (SubscriberClass.COMMUTER, SubscriberClass.STUDENT)
+    works: List[Optional[int]] = [None] * n_subscribers
+    workers = [i for i, cls in enumerate(classes) if cls in commuting]
+    tables: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+    for i, u in zip(workers, work_rng.random(len(workers)).tolist()):
         home = int(homes[i])
-        urb = country.class_of(home)
-        subscriber_class = _draw_class(class_rng, urb)
-        adopted = tuple(
-            int(j)
-            for j in range(n_head)
-            if adoption_rng.random() < model.adoption[home, j]
+        if home not in tables:
+            tables[home] = _work_commune_tables(country, home)
+        table = tables[home]
+        if table is None:
+            works[i] = home
+        else:
+            candidates, cdf = table
+            works[i] = int(candidates[np.searchsorted(cdf, u, side="right")])
+
+    subscribers = [
+        Subscriber(
+            imsi_hash=int(1_000_000_007 * (i + 1) % (2**61 - 1)),
+            home_commune=home,
+            subscriber_class=classes[i],
+            has_4g_device=has_4g[i],
+            activity_scale=scale,
+            adopted_services=tuple(np.flatnonzero(row).tolist()),
+            work_commune=works[i],
         )
-        work = None
-        if subscriber_class in (SubscriberClass.COMMUTER, SubscriberClass.STUDENT):
-            work = _pick_work_commune(country, home, work_rng)
-        subscribers.append(
-            Subscriber(
-                imsi_hash=int(1_000_000_007 * (i + 1) % (2**61 - 1)),
-                home_commune=home,
-                subscriber_class=subscriber_class,
-                has_4g_device=bool(device_rng.random() < 0.62),
-                activity_scale=float(scale_rng.lognormal(mean=-0.125, sigma=0.5)),
-                adopted_services=adopted,
-                work_commune=work,
-            )
+        for i, (home, scale, row) in enumerate(
+            zip(homes.tolist(), scales.tolist(), adopted)
         )
+    ]
     return SubscriberPopulation(subscribers, country)
 
 
