@@ -1,15 +1,35 @@
 """Deterministic random-number handling.
 
-Every stochastic component in the package accepts either a seed or a
-:class:`numpy.random.Generator`.  :func:`as_generator` normalizes the two,
-and :func:`spawn` derives independent child generators so that subsystems
-(geography, population, workload, ...) draw from decorrelated streams even
-when built from a single top-level seed.
+Two kinds of randomness live here.
+
+**Streams.**  Every stochastic component accepts either a seed or a
+:class:`numpy.random.Generator`.  :func:`as_generator` normalizes the
+two, and :func:`spawn` derives independent child generators so that
+subsystems (geography, population, workload, ...) draw from
+decorrelated streams even when built from a single top-level seed.
+
+**Keyed draws.**  The session chain draws nothing from a stream.  Each
+of its uniforms is a pure function of ``(root key, label, key,
+counter)``: a :class:`KeyedStream` names a root key and a label, a key
+names the thing drawn for (a subscriber, one of their sessions, one of
+a session's flows; see :func:`identity_keys` and :func:`child_keys`),
+and the counter tells that thing's draws apart.  The hash is
+SplitMix64's output function over uint64 arrays, in the spirit of
+counter-based generators (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11).  A value then depends on what it is drawn
+for, never on which shard, block or batch drew it, or in what order.
+Variates come from closed-form or tabulated inverse CDFs of the keyed
+uniforms (:func:`poisson_variates`, :func:`geometric_variates`,
+:func:`exponential_variates`, :func:`normal_variates`,
+:func:`integer_variates`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+import hashlib
+import math
+from functools import lru_cache
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -27,9 +47,7 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn(
-    rng: np.random.Generator, label: str, index: Optional[int] = None
-) -> np.random.Generator:
+def spawn(rng: np.random.Generator, label: str) -> np.random.Generator:
     """Derive an independent child generator keyed by ``label``.
 
     The label is folded into the seed material so the child stream is
@@ -37,22 +55,136 @@ def spawn(
     ``("geo", "traffic")`` or ``("traffic", "geo")`` yields the same pair
     of streams for the same parent state only if called in the same order,
     so callers should spawn all children up front in a fixed order.
-
-    ``index`` labels one shard of a partitioned workload: spawning
-    ``("shard", 0), ("shard", 1), ...`` in a fixed order yields streams
-    that are decorrelated from each other *and* stable for a given shard
-    count, which is what makes sharded runs reproducible regardless of
-    how many workers execute the shards.
     """
     label_digest = np.frombuffer(label.encode("utf-8"), dtype=np.uint8)
     entropy = rng.integers(0, 2**63 - 1)
-    material = [int(entropy), *label_digest.tolist()]
-    if index is not None:
-        if index < 0:
-            raise ValueError(f"shard index must be >= 0, got {index}")
-        material.append(int(index))
-    seed_seq = np.random.SeedSequence(material)
+    seed_seq = np.random.SeedSequence([int(entropy), *label_digest.tolist()])
     return np.random.default_rng(seed_seq)
+
+
+#: SplitMix64's increment: the 64-bit golden ratio.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function over a fresh uint64 array, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MUL1
+    z ^= z >> np.uint64(27)
+    z *= _MUL2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def root_key(seed: SeedLike) -> int:
+    """The 64-bit root key of keyed draws for ``seed``.
+
+    An int seed is its own root key; a generator gives one 64-bit draw
+    (``None``: a fresh OS-seeded one).
+    """
+    if isinstance(seed, (int, np.integer)):
+        return int(seed) & _MASK
+    return int(as_generator(seed).integers(0, 2**64, dtype=np.uint64))
+
+
+def identity_keys(ids) -> np.ndarray:
+    """Keys of integer identities (e.g. subscribers' imsi hashes)."""
+    return _mix(np.array(ids, dtype=np.int64).astype(np.uint64))
+
+
+def child_keys(parents: np.ndarray, ordinals) -> np.ndarray:
+    """Keys of the ``ordinals``-th children of keyed ``parents``.
+
+    A subscriber's ``i``-th session, or a session's ``j``-th flow:
+    ``child_keys(parent, i)`` is SplitMix64's ``i + 1``-th output from
+    ``parent``.
+    """
+    steps = np.asarray(ordinals, dtype=np.int64).astype(np.uint64) + np.uint64(1)
+    return _mix(np.asarray(parents, dtype=np.uint64) + steps * _GAMMA)
+
+
+@lru_cache(maxsize=None)
+def _stream_offset(root: int, label: str, counter: int) -> np.uint64:
+    digest = hashlib.blake2b(
+        f"{label}#{counter}".encode("utf-8"),
+        digest_size=8,
+        key=root.to_bytes(8, "little"),
+    ).digest()
+    return np.uint64(int.from_bytes(digest, "little"))
+
+
+class KeyedStream:
+    """The keyed uniforms of one labelled stream under a root key."""
+
+    __slots__ = ("root", "label")
+
+    def __init__(self, root: int, label: str):
+        self.root = int(root) & _MASK
+        self.label = label
+
+    def uniform(self, keys: np.ndarray, counter: int = 0) -> np.ndarray:
+        """One uniform in the open interval (0, 1) per key.
+
+        The top 52 bits of the hash, centred in their bucket:
+        ``((h >> 12) + 0.5) * 2**-52`` is exact in float64, so the
+        largest value is ``1 - 2**-53`` and the smallest ``2**-53``.
+        """
+        offset = _stream_offset(self.root, self.label, int(counter))
+        h = _mix(np.asarray(keys, dtype=np.uint64) + offset)
+        h >>= np.uint64(12)
+        return (h.astype(np.float64) + 0.5) * 2.0**-52
+
+
+@lru_cache(maxsize=None)
+def _poisson_cdf(mean: float) -> np.ndarray:
+    """CDF of Poisson(``mean``) up to where its tail is negligible.
+
+    Built with scalar ``math`` calls, in log space so large means do
+    not underflow, and scaled so its last entry is exactly 1.
+    """
+    terms = int(mean + 16.0 * math.sqrt(mean) + 32.0)
+    log_mean = math.log(mean)
+    cdf, acc = [], 0.0
+    for k in range(terms):
+        acc += math.exp(k * log_mean - mean - math.lgamma(k + 1.0))
+        cdf.append(acc)
+    return np.asarray(cdf) / acc
+
+
+def poisson_variates(u: np.ndarray, mean: float) -> np.ndarray:
+    """Poisson(``mean``) variates of uniforms, by inverse-CDF table."""
+    if mean <= 0:
+        raise ValueError(f"mean must be > 0, got {mean}")
+    cdf = _poisson_cdf(float(mean))
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def geometric_variates(u: np.ndarray, p: float) -> np.ndarray:
+    """Geometric(``p``) variates on {1, 2, ...} of uniforms."""
+    if not 0 < p <= 1:
+        raise ValueError(f"p must be in (0, 1], got {p}")
+    if p >= 1:
+        return np.ones(np.shape(u), dtype=np.int64)
+    return 1 + np.floor(np.log(u) / math.log1p(-p)).astype(np.int64)
+
+
+def exponential_variates(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Exponential variates of mean ``scale`` of uniforms."""
+    return -scale * np.log(u)
+
+
+def normal_variates(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normal variates of two uniforms each (Box-Muller)."""
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def integer_variates(u: np.ndarray, n) -> np.ndarray:
+    """Uniform integers in ``[0, n)`` of uniforms (``n`` may be an array)."""
+    n = np.asarray(n, dtype=np.int64)
+    return np.minimum((u * n).astype(np.int64), n - 1)
 
 
 def spawn_many(
@@ -96,7 +228,16 @@ def zipf_weights(n: int, exponent: float) -> np.ndarray:
 
 __all__ = [
     "SeedLike",
+    "KeyedStream",
     "as_generator",
+    "child_keys",
+    "exponential_variates",
+    "geometric_variates",
+    "identity_keys",
+    "integer_variates",
+    "normal_variates",
+    "poisson_variates",
+    "root_key",
     "spawn",
     "spawn_many",
     "optional_choice",

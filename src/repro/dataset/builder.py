@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from repro import obs
-from repro._rng import SeedLike, as_generator, spawn
+from repro._rng import SeedLike, as_generator, root_key, spawn
 from repro._time import TimeAxis
 from repro.dataset.aggregation import CommuneAggregator
 from repro.dataset.merge import SpillStore
@@ -130,10 +130,11 @@ def build_session_level_dataset(
     (:func:`repro.dataset.parallel.run_shard`) and merged; every build
     takes this path, one shard included.  ``n_workers`` controls how
     many processes execute the shards (one shard, or one worker, runs
-    in-process).  Results depend on ``(seed, n_shards)`` only — for a
-    fixed shard count, any worker count produces bit-identical
-    datasets.  ``n_shards=None`` derives the shard count from
-    ``n_workers``.
+    in-process).  ``n_shards=None`` derives the shard count from
+    ``n_workers``.  Results depend on the seed only: every draw of the
+    chain is keyed by the subscriber, session or flow it is for (see
+    :mod:`repro._rng`), so the shard count, the worker count, the chunk
+    size, retries and spilling never change a bit of the dataset.
 
     The returned artifacts include the DPI classification report — the
     build's one byte ledger, kept in exact integer bytes;
@@ -169,13 +170,9 @@ def build_session_level_dataset(
     :class:`~repro.dataset.merge.SpillStore` and are loaded back one at
     a time during the merge, which folds them into the first partial.
     Spilling requires an integer ``seed`` (the store is keyed like a
-    checkpoint).  For a fixed ``(seed, n_shards)``, the dataset is
-    bit-identical for **any** combination of ``chunk_size``,
-    ``n_workers``, supervision and spill settings — these knobs trade
-    memory for time, never content — except under a nonzero
-    ``control_loss_rate``, whose probe-side loss draws consume the
-    probe RNG in arrival-batch order and therefore depend on how
-    emission is chunked.
+    checkpoint).  These knobs trade memory for time, never content:
+    probe-side capture losses under a nonzero ``control_loss_rate``
+    are keyed by session too.
     """
     if country_config is None:
         country_config = CountryConfig(n_communes=400)
@@ -247,12 +244,7 @@ def build_session_level_dataset(
         unclassifiable_rate=unclassifiable_rate,
         control_loss_rate=control_loss_rate,
         shard_subscribers=partition_subscribers(population, n_shards),
-        # One shard draws from this generator itself; see _run_shard.
-        shard_rngs=(
-            [rng]
-            if n_shards == 1
-            else [spawn(rng, "builder.shard", index=i) for i in range(n_shards)]
-        ),
+        root_key=root_key(spawn(rng, "builder.draws")),
         chunk_size=chunk_size,
         audit_localization=audit_localization,
     )

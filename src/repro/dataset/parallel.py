@@ -9,13 +9,14 @@ touches only their own sessions, and every downstream structure
 (aggregation tensors, national counters, per-commune user sets,
 DPI/probe accounting) is a sum over subscribers.
 
-Determinism contract: shard RNG streams are spawned by the *parent* from
-the builder seed (``spawn(rng, "builder.shard", index=i)``), one per
-shard in index order; a one-shard plan draws from the builder's own
-stream instead (see :func:`_run_shard`).  Partials are integer sums, so
-merging them is exact in any order.  Results are therefore a function
-of ``(seed, n_shards)`` only — ``n_workers`` changes wall-clock, never a
-single bit of the dataset.
+Determinism contract: a build is a function of its seed alone.  Every
+shard draws keyed uniforms under the plan's one root key (see
+:mod:`repro._rng`), keyed by the subscriber, session or flow each draw
+is for, so a subscriber's week is the same in whichever shard, block or
+attempt it is drawn.  Partials are integer sums, so merging them is
+exact in any order.  ``n_shards``, ``n_workers``, the chunk size,
+retries and spilling change wall-clock and memory, never a single bit
+of the dataset.
 
 Workers are forked (copy-on-write) so the shared read-only artifacts
 (country, intensity model, topology, population) are not pickled;
@@ -25,13 +26,12 @@ shard, one worker, or a platform without ``fork`` runs in-process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro import obs
-from repro._rng import spawn
 from repro.resilience.faults import (
     drop_fraction_for,
     fire_stage_faults,
@@ -65,7 +65,8 @@ class ShardPlan:
     unclassifiable_rate: float
     control_loss_rate: float
     shard_subscribers: List[List[Subscriber]]
-    shard_rngs: List[np.random.Generator]
+    #: Root key of every keyed draw in every shard.
+    root_key: int
     #: Records per streamed probe chunk inside each shard.  Never
     #: changes content — see ``builder.build_session_level_dataset``.
     chunk_size: int = 8192
@@ -215,13 +216,6 @@ def _run_shard(
     in_worker: bool = False,
 ) -> ShardResult:
     fire_stage_faults(faults, "generate", in_worker)
-    srng = plan.shard_rngs[shard_index]
-    # A one-shard plan's stream is the builder's own generator, drawn
-    # under the builder's labels, so one-shard datasets keep the bytes
-    # they were pinned at.  Per-subscriber RNG streams (ROADMAP, "Exact,
-    # order-free builds") make every shard count draw alike and retire
-    # this distinction.
-    label = "builder" if plan.n_shards == 1 else "shard"
     aggregator = CommuneAggregator(
         plan.country,
         plan.catalog,
@@ -238,7 +232,7 @@ def _run_shard(
     fingerprints = FingerprintDatabase(
         plan.catalog,
         unclassifiable_rate=plan.unclassifiable_rate,
-        seed=spawn(srng, f"{label}.fingerprints"),
+        seed=plan.root_key,
     )
     generator = SessionLevelGenerator(
         plan.model,
@@ -246,17 +240,14 @@ def _run_shard(
         plan.topology,
         fingerprints,
         config=plan.workload_config,
-        seed=spawn(srng, f"{label}.generator"),
+        seed=plan.root_key,
     )
     probe = CoreProbe(
-        control_loss_rate=plan.control_loss_rate,
-        seed=spawn(srng, f"{label}.probe"),
+        control_loss_rate=plan.control_loss_rate, seed=plan.root_key
     )
     probe.attach_to(generator.session_manager)
     if plan.audit_localization:
-        generator.auditor = LocalizationAuditor(
-            plan.topology, seed=spawn(srng, f"{label}.auditor")
-        )
+        generator.auditor = LocalizationAuditor(plan.topology, seed=plan.root_key)
     drop_fraction = drop_fraction_for(faults)
     records_dropped = 0
 
@@ -319,25 +310,19 @@ class WorkerContext:
 
     Under the ``fork`` start method, initializer arguments are
     inherited copy-on-write — the heavy shared artifacts inside the
-    plan are never pickled.  ``rng_states`` snapshots every shard
-    stream *before* execution so any attempt of shard ``i`` — first
-    try, retry, or a re-dispatch on a rebuilt pool — restores the
-    identical generator state and reproduces the shard bit-for-bit.
+    plan are never pickled.  A shard's content is a pure function of
+    the plan, so any attempt of shard ``i`` — first try, retry, or a
+    re-dispatch on a rebuilt pool — reproduces it bit-for-bit.
     """
 
     plan: ShardPlan
     fault_plan: Optional[Any] = None
-    rng_states: List[dict] = field(default_factory=list)
 
     @classmethod
     def for_plan(
         cls, plan: ShardPlan, fault_plan: Optional[Any] = None
     ) -> "WorkerContext":
-        return cls(
-            plan=plan,
-            fault_plan=fault_plan,
-            rng_states=[g.bit_generator.state for g in plan.shard_rngs],
-        )
+        return cls(plan=plan, fault_plan=fault_plan)
 
     def faults_for(self, shard_index: int, attempt: int) -> Sequence[Any]:
         if self.fault_plan is None:
@@ -364,14 +349,12 @@ def run_shard_attempt(
     attempt: int,
     in_worker: bool = False,
 ) -> ShardResult:
-    """One supervised attempt: restore the shard RNG stream, then run.
+    """One supervised attempt of a shard.
 
-    Restoring from the pre-execution snapshot makes attempts
-    independent: a retry consumes exactly the stream the first try did,
-    so a recovered build is bit-identical to an undisturbed one.
+    An attempt draws nothing but keyed uniforms of the plan, so a retry
+    reproduces the first try and a recovered build is bit-identical to
+    an undisturbed one.
     """
-    generator = context.plan.shard_rngs[shard_index]
-    generator.bit_generator.state = context.rng_states[shard_index]
     return run_shard(
         context.plan,
         shard_index,

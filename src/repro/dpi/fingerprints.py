@@ -10,13 +10,15 @@ service's flows.  The database is used from both sides:
   become the paper's ~12 % unclassified volume;
 - the **classifier** matches descriptors back against the same features.
 
-The bulk emitter (:meth:`FingerprintDatabase.emit_flow_features`) does
-not render strings at all: it returns one int64 feature code per flow
+The bulk emitter (:meth:`FingerprintDatabase.feature_codes`) does not
+render strings at all: it returns one int64 feature code per flow
 against the database's :attr:`~FingerprintDatabase.codebook`, a
 :class:`~repro.network.gtp.FeatureCodebook` over every suffix and hint
-of the catalog's fingerprints.  The codebook is a pure function of the
-catalog, so the classifier's own database decodes the emitter's codes
-to the very strings the scalar emitter would have rendered.
+of the catalog's fingerprints.  Each code field is a keyed draw of the
+flow's key, so a flow's features depend on that flow alone.  The
+codebook is a pure function of the catalog, so the classifier's own
+database decodes the emitter's codes to the very strings the scalar
+emitter would have rendered.
 
 Head-service fingerprints use the services' real-world domains; the
 anonymous tail services get generated CDN-style domains.
@@ -29,7 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import SeedLike, as_generator
+from repro._rng import (
+    KeyedStream,
+    SeedLike,
+    as_generator,
+    integer_variates,
+    root_key,
+)
 from repro.network.gtp import FeatureCodebook, FlowDescriptor, endpoint_name
 from repro.services.catalog import ServiceCatalog
 
@@ -211,8 +219,8 @@ class FingerprintDatabase:
         self._catalog = catalog
         self.unclassifiable_rate = float(unclassifiable_rate)
         self._rng = as_generator(seed)
+        self._draws = KeyedStream(root_key(seed), "dpi.features")
         self._flow_counter = 0
-        self._feature_buffers: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._fingerprints: Dict[str, ServiceFingerprint] = {}
         for service in catalog:
             if service.name in _HEAD_FINGERPRINTS:
@@ -233,6 +241,8 @@ class FingerprintDatabase:
                 dict.fromkeys(h for fp in fingerprints for h in fp.payload_hints)
             ),
         )
+        self._service_index = {fp.service_name: i for i, fp in enumerate(fingerprints)}
+        self._tables = _FeatureTables(fingerprints, self.codebook)
 
     def fingerprint_of(self, service_name: str) -> ServiceFingerprint:
         """Fingerprint of a service (KeyError for unknown services)."""
@@ -301,48 +311,42 @@ class FingerprintDatabase:
         )
 
 
-    #: Minimum batch drawn into a service's feature buffer; requests are
-    #: served from the buffer so many small emits amortize to one big draw.
-    FEATURE_CHUNK = 512
+    def service_index(self, service_name: str) -> int:
+        """Position of a service in catalog order (KeyError if unknown)."""
+        return self._service_index[service_name]
 
     def emit_flow_features(
         self, service_name: str, n: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Columnar :meth:`emit_flow`: features for ``n`` flows at once.
 
-        Returns ``(flow_ids, feature_codes)``, two int64 arrays; the
-        codes decode through :attr:`codebook` to features drawn from the
-        same per-feature distributions as the scalar emitter
-        (obfuscation rate, TLS share, signature ports, payload-hint
-        probability), using batched RNG draws.  Draws are buffered per
-        service in chunks of at least ``FEATURE_CHUNK``, so typical
-        small per-subscriber requests cost a slice, not an RNG
-        round-trip.  The draw *order* differs from ``n`` scalar calls,
-        so the two emitters produce statistically equivalent but not
-        bit-identical corpora.
+        Returns ``(flow_ids, feature_codes)``, two int64 arrays: the
+        database's next ``n`` flow ids, and :meth:`feature_codes` keyed
+        by them.
         """
-        buffered = self._feature_buffers.get(service_name)
-        have = 0 if buffered is None else len(buffered[0])
-        if have < n:
-            fresh = self._draw_flow_features(
-                service_name, max(n - have, self.FEATURE_CHUNK)
-            )
-            buffered = fresh if buffered is None else tuple(
-                np.concatenate(pair) for pair in zip(buffered, fresh)
-            )
-        flow_ids, codes = buffered
-        self._feature_buffers[service_name] = (flow_ids[n:], codes[n:])
-        return flow_ids[:n], codes[:n]
-
-    def _draw_flow_features(
-        self, service_name: str, n: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        rng = self._rng
-        codebook = self.codebook
-        fp = self.fingerprint_of(service_name)
         start = self._flow_counter + 1
         self._flow_counter += n
         flow_ids = np.arange(start, start + n, dtype=np.int64)
+        services = np.full(n, self.service_index(service_name))
+        return flow_ids, self.feature_codes(services, flow_ids)
+
+    def feature_codes(
+        self, services: np.ndarray, flow_keys: np.ndarray
+    ) -> np.ndarray:
+        """One feature code per flow ``i`` of service ``services[i]``.
+
+        ``services`` are positions in catalog order (:meth:`service_index`).
+
+        The codes decode through :attr:`codebook` to features drawn from
+        the scalar emitter's per-feature distributions (obfuscation
+        rate, TLS share, signature ports, payload-hint probability).
+        Every field is a keyed draw of ``flow_keys[i]``, one counter per
+        field, drawn only for the flows the field applies to.
+        """
+        draws, t = self._draws, self._tables
+        services = np.asarray(services, dtype=np.int64)
+        keys = np.asarray(flow_keys).astype(np.uint64)
+        n = len(keys)
         # Codebook fields per flow; 0 means "no name" / "no hint", and a
         # port field of 0 is port 0 over tcp, i.e. "no port chosen yet".
         snis = np.zeros(n, dtype=np.int64)
@@ -350,65 +354,90 @@ class FingerprintDatabase:
         hints = np.zeros(n, dtype=np.int64)
         ports = np.zeros(n, dtype=np.int64)
 
-        obfuscated = rng.random(n) < self.unclassifiable_rate
-        obf_rows = np.flatnonzero(obfuscated)
-        if len(obf_rows):
-            ports[obf_rows] = rng.integers(40000, 60000, size=len(obf_rows)) * 2
-            ports[obf_rows] += rng.random(len(obf_rows)) < 0.5  # udp
-        clear_rows = np.flatnonzero(~obfuscated)
-        m = len(clear_rows)
-        if fp.sni_suffixes and m:
-            use_tls = rng.random(m) < fp.tls_share
-        else:
-            use_tls = np.zeros(m, dtype=bool)
-        tls_rows = clear_rows[use_tls]
-        if len(tls_rows):
-            ports[tls_rows] = codebook.port_field(443, "tcp")
-            snis[tls_rows] = self._endpoint_fields(fp.sni_suffixes, len(tls_rows))
-        plain_rows = clear_rows[~use_tls]
-        if len(plain_rows):
-            if fp.host_suffixes:
-                ports[plain_rows] = codebook.port_field(80, "tcp")
-                hosts[plain_rows] = self._endpoint_fields(
-                    fp.host_suffixes, len(plain_rows)
-                )
-            # Signature ports apply exactly where the scalar emitter
-            # applies them: clear-text flows (and, for SNI-less
-            # services, every non-obfuscated flow).
-            if fp.port_signatures:
-                signatures = [codebook.port_field(*s) for s in fp.port_signatures]
-                ports[plain_rows] = np.asarray(signatures)[
-                    rng.integers(len(signatures), size=len(plain_rows))
-                ]
-        generic_rows = clear_rows[ports[clear_rows] == 0]
-        if len(generic_rows):
-            generic = [codebook.port_field(*pair) for pair in _GENERIC_PORTS]
-            ports[generic_rows] = np.asarray(generic)[
-                rng.integers(len(generic), size=len(generic_rows))
-            ]
-        if fp.payload_hints and m:
-            hinted = clear_rows[rng.random(m) < 0.7]
-            if len(hinted):
-                fields = [codebook.hint_field(h) for h in fp.payload_hints]
-                hints[hinted] = np.asarray(fields)[
-                    rng.integers(len(fields), size=len(hinted))
-                ]
-        return flow_ids, codebook.pack(snis, hosts, hints, ports)
+        obfuscated = draws.uniform(keys, 0) < self.unclassifiable_rate
+        rows = np.flatnonzero(obfuscated)
+        ports[rows] = 2 * (40000 + integer_variates(draws.uniform(keys[rows], 1), 20000))
+        ports[rows] += draws.uniform(keys[rows], 2) < 0.5  # udp
+        clear = np.flatnonzero(~obfuscated)
+        use_tls = draws.uniform(keys[clear], 3) < t.tls_share[services[clear]]
+        rows = clear[use_tls]
+        ports[rows] = t.https
+        snis[rows] = self._endpoint_fields(t.sni, services[rows], keys[rows])
+        plain = clear[~use_tls]
+        rows = plain[t.host.counts[services[plain]] > 0]
+        ports[rows] = t.http
+        hosts[rows] = self._endpoint_fields(t.host, services[rows], keys[rows])
+        # Signature ports apply exactly where the scalar emitter applies
+        # them: clear-text flows (and, for SNI-less services, every
+        # non-obfuscated flow); generic ports where no port was chosen.
+        rows = plain[t.signatures.counts[services[plain]] > 0]
+        ports[rows] = t.signatures.pick(services[rows], draws.uniform(keys[rows], 4))
+        rows = clear[ports[clear] == 0]
+        ports[rows] = t.generic[
+            integer_variates(draws.uniform(keys[rows], 4), len(t.generic))
+        ]
+        rows = clear[t.hints.counts[services[clear]] > 0]
+        rows = rows[draws.uniform(keys[rows], 5) < 0.7]
+        hints[rows] = t.hints.pick(services[rows], draws.uniform(keys[rows], 6))
+        return self.codebook.pack(snis, hosts, hints, ports)
 
-    def _endpoint_fields(self, suffixes: Sequence[str], n: int) -> np.ndarray:
-        """``n`` codebook endpoint fields drawn like :func:`_endpoint`.
+    def _endpoint_fields(
+        self, table: "_Choices", services: np.ndarray, keys: np.ndarray
+    ) -> np.ndarray:
+        """Endpoint fields drawn like :func:`_endpoint`: a suffix, then a
+        label (1000 edge nodes, or 100 providers for prefix-style
+        suffixes)."""
+        suffix = integer_variates(
+            self._draws.uniform(keys, 7), table.counts[services]
+        )
+        labels = np.where(table.prefix[services, suffix], 100, 1000)
+        label = integer_variates(self._draws.uniform(keys, 8), labels)
+        return table.values[services, suffix] + label
 
-        Three batched draws, in this order: the suffix, the edge label
-        and the provider; prefix-style suffixes keep the provider, the
-        others the label.
-        """
-        rng = self._rng
-        base = np.asarray([self.codebook.suffix_field(s) for s in suffixes])
-        prefix = np.asarray([s.endswith(".") for s in suffixes])
-        suffix_idx = rng.integers(len(suffixes), size=n)
-        labels = rng.integers(1000, size=n)
-        providers = rng.integers(100, size=n)
-        return base[suffix_idx] + np.where(prefix[suffix_idx], providers, labels)
+
+class _Choices:
+    """A ragged per-service list of field values, padded to a table."""
+
+    def __init__(self, rows: Sequence[Sequence[int]], prefix=None):
+        width = max(1, max(len(r) for r in rows))
+        self.counts = np.asarray([len(r) for r in rows], dtype=np.int64)
+        self.values = np.zeros((len(rows), width), dtype=np.int64)
+        self.prefix = np.zeros((len(rows), width), dtype=bool)
+        for i, row in enumerate(rows):
+            self.values[i, : len(row)] = row
+            if prefix is not None:
+                self.prefix[i, : len(row)] = prefix[i]
+
+    def pick(self, services: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One of each service's values, uniformly by ``u``."""
+        return self.values[services, integer_variates(u, self.counts[services])]
+
+
+class _FeatureTables:
+    """Per-service emission parameters as arrays, in catalog order."""
+
+    def __init__(self, fingerprints: Sequence[ServiceFingerprint], codebook):
+        def endpoints(attr: str) -> _Choices:
+            suffixes = [getattr(fp, attr) for fp in fingerprints]
+            return _Choices(
+                [[codebook.suffix_field(x) for x in row] for row in suffixes],
+                prefix=[[x.endswith(".") for x in row] for row in suffixes],
+            )
+
+        self.tls_share = np.asarray(
+            [fp.tls_share if fp.sni_suffixes else 0.0 for fp in fingerprints]
+        )
+        self.sni = endpoints("sni_suffixes")
+        self.host = endpoints("host_suffixes")
+        self.signatures = _Choices(
+            [[codebook.port_field(*s) for s in fp.port_signatures] for fp in fingerprints]
+        )
+        self.hints = _Choices(
+            [[codebook.hint_field(h) for h in fp.payload_hints] for fp in fingerprints]
+        )
+        self.generic = np.asarray([codebook.port_field(*p) for p in _GENERIC_PORTS])
+        self.https = codebook.port_field(443, "tcp")
+        self.http = codebook.port_field(80, "tcp")
 
 
 def _endpoint(rng: np.random.Generator, suffixes: Sequence[str]) -> str:

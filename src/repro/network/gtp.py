@@ -293,6 +293,14 @@ class FeatureCodebook:
         return None
 
 
+def session_keys_or_teids(session_keys, teids) -> np.ndarray:
+    """Sessions' keyed-draw identities as uint64: the given keys, else
+    the TEIDs (unique per session manager)."""
+    if session_keys is None:
+        session_keys = teids
+    return np.asarray(session_keys).astype(np.uint64, copy=False)
+
+
 #: The codebook with no names: it encodes port/protocol-only features
 #: and sends everything else to a batch's overflow table.
 EMPTY_CODEBOOK = FeatureCodebook()
@@ -309,6 +317,11 @@ class GtpcCreateBulk:
     ECGI/TAI on 4G) rides as parallel columns: technology, routing
     area, serving cell, and the cell's commune — the simulator's
     stand-in for the operator's cell database.
+
+    ``session_keys`` are the sessions' keyed-draw identities (see
+    :mod:`repro._rng`): every draw made for a session downstream (its
+    serving cells, the probe's capture losses) is keyed by them.  A
+    batch built without them is keyed by its TEIDs.
     """
 
     timestamps_s: np.ndarray
@@ -318,6 +331,10 @@ class GtpcCreateBulk:
     routing_area_ids: np.ndarray
     cell_ids: np.ndarray
     cell_commune_ids: np.ndarray
+    session_keys: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.session_keys = session_keys_or_teids(self.session_keys, self.teids)
 
     def __len__(self) -> int:
         return len(self.teids)
@@ -345,6 +362,10 @@ class GtpcDeleteBulk:
     imsi_hashes: np.ndarray
     teids: np.ndarray
     tech_codes: np.ndarray
+    session_keys: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        self.session_keys = session_keys_or_teids(self.session_keys, self.teids)
 
     def __len__(self) -> int:
         return len(self.teids)
@@ -422,6 +443,7 @@ __all__ = [
     "GtpcDeleteBulk",
     "GtpuBulk",
     "TeidAllocator",
+    "session_keys_or_teids",
     "TECH_3G",
     "TECH_4G",
     "TECH_BY_CODE",

@@ -49,18 +49,11 @@ class HandoverStats:
 class HandoverManager:
     """Decides which commune changes refresh a session's ULI."""
 
-    def __init__(
-        self,
-        topology: NetworkTopology,
-        sessions: SessionManager,
-        rng: np.random.Generator,
-    ):
-        """``rng`` picks the serving cells of refreshed ULIs; a stream
-        of its own keeps the attach stream's draws independent of how
-        sessions are batched."""
+    def __init__(self, topology: NetworkTopology, sessions: SessionManager):
+        """Refreshed ULIs go through ``sessions``, which draws their
+        serving cells from the sessions' keys."""
         self._topology = topology
         self._sessions = sessions
-        self._rng = rng
         self.stats = HandoverStats()
 
     def move(
@@ -101,7 +94,7 @@ class HandoverManager:
             np.asarray(new_commune_ids)[update],
             np.broadcast_to(wants_4g, len(sessions))[update],
             np.asarray(timestamps_s)[update],
-            self._rng,
+            sessions.session_keys[update],
         )
         after = sessions.take(np.arange(len(sessions)))
         for f in dataclasses.fields(refreshed):

@@ -11,8 +11,9 @@ position of the cell the ULI names, and reports the error distribution
 — the quantitative argument for aggregating at commune scale.
 
 The auditor only observes: the generator hands it whole batches of
-flows, and it draws from its own RNG stream alone, so an audited build
-emits exactly the dataset of an unaudited one.
+flows, and its only draws are keyed by the flows' keys on a stream of
+its own, so an audited build emits exactly the dataset of an unaudited
+one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro._rng import SeedLike, as_generator
+from repro._rng import KeyedStream, SeedLike, root_key
 from repro.network.topology import NetworkTopology
 
 
@@ -29,7 +30,7 @@ class LocalizationAuditor:
     """Collects per-flow localization errors during session generation."""
 
     def __init__(self, topology: NetworkTopology, seed: SeedLike = None):
-        self._rng = as_generator(seed)
+        self._draws = KeyedStream(root_key(seed), "localization.position")
         grid = topology.country.grid
         self._half_cell_km = grid.cell_km / 2.0
         self._commune_xy = grid.coordinates_km
@@ -41,20 +42,23 @@ class LocalizationAuditor:
         self._errors: List[np.ndarray] = []
         self._correct: List[np.ndarray] = []
 
-    def record(self, true_commune_ids, cell_ids) -> np.ndarray:
+    def record(self, true_commune_ids, cell_ids, flow_keys=None) -> np.ndarray:
         """Record a batch of flows; returns their errors in km.
 
         Flow ``i`` was carried while its subscriber was in commune
-        ``true_commune_ids[i]`` and its ULI named cell ``cell_ids[i]``.
+        ``true_commune_ids[i]`` and its ULI named cell ``cell_ids[i]``;
+        its true position is keyed by ``flow_keys[i]`` (default: the
+        flow's sample ordinal in this auditor).
         """
         true = np.asarray(true_commune_ids, dtype=np.int64)
         cells = np.asarray(cell_ids, dtype=np.int64)
+        if flow_keys is None:
+            flow_keys = self.n_samples + np.arange(len(true))
         # The subscriber's true position: uniform within the commune's
         # grid cell (the simulator does not track sub-commune movement).
-        half = self._half_cell_km
-        position = self._commune_xy[true] + self._rng.uniform(
-            -half, half, size=(len(true), 2)
-        )
+        keys = np.asarray(flow_keys).astype(np.uint64)
+        unit = np.stack([self._draws.uniform(keys, c) for c in (0, 1)], axis=1)
+        position = self._commune_xy[true] + self._half_cell_km * (2.0 * unit - 1.0)
         offset = position - self._cell_xy[cells]
         errors = np.hypot(offset[:, 0], offset[:, 1])
         self._errors.append(errors)

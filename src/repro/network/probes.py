@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro._rng import SeedLike, as_generator
+from repro._rng import KeyedStream, SeedLike, root_key
 from repro.geo.coverage import Technology
 from repro.network.gtp import (
     TECH_BY_CODE,
@@ -221,9 +221,9 @@ class CoreProbe:
         """``control_loss_rate`` drops a fraction of GTP-C messages, to
         model imperfect capture; orphaned user-plane traffic is counted
         but produces no record (as in the real pipeline, where it simply
-        cannot be geo-referenced).  ``seed`` is any
-        :data:`~repro._rng.SeedLike`, including an existing generator
-        (how the builder hands the probe a spawned stream)."""
+        cannot be geo-referenced).  Each loss is a keyed draw of the
+        session's key under ``seed``'s root key (see :meth:`on_control`),
+        so what is lost does not depend on how messages are batched."""
         if not 0 <= control_loss_rate < 1:
             raise ValueError(
                 f"control_loss_rate must be in [0, 1), got {control_loss_rate}"
@@ -233,7 +233,7 @@ class CoreProbe:
         # Arrival-ordered record batches.
         self._records: List[ProbeRecordBatch] = []
         self._loss_rate = control_loss_rate
-        self._rng = as_generator(seed)
+        self._loss_draws = KeyedStream(root_key(seed), "probe.loss")
         self.stats = ProbeStats()
         # Streaming mode (see stream_to): records flow to a sink in
         # bounded chunks instead of accumulating until drained.
@@ -290,14 +290,16 @@ class CoreProbe:
         pair, so it accounts two control messages and the tunnel becomes
         known unless *both* are lost.  A :class:`GtpcUpdateBulk` entry is
         one message; a kept one sets the tunnel's ULI, known tunnel or
-        not.  A kept delete forgets the tunnel.
+        not.  A kept delete forgets the tunnel.  A session's create pair,
+        update and delete draw counters 0-1, 2 and 3 of its key.
         """
         n = len(bulk)
+        draws, rate = self._loss_draws, self._loss_rate
         if isinstance(bulk, GtpcDeleteBulk):
             self.stats.control_messages += n
             teids = bulk.teids
-            if self._loss_rate:
-                teids = teids[self._rng.random(n) >= self._loss_rate]
+            if rate:
+                teids = teids[draws.uniform(bulk.session_keys, 3) >= rate]
             for teid in teids.tolist():
                 self._tunnels.pop(teid, None)
             return
@@ -309,10 +311,13 @@ class CoreProbe:
             bulk.cell_commune_ids.tolist(),
             bulk.tech_codes.tolist(),
         )
-        if self._loss_rate:
-            kept = self._rng.random(n) >= self._loss_rate
+        if rate:
             if pair:
-                kept |= self._rng.random(n) >= self._loss_rate
+                kept = (draws.uniform(bulk.session_keys, 0) >= rate) | (
+                    draws.uniform(bulk.session_keys, 1) >= rate
+                )
+            else:
+                kept = draws.uniform(bulk.session_keys, 2) >= rate
             rows = (row for keep, row in zip(kept.tolist(), rows) if keep)
         tunnels = self._tunnels
         for teid, imsi, commune, tech in rows:

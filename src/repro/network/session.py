@@ -11,11 +11,12 @@ is exactly how the passive probes observe the network.
 
 from __future__ import annotations
 
-from typing import Callable, List, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from repro import obs
+from repro._rng import KeyedStream, SeedLike, root_key
 from repro.network.gtp import (
     FeatureCodebook,
     GtpcCreateBulk,
@@ -23,6 +24,7 @@ from repro.network.gtp import (
     GtpcUpdateBulk,
     GtpuBulk,
     TeidAllocator,
+    session_keys_or_teids,
 )
 from repro.network.topology import NetworkTopology
 
@@ -40,12 +42,16 @@ class SessionManager:
     batch of sessions* (attach, move, transfer traffic, detach) and the
     manager emits the columnar control- and user-plane batches a probe
     on Gn / S5-S8 would see.  Sessions are not tracked here: their
-    lifetime is confined to the caller's batch.
+    lifetime is confined to the caller's batch.  Serving cells are
+    keyed draws of each session's key under ``seed``'s root key: one
+    stream picks the cell at attach, another at each ULI update.
     """
 
-    def __init__(self, topology: NetworkTopology, rng: np.random.Generator):
+    def __init__(self, topology: NetworkTopology, seed: SeedLike = None):
         self._topology = topology
-        self._rng = rng
+        root = root_key(seed)
+        self._attach_draws = KeyedStream(root, "network.attach")
+        self._update_draws = KeyedStream(root, "network.update")
         self._teids = TeidAllocator()
         self._control_listeners: List[ControlListener] = []
         self._user_listeners: List[UserPlaneListener] = []
@@ -63,14 +69,14 @@ class SessionManager:
             listener(bulk)
 
     def _uli_columns(
-        self, commune_ids: np.ndarray, wants_4g, rng: np.random.Generator
+        self, commune_ids: np.ndarray, wants_4g, uniforms: np.ndarray
     ) -> dict:
         """Technology and serving cell of sessions camped in communes."""
         tech_codes = self._topology.available_technology_codes(
             commune_ids, wants_4g
         )
         bs_ids, tech_codes, ra_ids, cell_communes = (
-            self._topology.serving_station_codes(commune_ids, tech_codes, rng)
+            self._topology.serving_station_codes(commune_ids, tech_codes, uniforms)
         )
         return dict(
             tech_codes=tech_codes,
@@ -86,6 +92,7 @@ class SessionManager:
         wants_4g,
         timestamps_s: np.ndarray,
         subscribers: int = 1,
+        session_keys: Optional[np.ndarray] = None,
     ) -> GtpcCreateBulk:
         """Establish a batch of sessions; returns the emitted create batch.
 
@@ -94,17 +101,21 @@ class SessionManager:
         subscribers into one batch; ``subscribers`` then says how many,
         and lands as a summed attribute on the per-chunk
         ``gtp.signalling`` span (one span per chunk, not one per
-        subscriber).  The batch carries each session's TEID, technology
-        and serving cell.
+        subscriber).  The batch carries each session's TEID, technology,
+        serving cell and key (``session_keys``; the TEIDs when omitted).
         """
         with obs.span("gtp.signalling", attrs={"subscribers": subscribers}):
             n = len(commune_ids)
-            uli = self._uli_columns(commune_ids, wants_4g, self._rng)
+            teids = self._teids.allocate_many(n)
+            keys = session_keys_or_teids(session_keys, teids)
             bulk = GtpcCreateBulk(
                 timestamps_s=np.asarray(timestamps_s, dtype=np.float64),
                 imsi_hashes=_per_session(imsi_hash, n),
-                teids=self._teids.allocate_many(n),
-                **uli,
+                teids=teids,
+                session_keys=keys,
+                **self._uli_columns(
+                    commune_ids, wants_4g, self._attach_draws.uniform(keys)
+                ),
             )
             self._emit_control(bulk)
             # One bulk entry stands for the request/response pair.
@@ -118,21 +129,25 @@ class SessionManager:
         commune_ids: np.ndarray,
         wants_4g,
         timestamps_s: np.ndarray,
-        rng: np.random.Generator,
+        session_keys: Optional[np.ndarray] = None,
     ) -> GtpcUpdateBulk:
         """Refresh the ULI of established sessions after RA/TA or RAT changes.
 
         The caller (the :class:`~repro.network.handover.HandoverManager`)
-        decides *which* moves warrant an update; this method picks each
-        session's new serving cell from ``rng`` and emits one
+        decides *which* moves warrant an update; this method draws each
+        session's new serving cell from its key and emits one
         UpdatePDPContext / ModifyBearer message per session.
         """
         with obs.span("gtp.signalling"):
+            keys = session_keys_or_teids(session_keys, teids)
             bulk = GtpcUpdateBulk(
                 timestamps_s=np.asarray(timestamps_s, dtype=np.float64),
                 imsi_hashes=_per_session(imsi_hash, len(teids)),
                 teids=teids,
-                **self._uli_columns(commune_ids, wants_4g, rng),
+                session_keys=keys,
+                **self._uli_columns(
+                    commune_ids, wants_4g, self._update_draws.uniform(keys)
+                ),
             )
             self._emit_control(bulk)
             obs.add("gtp.control_messages", len(bulk))
@@ -176,6 +191,7 @@ class SessionManager:
         teids: np.ndarray,
         tech_codes: np.ndarray,
         timestamps_s: np.ndarray,
+        session_keys: Optional[np.ndarray] = None,
     ) -> None:
         """Tear down a batch of sessions (scalar or per-session imsi)."""
         with obs.span("gtp.signalling"):
@@ -184,6 +200,7 @@ class SessionManager:
                 imsi_hashes=_per_session(imsi_hash, len(teids)),
                 teids=teids,
                 tech_codes=tech_codes,
+                session_keys=session_keys,
             )
             self._emit_control(bulk)
             obs.add("gtp.control_messages", len(bulk))

@@ -149,14 +149,14 @@ class NetworkTopology:
         self,
         commune_ids: np.ndarray,
         tech_codes: np.ndarray,
-        rng: np.random.Generator,
+        uniforms: np.ndarray,
     ) -> tuple:
         """Pick serving cells for a batch of sessions.
 
         Returns ``(bs_ids, tech_codes, routing_area_ids, cell_communes)``:
-        one cell drawn uniformly among the serving commune's cells of
-        the session's technology, falling back to 3G where the commune
-        has none.  A white zone (a commune with no cell) is served from
+        one cell picked uniformly by ``uniforms`` (one in [0, 1) per
+        session) among the serving commune's cells of the session's
+        technology, falling back to 3G where the commune has none.  A white zone (a commune with no cell) is served from
         the nearest covered commune (see :attr:`serving_communes`);
         ``LookupError`` is left only for a topology without a single
         cell.
@@ -175,7 +175,7 @@ class NetworkTopology:
                 raise LookupError(
                     f"commune {bad} is a white zone (no coverage)"
                 )
-        offsets = (rng.random(len(commune_ids)) * counts).astype(np.int64)
+        offsets = (np.asarray(uniforms) * counts).astype(np.int64)
         bs_ids = tables["flat"][
             tables["starts"][tech_codes, commune_ids] + offsets
         ]

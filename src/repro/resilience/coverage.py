@@ -76,16 +76,19 @@ class CoverageReport:
         All-float so they survive the dataset's npz round trip; stamped
         on every supervised build (full-coverage runs carry
         ``fraction == 1.0``) so a clean run and a recovered run remain
-        byte-identical.
+        byte-identical.  The shard count is stamped only when shards
+        were quarantined: a clean build's content does not depend on it.
         """
-        return {
+        meta = {
             "coverage.fraction": float(self.fraction),
-            "coverage.n_shards": float(self.n_shards),
             "coverage.quarantined_shards": float(len(self.quarantined)),
             "coverage.subscribers_total": float(self.subscribers_total),
             "coverage.subscribers_lost": float(self.subscribers_lost),
             "coverage.records_dropped": float(self.records_dropped),
         }
+        if self.quarantined:
+            meta["coverage.n_shards"] = float(self.n_shards)
+        return meta
 
     def block(self) -> Dict[str, Any]:
         """The JSON ``coverage`` block of a fidelity scorecard."""

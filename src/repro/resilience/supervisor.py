@@ -22,9 +22,9 @@ forked pool, and every shard attempt runs under supervision:
   or quarantines the shard (``"quarantine"``) so the build completes
   with accounted, visible coverage loss.
 
-Determinism: an attempt of shard ``i`` always restores the shard's
-pre-execution RNG state (:func:`repro.dataset.parallel.
-run_shard_attempt`), so retried, resumed, and undisturbed builds
+Determinism: an attempt of shard ``i`` is a pure function of the plan
+(:func:`repro.dataset.parallel.run_shard_attempt`; every draw is keyed,
+see :mod:`repro._rng`), so retried, resumed, and undisturbed builds
 produce bit-identical partials.  All ``resilience.*`` metrics and
 retry/quarantine events are emitted on the parent after execution, in
 shard-index order, so observability output never depends on worker
@@ -470,8 +470,8 @@ def execute_shards_supervised(
     """Run every shard under supervision; see the module docstring.
 
     ``seed`` keys the deterministic backoff schedule only — shard
-    content comes from the plan's pre-spawned RNG streams, so it never
-    depends on retries or on ``n_workers``.  With ``resume=False`` an
+    content comes from the plan's keyed draws, so it never depends on
+    retries or on ``n_workers``.  With ``resume=False`` an
     existing checkpoint directory is written to but never read, so a
     build can refresh its checkpoints from scratch.  With ``spill`` set,
     accepted partials beyond the store's resident budget go to disk and

@@ -10,6 +10,13 @@ The per-(subscriber, service) volumes and session times derive from the
 same :class:`~repro.traffic.intensity.IntensityModel` as the closed-form
 volume model, so the two resolutions agree on their statistical
 marginals.
+
+Every draw is keyed (see :mod:`repro._rng`): session counts by
+``(subscriber, service)``, a session's time, volume jitter, duration
+and flow count by its key (the subscriber's key and the session's
+ordinal among their sessions), a flow's volume split and features by
+its key (the session's key and the flow's ordinal).  A subscriber's
+week is therefore the same whichever block, shard or worker draws it.
 """
 
 from __future__ import annotations
@@ -20,14 +27,24 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro._rng import SeedLike, as_generator, spawn
+from repro._rng import (
+    KeyedStream,
+    SeedLike,
+    child_keys,
+    exponential_variates,
+    geometric_variates,
+    identity_keys,
+    normal_variates,
+    poisson_variates,
+    root_key,
+)
 from repro._time import WEEK_HOURS
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.network.handover import HandoverManager
 from repro.network.session import SessionManager
 from repro.network.topology import NetworkTopology
 from repro.traffic.intensity import IntensityModel
-from repro.traffic.mobility import MobilityModel
+from repro.traffic.mobility import MobilityModel, locations_at
 from repro.traffic.subscribers import SubscriberPopulation
 
 
@@ -51,29 +68,6 @@ class WorkloadConfig:
             raise ValueError("flows_per_session must be >= 1")
 
 
-class _SubscriberDraws:
-    """One subscriber's drawn sessions, ready for emission.
-
-    The draw phase (RNG consumption) and the emission phase (session
-    manager calls) are split so the generator can buffer several
-    subscribers' draws and emit them as one bulk batch without touching
-    any RNG stream out of order.  Session columns have one entry per
-    session, flow columns one per flow in session order.  A session is
-    ``spanning`` when its subscriber is in another commune,
-    ``mid_communes``, at its mid-point ``mid_hours``: its last flow
-    rides after that move.
-    """
-
-    SESSION_COLUMNS = (
-        "communes", "timestamps", "durations", "n_flows",
-        "spanning", "mid_hours", "mid_communes",
-    )
-    FLOW_COLUMNS = (
-        "flow_times", "flow_dl", "flow_ul", "flow_ids", "feature_codes",
-    )
-    __slots__ = ("imsi", "wants_4g") + SESSION_COLUMNS + FLOW_COLUMNS
-
-
 class SessionLevelGenerator:
     """Generates one measurement week of session-level traffic."""
 
@@ -91,17 +85,43 @@ class SessionLevelGenerator:
         self._topology = topology
         self._fingerprints = fingerprints
         self._config = config
-        rng = as_generator(seed)
-        self._rng = spawn(rng, "generator.main")
-        self._session_manager = SessionManager(topology, spawn(rng, "generator.net"))
-        self._mobility = MobilityModel(
-            population.country, seed=spawn(rng, "generator.mobility")
+        root = root_key(seed)
+        self._session_manager = SessionManager(topology, root)
+        self._mobility = MobilityModel(population.country, seed=root)
+        self._handover = HandoverManager(topology, self._session_manager)
+        self._count_draws = KeyedStream(root, "generator.sessions")
+        self._session_draws = KeyedStream(root, "generator.session")
+        self._flow_draws = KeyedStream(root, "generator.flow")
+        # Per-subscriber columns, in population order.
+        subscribers = population.subscribers
+        n = len(subscribers)
+        self._imsi = np.fromiter((s.imsi_hash for s in subscribers), np.int64, n)
+        self._keys = identity_keys(self._imsi)
+        self._homes = np.fromiter((s.home_commune for s in subscribers), np.int64, n)
+        self._wants_4g = np.fromiter((s.has_4g_device for s in subscribers), bool, n)
+        self._scales = np.fromiter((s.activity_scale for s in subscribers), np.float64, n)
+        self._n_adopted = np.fromiter(
+            (len(s.adopted_services) for s in subscribers), np.int64, n
         )
-        self._handover = HandoverManager(
-            topology, self._session_manager, spawn(rng, "generator.handover")
+        self._adopted = np.fromiter(
+            (j for s in subscribers for j in s.adopted_services),
+            np.int64,
+            int(self._n_adopted.sum()),
         )
-        self._cdf_cache: Dict[object, np.ndarray] = {}
-        self._head_names = list(model.head_names)
+        self._adopted_starts = np.concatenate(([0], np.cumsum(self._n_adopted)))
+        self._fingerprint_index = np.asarray(
+            [fingerprints.service_index(name) for name in model.head_names]
+        )
+        # One temporal CDF row per (urbanization class, head service):
+        # sampling a session's time bin is a ``searchsorted`` per row.
+        n_head = len(model.head_names)
+        self._cdf_rows: Dict[int, np.ndarray] = {}
+        for cls, curves in model.class_temporal_weights.items():
+            cdfs = np.cumsum(curves, axis=1)
+            cdfs /= cdfs[:, -1:]
+            for service in range(n_head):
+                self._cdf_rows[int(cls) * n_head + service] = cdfs[service]
+        self._home_classes = population.country.urbanization.classes.astype(np.int64)
         self.sessions_generated = 0
         self.flows_generated = 0
         #: Optional localization auditor (see
@@ -128,52 +148,176 @@ class SessionLevelGenerator:
         ``time_limit_hours`` truncates the generated week (useful in
         tests); sessions starting past the limit are skipped.
 
-        Subscribers' weeks are drawn with vectorized RNG calls and
-        buffered; each ~``chunk_size`` buffered flows leave as one bulk
-        round-trip through the session manager (``None`` flushes after
-        every subscriber): attach, flows, handovers of the sessions
-        whose subscriber moved, their last flows, detach.  Attach and
-        handover draws come from two streams, each consumed in
-        subscriber order, so the emitted sessions, cells and ULI updates
-        are identical for every chunk size.
+        Subscribers are drawn in blocks, one array pass per block, and
+        each block leaves as one bulk round-trip through the session
+        manager: attach, flows, handovers of the sessions whose
+        subscriber moved, their last flows, detach.  A block takes
+        subscribers until their expected flow count (adopted services
+        × ``sessions_per_service`` × ``flows_per_session``) reaches
+        ``chunk_size`` (``None``: one subscriber per block).  Every draw
+        is keyed by the subscriber, session or flow it is for, so the
+        emitted sessions, cells, ULI updates and flows are the same for
+        every chunk size.
         """
         horizon = time_limit_hours if time_limit_hours is not None else WEEK_HOURS
         if chunk_size is None:
             chunk_size = 1
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        buffer: List[_SubscriberDraws] = []
-        pending_flows = 0
+        config = self._config
+        expected = (
+            self._n_adopted * config.sessions_per_service * config.flows_per_session
+        ).tolist()
         with obs.span("generate"):
-            for subscriber in self._population:
-                obs.add("generator.subscribers")
-                draws = self._draw_subscriber(subscriber, horizon)
-                if draws is None:
-                    continue
-                buffer.append(draws)
-                pending_flows += len(draws.flow_ids)
-                if pending_flows >= chunk_size:
-                    pending_flows = self._flush_chunk(buffer)
-            self._flush_chunk(buffer)
+            lo, pending = 0, 0.0
+            for i, flows in enumerate(expected):
+                pending += flows
+                if pending >= chunk_size or i == len(expected) - 1:
+                    obs.add("generator.subscribers", i + 1 - lo)
+                    block = self._draw_block(lo, i + 1, horizon)
+                    if block is not None:
+                        self._emit_block(block)
+                    lo, pending = i + 1, 0.0
 
-    def _flush_chunk(self, buffer: List[_SubscriberDraws]) -> int:
-        """Emit buffered subscribers as one bulk batch; returns 0."""
-        if not buffer:
-            return 0
-        sessions_per = np.asarray(
-            [len(d.communes) for d in buffer], dtype=np.int64
+    def _time_bins(
+        self, classes: np.ndarray, services: np.ndarray, u: np.ndarray
+    ) -> np.ndarray:
+        """Inverse-CDF time bins of sessions, one ``searchsorted`` per
+        (class, service) row present."""
+        rows = classes * len(self._fingerprint_index) + services
+        order = np.argsort(rows, kind="stable")
+        bounds = np.flatnonzero(np.diff(rows[order])) + 1
+        bins = np.empty(len(u), dtype=np.int64)
+        for segment in np.split(order, bounds):
+            cdf = self._cdf_rows[int(rows[segment[0]])]
+            bins[segment] = np.searchsorted(cdf, u[segment], side="right")
+        return bins
+
+    def _draw_block(self, lo: int, hi: int, horizon: float) -> Optional[dict]:
+        """Draw subscribers ``lo:hi`` of the population (no emission).
+
+        Returns the block's session and flow columns, sessions in
+        (subscriber, service, ordinal) order, or None without sessions.
+        """
+        model, config = self._model, self._config
+        draws = self._session_draws
+        owners = np.repeat(np.arange(lo, hi), self._n_adopted[lo:hi])
+        services = self._adopted[self._adopted_starts[lo]:self._adopted_starts[hi]]
+        counts = poisson_variates(
+            self._count_draws.uniform(child_keys(self._keys[owners], services)),
+            config.sessions_per_service,
         )
-        imsi = np.repeat(
-            np.asarray([d.imsi for d in buffer], dtype=np.int64), sessions_per
+        # Per-adopter weekly volume: the commune-level expectation is
+        # adoption * per-adopter, so divide the per-subscriber figure by
+        # the local adoption rate.
+        homes = self._homes[owners]
+        p_adopt = np.maximum(model.adoption[homes, services].astype(np.float64), 1e-6)
+        scale = self._scales[owners] / p_adopt
+        weekly_dl = model.per_subscriber_dl[homes, services].astype(np.float64) * scale
+        weekly_ul = model.per_subscriber_ul[homes, services].astype(np.float64) * scale
+        drawn = (counts > 0) & ~(weekly_dl + weekly_ul <= 0)
+        if not drawn.any():
+            return None
+        counts, owners, services, homes = (
+            counts[drawn], owners[drawn], services[drawn], homes[drawn]
         )
-        wants_4g = np.repeat(
-            np.asarray([d.wants_4g for d in buffer], dtype=bool), sessions_per
+        weekly_dl, weekly_ul = weekly_dl[drawn], weekly_ul[drawn]
+
+        # Sessions; each one's ordinal counts its subscriber's sessions
+        # before it, whatever the horizon keeps.
+        pair = np.repeat(np.arange(len(counts)), counts)
+        session_owners = owners[pair]
+        first = np.r_[True, session_owners[1:] != session_owners[:-1]]
+        starts = np.flatnonzero(first)
+        ordinals = np.arange(len(pair)) - starts[np.cumsum(first) - 1]
+        keys = child_keys(self._keys[session_owners], ordinals)
+        bins = self._time_bins(
+            self._home_classes[homes[pair]], services[pair], draws.uniform(keys, 0)
         )
-        col = {
-            name: np.concatenate([getattr(d, name) for d in buffer])
-            for name in _SubscriberDraws.SESSION_COLUMNS
-            + _SubscriberDraws.FLOW_COLUMNS
-        }
+        hours = (bins + draws.uniform(keys, 1)) / model.axis.bins_per_hour
+        # Volume jitter, normalised per (subscriber, service).
+        jitter = np.exp(
+            config.session_volume_sigma
+            * normal_variates(draws.uniform(keys, 2), draws.uniform(keys, 3))
+        )
+        pair_starts = np.cumsum(counts) - counts
+        jitter /= np.repeat(np.add.reduceat(jitter, pair_starts), counts)
+        keep = hours < horizon
+        if not keep.any():
+            return None
+        keys, hours, pair = keys[keep], hours[keep], pair[keep]
+        session_owners = session_owners[keep]
+        jitter = jitter[keep]
+        n_sessions = len(keys)
+        durations = exponential_variates(draws.uniform(keys, 4), 15.0) + 1.0
+        n_flows = geometric_variates(
+            draws.uniform(keys, 5), 1.0 / config.flows_per_session
+        )
+
+        # Long sessions may span a commune change: the mobility model
+        # says where the subscriber is at the session's mid-point.
+        spanning = durations > config.long_session_minutes
+        mid_hours = np.minimum(
+            hours[spanning] + durations[spanning] / 120.0, WEEK_HOURS - 1e-6
+        )
+        itineraries = self._mobility.itineraries_for(
+            self._population.subscribers[lo:hi]
+        )
+        where = locations_at(
+            itineraries,
+            np.concatenate((session_owners, session_owners[spanning])) - lo,
+            np.concatenate((hours, mid_hours)),
+        )
+        communes, mid_communes = where[:n_sessions], where[n_sessions:]
+        moved = mid_communes != communes[spanning]
+        spanning[np.flatnonzero(spanning)[~moved]] = False
+
+        # Flows; per-flow volume splits: dirichlet(ones(k)) per session
+        # == segment-normalized standard exponentials.
+        total_flows = int(n_flows.sum())
+        flow_starts = np.cumsum(n_flows) - n_flows
+        within = np.arange(total_flows) - np.repeat(flow_starts, n_flows)
+        flow_keys = child_keys(np.repeat(keys, n_flows), within)
+        raw = exponential_variates(self._flow_draws.uniform(flow_keys))
+        splits = raw / np.repeat(np.add.reduceat(raw, flow_starts), n_flows)
+        # Probes count whole bytes: integer volumes make every byte sum
+        # downstream exact, whatever order it is taken in.
+        flow_dl = np.rint(
+            np.repeat(weekly_dl[pair] * jitter, n_flows) * splits
+        ).astype(np.int64)
+        flow_ul = np.rint(
+            np.repeat(weekly_ul[pair] * jitter, n_flows) * splits
+        ).astype(np.int64)
+        timestamps = hours * 3600.0
+        flow_services = np.repeat(self._fingerprint_index[services[pair]], n_flows)
+
+        self.sessions_generated += n_sessions
+        self.flows_generated += total_flows
+        obs.add("generator.sessions", n_sessions)
+        obs.add("generator.flows", total_flows)
+        return dict(
+            owners=session_owners,
+            keys=keys,
+            communes=communes,
+            timestamps=timestamps,
+            durations=durations,
+            n_flows=n_flows,
+            spanning=spanning,
+            mid_hours=mid_hours[moved],
+            mid_communes=mid_communes[moved],
+            flow_keys=flow_keys,
+            flow_times=np.repeat(timestamps, n_flows) + 30.0 * within,
+            flow_dl=flow_dl,
+            flow_ul=flow_ul,
+            flow_ids=(flow_keys >> np.uint64(1)).astype(np.int64),
+            feature_codes=self._fingerprints.feature_codes(flow_services, flow_keys),
+        )
+
+    def _emit_block(self, col: dict) -> None:
+        """Emit one drawn block as one bulk round-trip."""
+        owners, keys = col["owners"], col["keys"]
+        imsi = self._imsi[owners]
+        wants_4g = self._wants_4g[owners]
         n_flows, spanning = col["n_flows"], col["spanning"]
         # A spanning session's last flow waits for the session's move.
         last = (np.cumsum(n_flows) - 1)[spanning]
@@ -183,7 +327,8 @@ class SessionLevelGenerator:
         manager = self._session_manager
         created = manager.attach_bulk(
             imsi, col["communes"], wants_4g, col["timestamps"],
-            subscribers=len(buffer),
+            subscribers=1 + int(np.count_nonzero(np.diff(owners))),
+            session_keys=keys,
         )
         manager.report_flows_bulk(
             session_teids=created.teids,
@@ -197,10 +342,10 @@ class SessionLevelGenerator:
         )
         tech_codes = created.tech_codes
         if len(last):
-            mid_s = col["mid_hours"][spanning] * 3600.0
+            mid_s = col["mid_hours"] * 3600.0
             moved = self._handover.move(
                 created.take(spanning),
-                col["mid_communes"][spanning],
+                col["mid_communes"],
                 wants_4g[spanning],
                 mid_s,
             )
@@ -221,168 +366,16 @@ class SessionLevelGenerator:
             created.teids,
             tech_codes,
             col["timestamps"] + col["durations"] * 60.0,
+            session_keys=keys,
         )
         if self.auditor is not None:
             # Each flow's true commune and ULI cell, in flow order.
             flow_communes = np.repeat(col["communes"], n_flows)
             flow_cells = np.repeat(created.cell_ids, n_flows)
             if len(last):
-                flow_communes[last] = col["mid_communes"][spanning]
+                flow_communes[last] = col["mid_communes"]
                 flow_cells[last] = moved.cell_ids
-            self.auditor.record(flow_communes, flow_cells)
-        buffer.clear()
-        return 0
-
-    def _temporal_cdfs(self, urbanization_class) -> np.ndarray:
-        """Per-service temporal CDFs for one urbanization class.
-
-        Cached inverse-transform tables: sampling a session's time bin
-        becomes a ``searchsorted`` instead of a ``rng.choice(p=...)``.
-        """
-        cdfs = self._cdf_cache.get(urbanization_class)
-        if cdfs is None:
-            curves = self._model.class_temporal_weights[urbanization_class]
-            cdfs = np.cumsum(curves, axis=1)
-            cdfs /= cdfs[:, -1:]
-            self._cdf_cache[urbanization_class] = cdfs
-        return cdfs
-
-    def _draw_subscriber(
-        self, subscriber, horizon: float
-    ) -> Optional[_SubscriberDraws]:
-        """Draw one subscriber's week (all RNG consumption, no emission)."""
-        rng = self._rng
-        model = self._model
-        config = self._config
-        itinerary = self._mobility.itinerary_for(subscriber)
-        home = subscriber.home_commune
-        home_cls = self._population.country.class_of(home)
-        cdfs = self._temporal_cdfs(home_cls)
-        bins_per_hour = model.axis.bins_per_hour
-        adoption = model.adoption[home]
-
-        services = np.asarray(subscriber.adopted_services, dtype=np.int64)
-        if not len(services):
-            return None
-        session_counts = rng.poisson(config.sessions_per_service, size=len(services))
-        # Per-adopter weekly volume: the commune-level expectation is
-        # adoption * per-adopter, so divide the per-subscriber figure by
-        # the local adoption rate.
-        p_adopt = np.maximum(adoption[services].astype(np.float64), 1e-6)
-        weekly_dl = (
-            model.per_subscriber_dl[home, services].astype(np.float64)
-            / p_adopt
-            * subscriber.activity_scale
-        )
-        weekly_ul = (
-            model.per_subscriber_ul[home, services].astype(np.float64)
-            / p_adopt
-            * subscriber.activity_scale
-        )
-        drawn = np.flatnonzero(
-            (session_counts > 0) & ~(weekly_dl + weekly_ul <= 0)
-        )
-        if not len(drawn):
-            return None
-
-        # Three draws per service, in service order: time bin, volume
-        # jitter, offset within the bin.  Each service's jitter is
-        # normalised by its own ndarray.sum(), whose pairwise rounding a
-        # segmented reduction would not reproduce.
-        counts = session_counts[drawn]
-        seg_bins: List[np.ndarray] = []
-        seg_jitter: List[np.ndarray] = []
-        seg_offsets: List[np.ndarray] = []
-        jitter_sums: List[float] = []
-        for service_index, n_s in zip(services[drawn].tolist(), counts.tolist()):
-            seg_bins.append(
-                np.searchsorted(cdfs[service_index], rng.random(n_s), side="right")
-            )
-            jitter = np.exp(rng.normal(0.0, config.session_volume_sigma, n_s))
-            seg_jitter.append(jitter)
-            jitter_sums.append(jitter.sum())
-            seg_offsets.append(rng.random(n_s))
-        jitter = np.concatenate(seg_jitter) / np.repeat(jitter_sums, counts)
-        all_hours = (np.concatenate(seg_bins) + np.concatenate(seg_offsets)) / (
-            bins_per_hour
-        )
-        keep = all_hours < horizon
-        kept_per_service = np.add.reduceat(
-            keep.astype(np.int64), np.concatenate(([0], np.cumsum(counts)[:-1]))
-        )
-        if not kept_per_service.any():
-            return None
-        hours = all_hours[keep]
-        dl_sessions = (np.repeat(weekly_dl[drawn], counts) * jitter)[keep]
-        ul_sessions = (np.repeat(weekly_ul[drawn], counts) * jitter)[keep]
-        emitting = kept_per_service > 0
-        seg_services = services[drawn][emitting].tolist()
-        seg_counts = kept_per_service[emitting]
-
-        n_sessions = len(hours)
-        timestamps = hours * 3600.0
-        communes = itinerary.locations_at(hours)
-
-        durations = rng.exponential(15.0, n_sessions) + 1.0
-        n_flows = rng.geometric(1.0 / config.flows_per_session, size=n_sessions)
-        total_flows = int(n_flows.sum())
-        flow_starts = np.concatenate(([0], np.cumsum(n_flows)))[:-1]
-
-        # Per-flow volume splits: dirichlet(ones(k)) per session ==
-        # segment-normalized standard exponentials.
-        raw = rng.standard_exponential(total_flows)
-        session_sums = np.add.reduceat(raw, flow_starts)
-        splits = raw / np.repeat(session_sums, n_flows)
-        # Probes count whole bytes: integer volumes make every byte sum
-        # downstream exact, whatever order it is taken in.
-        flow_dl = np.rint(np.repeat(dl_sessions, n_flows) * splits).astype(np.int64)
-        flow_ul = np.rint(np.repeat(ul_sessions, n_flows) * splits).astype(np.int64)
-        within = np.arange(total_flows) - np.repeat(flow_starts, n_flows)
-        flow_times = np.repeat(timestamps, n_flows) + 30.0 * within
-
-        svc_seg_starts = np.concatenate(([0], np.cumsum(seg_counts)))[:-1]
-        flows_per_service = np.add.reduceat(n_flows, svc_seg_starts)
-        emitted = [
-            self._fingerprints.emit_flow_features(
-                self._head_names[service_index], count
-            )
-            for service_index, count in zip(
-                seg_services, flows_per_service.tolist()
-            )
-        ]
-        flow_ids = np.concatenate([ids for ids, _ in emitted])
-        feature_codes = np.concatenate([codes for _, codes in emitted])
-
-        self.sessions_generated += n_sessions
-        self.flows_generated += total_flows
-        obs.add("generator.sessions", n_sessions)
-        obs.add("generator.flows", total_flows)
-
-        # Long sessions may span a commune change: the mobility model
-        # says where the subscriber is at the session's mid-point.
-        spanning = durations > config.long_session_minutes
-        mid_hours, mid_communes = hours, communes
-        if spanning.any():
-            mid_hours = np.minimum(hours + durations / 120.0, WEEK_HOURS - 1e-6)
-            mid_communes = itinerary.locations_at(mid_hours)
-            spanning &= mid_communes != communes
-
-        draws = _SubscriberDraws()
-        draws.imsi = subscriber.imsi_hash
-        draws.wants_4g = subscriber.has_4g_device
-        draws.communes = communes
-        draws.timestamps = timestamps
-        draws.durations = durations
-        draws.n_flows = n_flows
-        draws.spanning = spanning
-        draws.mid_hours = mid_hours
-        draws.mid_communes = mid_communes
-        draws.flow_times = flow_times
-        draws.flow_dl = flow_dl
-        draws.flow_ul = flow_ul
-        draws.flow_ids = flow_ids
-        draws.feature_codes = feature_codes
-        return draws
+            self.auditor.record(flow_communes, flow_cells, col["flow_keys"])
 
 
 __all__ = ["WorkloadConfig", "SessionLevelGenerator"]

@@ -3,7 +3,8 @@
 The :class:`MobilityModel` answers one question for the session-level
 generator: *where is subscriber X at hour t of the week?*  Itineraries
 are deterministic per subscriber (drawn once from the subscriber's class
-and a seed), piecewise-constant in time:
+and keyed draws of their imsi hash, so a subscriber's itinerary does
+not depend on who else is drawn), piecewise-constant in time:
 
 - **residents** stay in their home commune;
 - **commuters** are at work 9am-6pm on working days (arriving through
@@ -23,8 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import SeedLike, as_generator
-from repro._time import DAYS_PER_WEEK, HOURS_PER_DAY, WORKING_DAYS, hour_of_week
+from repro._rng import KeyedStream, SeedLike, identity_keys, integer_variates, root_key
+from repro._time import WEEK_HOURS, WORKING_DAYS, hour_of_week
 from repro.geo.country import Country
 from repro.traffic.subscribers import Subscriber, SubscriberClass
 
@@ -51,20 +52,10 @@ class Itinerary:
 
     def location_at(self, hour: float) -> int:
         """Commune occupied at a given hour-of-week."""
-        if not 0 <= hour < DAYS_PER_WEEK * HOURS_PER_DAY:
+        if not 0 <= hour < WEEK_HOURS:
             raise ValueError(f"hour must be in [0, 168), got {hour}")
         idx = bisect.bisect_right(self.breakpoints, hour) - 1
         return self.communes[idx]
-
-    def locations_at(self, hours: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`location_at` over an array of hours."""
-        hours = np.asarray(hours)
-        if len(hours) and not (
-            (hours >= 0).all() and (hours < DAYS_PER_WEEK * HOURS_PER_DAY).all()
-        ):
-            raise ValueError("hours must be in [0, 168)")
-        idx = np.searchsorted(np.asarray(self.breakpoints), hours, side="right") - 1
-        return np.asarray(self.communes, dtype=np.int64)[idx]
 
     def visited_communes(self) -> Tuple[int, ...]:
         """Distinct communes, in first-visit order."""
@@ -72,6 +63,41 @@ class Itinerary:
         for commune in self.communes:
             seen.setdefault(commune, None)
         return tuple(seen.keys())
+
+
+def locations_at(
+    itineraries: Sequence[Itinerary], owners: np.ndarray, hours: np.ndarray
+) -> np.ndarray:
+    """``itineraries[owners[i]].location_at(hours[i])`` for every ``i``.
+
+    Exact for any mix of itineraries: breakpoints and queries are
+    merged by one stable sort on ``(owner, hour)``, breakpoints first at
+    ties, and each query takes the last breakpoint before it.  Every
+    itinerary starts at hour 0, so that breakpoint is its owner's.
+    """
+    hours = np.asarray(hours, dtype=np.float64)
+    owners = np.asarray(owners, dtype=np.int64)
+    if len(hours) and not ((hours >= 0).all() and (hours < WEEK_HOURS).all()):
+        raise ValueError("hours must be in [0, 168)")
+    sizes = np.fromiter((len(it.breakpoints) for it in itineraries), np.int64)
+    communes = np.fromiter(
+        (c for it in itineraries for c in it.communes), np.int64, int(sizes.sum())
+    )
+    if (sizes == 1).all():
+        return communes[owners]
+    breakpoints = np.fromiter(
+        (b for it in itineraries for b in it.breakpoints), np.float64, len(communes)
+    )
+    n_breaks = len(breakpoints)
+    owner = np.concatenate((np.repeat(np.arange(len(sizes)), sizes), owners))
+    at = np.concatenate((breakpoints, hours))
+    is_query = np.arange(n_breaks + len(hours)) >= n_breaks
+    order = np.lexsort((is_query, at, owner))
+    last_break = np.cumsum(~is_query[order]) - 1
+    queries = is_query[order]
+    out = np.empty(len(hours), dtype=np.int64)
+    out[order[queries] - n_breaks] = communes[last_break[queries]]
+    return out
 
 
 def _segments_to_itinerary(
@@ -89,27 +115,57 @@ def _segments_to_itinerary(
 
 
 class MobilityModel:
-    """Builds and caches per-subscriber weekly itineraries."""
+    """Builds and caches per-subscriber weekly itineraries.
+
+    A subscriber's draws (commute jitter; TGV hubs, trip days and
+    departures) are keyed by their imsi hash under the ``seed``'s root
+    key, counters fixed per draw.
+    """
+
+    #: Keyed uniforms per subscriber: commute jitter (0), TGV origin and
+    #: destination hubs (1, 2), trip count (3), a rank per weekday for
+    #: the trip days (4-10) and one departure per trip (11-13).
+    _DRAWS = 14
 
     def __init__(self, country: Country, seed: SeedLike = None):
         self._country = country
-        self._rng = as_generator(seed)
+        self._draws = KeyedStream(root_key(seed), "mobility.itinerary")
         self._cache: Dict[int, Itinerary] = {}
 
     def itinerary_for(self, subscriber: Subscriber) -> Itinerary:
         """Return (building on first use) the subscriber's itinerary."""
-        cached = self._cache.get(subscriber.imsi_hash)
-        if cached is not None:
-            return cached
-        builder = {
-            SubscriberClass.RESIDENT: self._resident,
-            SubscriberClass.COMMUTER: self._commuter,
-            SubscriberClass.STUDENT: self._student,
-            SubscriberClass.TGV_TRAVELLER: self._tgv_traveller,
-        }[subscriber.subscriber_class]
-        itinerary = builder(subscriber)
-        self._cache[subscriber.imsi_hash] = itinerary
-        return itinerary
+        return self.itineraries_for([subscriber])[0]
+
+    def itineraries_for(
+        self, subscribers: Sequence[Subscriber]
+    ) -> List[Itinerary]:
+        """Itineraries of many subscribers, drawing the uncached at once."""
+        cache = self._cache
+        todo = [
+            s for s in subscribers
+            if s.imsi_hash not in cache
+            and s.subscriber_class is not SubscriberClass.RESIDENT
+        ]
+        if todo:
+            keys = identity_keys([s.imsi_hash for s in todo])
+            draws = np.stack(
+                [self._draws.uniform(keys, c) for c in range(self._DRAWS)], axis=1
+            )
+            builders = {
+                SubscriberClass.COMMUTER: self._commuter,
+                SubscriberClass.STUDENT: self._student,
+                SubscriberClass.TGV_TRAVELLER: self._tgv_traveller,
+            }
+            for subscriber, u in zip(todo, draws.tolist()):
+                builder = builders[subscriber.subscriber_class]
+                cache[subscriber.imsi_hash] = builder(subscriber, u)
+        out = []
+        for subscriber in subscribers:
+            itinerary = cache.get(subscriber.imsi_hash)
+            if itinerary is None:
+                itinerary = cache[subscriber.imsi_hash] = self._resident(subscriber)
+            out.append(itinerary)
+        return out
 
     def _resident(self, subscriber: Subscriber) -> Itinerary:
         return Itinerary((0.0,), (subscriber.home_commune,))
@@ -126,34 +182,34 @@ class MobilityModel:
             segments.append((hour_of_week(day, back), subscriber.home_commune))
         return _segments_to_itinerary(segments)
 
-    def _commuter(self, subscriber: Subscriber) -> Itinerary:
-        jitter = float(self._rng.uniform(-0.5, 0.5))
+    def _commuter(self, subscriber: Subscriber, u: List[float]) -> Itinerary:
+        jitter = u[0] - 0.5
         return self._daily_shuttle(subscriber, 8.0 + jitter, 18.2 + jitter)
 
-    def _student(self, subscriber: Subscriber) -> Itinerary:
+    def _student(self, subscriber: Subscriber, u: List[float]) -> Itinerary:
         return self._daily_shuttle(subscriber, 7.8, 17.2)
 
-    def _tgv_traveller(self, subscriber: Subscriber) -> Itinerary:
+    def _tgv_traveller(self, subscriber: Subscriber, u: List[float]) -> Itinerary:
         rail = self._country.rail
         hubs = rail.hub_cities
         if len(hubs) < 2:
             return self._resident(subscriber)
-        rng = self._rng
-        origin, dest = rng.choice(len(hubs), size=2, replace=False)
+        origin, dest = integer_variates(np.asarray(u[1:3]), [len(hubs), len(hubs) - 1])
+        dest += dest >= origin
         origin_rank = hubs[int(origin)].rank
         dest_rank = hubs[int(dest)].rank
         corridor = rail.communes_along(origin_rank, dest_rank, corridor_km=4.0)
         if corridor.size == 0:
             return self._resident(subscriber)
 
-        n_trips = int(rng.integers(1, 4))
-        trip_days = sorted(
-            int(d) for d in rng.choice(DAYS_PER_WEEK, size=n_trips, replace=False)
-        )
+        n_trips = 1 + int(integer_variates(np.asarray(u[3]), 3))
+        # The trip days: the n_trips weekdays of lowest rank.
+        trip_days = sorted(np.argsort(u[4:11], kind="stable")[:n_trips].tolist())
+        departures = integer_variates(np.asarray(u[11:11 + n_trips]), 3).tolist()
         segments: List[Tuple[float, int]] = [(0.0, subscriber.home_commune)]
         ride_hours = max(1.0, len(corridor) * 0.02)  # ~300 km/h over ~6 km cells
-        for day in trip_days:
-            depart = float(rng.choice((7.5, 12.5, 17.5)))
+        for day, pick in zip(trip_days, departures):
+            depart = (7.5, 12.5, 17.5)[pick]
             self._append_ride(segments, day, depart, corridor, ride_hours)
             # Return ride in the evening, along the reversed corridor.
             return_depart = min(21.0, depart + ride_hours + 3.0)
@@ -161,7 +217,7 @@ class MobilityModel:
                 segments, day, return_depart, corridor[::-1], ride_hours
             )
             arrive_home = hour_of_week(day, return_depart) + ride_hours
-            if arrive_home < DAYS_PER_WEEK * HOURS_PER_DAY:
+            if arrive_home < WEEK_HOURS:
                 segments.append((arrive_home, subscriber.home_commune))
         segments.sort(key=lambda item: item[0])
         return _segments_to_itinerary(segments)
@@ -178,7 +234,7 @@ class MobilityModel:
         step = ride_hours / len(corridor)
         for k, commune in enumerate(corridor):
             t = start + k * step
-            if t >= DAYS_PER_WEEK * HOURS_PER_DAY:
+            if t >= WEEK_HOURS:
                 break
             segments.append((t, int(commune)))
 
@@ -191,13 +247,12 @@ class MobilityModel:
         time grid.  Used by tests and by the dataset pipeline to estimate
         "average number of users per commune" the way the paper does.
         """
-        n_bins = DAYS_PER_WEEK * HOURS_PER_DAY * bins_per_hour
+        n_bins = WEEK_HOURS * bins_per_hour
         presence = np.zeros((self._country.n_communes, n_bins), dtype=np.int32)
-        for subscriber in subscribers:
-            itinerary = self.itinerary_for(subscriber)
+        for itinerary in self.itineraries_for(subscribers):
             # Each bin counts the location at its start, so every
             # subscriber contributes exactly once per bin.
-            breaks = list(itinerary.breakpoints) + [DAYS_PER_WEEK * HOURS_PER_DAY]
+            breaks = list(itinerary.breakpoints) + [WEEK_HOURS]
             for i, commune in enumerate(itinerary.communes):
                 b0 = int(np.ceil(breaks[i] * bins_per_hour - 1e-9))
                 b1 = int(np.ceil(breaks[i + 1] * bins_per_hour - 1e-9))
@@ -205,4 +260,4 @@ class MobilityModel:
         return presence
 
 
-__all__ = ["Itinerary", "MobilityModel"]
+__all__ = ["Itinerary", "MobilityModel", "locations_at"]

@@ -17,8 +17,10 @@ equal to the last bit.
 The configurations cover the streamed chain, two forked workers with
 every shard partial spilled, the audited build (the localization
 auditor only observes, so it must not move a bit), and one-shard builds
-under a retry policy or with their partial spilled (supervision and
-memory settings never change content).  A change to generation, GTP,
+under a retry policy or with their partial spilled.  A build is a
+function of its seed alone (every draw is keyed by the subscriber,
+session or flow it is for), so all of a seed's configurations share
+one pinned fingerprint.  A change to generation, GTP,
 the probe, DPI or aggregation that alters a single output bit fails
 here; a change that only makes the chain faster must leave every value
 untouched.
@@ -44,59 +46,32 @@ CONFIGS = {
     "spilled": dict(n_shards=1, spill=True),
 }
 
-_STREAM_1 = {
-    "digest": "d6579896968d92f68b379dfa2c49fb0569d5720973af8461aa90af1752a43dfb",
-    "report": {
-        "flows_total": 17770,
-        "flows_classified": 15710,
-        "bytes_total": 92927904019,
-        "bytes_classified": 82858282443,
-        "by_technique": {"sni": 12979, "host": 2731, "payload": 0, "port": 0},
+#: One fingerprint per seed: a build is a function of its seed alone,
+#: so every configuration of a seed shares it.
+GOLDEN = {
+    1: {
+        "digest": "4575ba58098de874ef6f3cec5f35571ae5369ae403237892dff9351c7ca7daab",
+        "report": {
+            "flows_total": 17600,
+            "flows_classified": 15411,
+            "bytes_total": 92681066138,
+            "bytes_classified": 80888272160,
+            "by_technique": {"sni": 12781, "host": 2630, "payload": 0, "port": 0},
+        },
     },
-}
-_STREAM_2 = {
-    "digest": "c23fe4b78c85be8e2c3a723560c4ab008272d3bdea98eb8b9dfd91fd4369891c",
-    "report": {
-        "flows_total": 18251,
-        "flows_classified": 16151,
-        "bytes_total": 70257485172,
-        "bytes_classified": 62376998565,
-        "by_technique": {"sni": 13219, "host": 2932, "payload": 0, "port": 0},
+    2: {
+        "digest": "ec6a94253d9e84c17d92cdf4edc084bdd822f40ac8655907a5436fca68d24b7c",
+        "report": {
+            "flows_total": 18221,
+            "flows_classified": 15937,
+            "bytes_total": 70748881945,
+            "bytes_classified": 61704745219,
+            "by_technique": {"sni": 13032, "host": 2905, "payload": 0, "port": 0},
+        },
     },
 }
 
-GOLDEN = {
-    (1, "stream"): _STREAM_1,
-    # The audited, retried and spilled one-shard builds are
-    # byte-identical to the plain streamed chain.
-    (1, "sharded_spilled"): {
-        "digest": "a26964fad42001e8bcc050b4f5f32a0fa47321ac225bb6d5aa1cf1c6fceac3a4",
-        "report": {
-            "flows_total": 17947,
-            "flows_classified": 15786,
-            "bytes_total": 92812943282,
-            "bytes_classified": 80493693953,
-            "by_technique": {"sni": 13025, "host": 2761, "payload": 0, "port": 0},
-        },
-    },
-    (1, "audited"): _STREAM_1,
-    (1, "retry"): _STREAM_1,
-    (1, "spilled"): _STREAM_1,
-    (2, "stream"): _STREAM_2,
-    (2, "sharded_spilled"): {
-        "digest": "37ee237fac39ad422db3f8fc4f2a24516be5f7d1063ee831f4734c7626bfb527",
-        "report": {
-            "flows_total": 18092,
-            "flows_classified": 15899,
-            "bytes_total": 70547340421,
-            "bytes_classified": 62273677559,
-            "by_technique": {"sni": 12990, "host": 2909, "payload": 0, "port": 0},
-        },
-    },
-    (2, "audited"): _STREAM_2,
-    (2, "retry"): _STREAM_2,
-    (2, "spilled"): _STREAM_2,
-}
+CASES = sorted((seed, config) for seed in GOLDEN for config in CONFIGS)
 
 
 def npz_digest(path) -> str:
@@ -145,11 +120,11 @@ def build_fingerprint(tmp_path, seed: int, config: str) -> dict:
 
 @pytest.mark.parametrize(
     "seed,config",
-    sorted(GOLDEN),
-    ids=[f"seed{seed}-{config}" for seed, config in sorted(GOLDEN)],
+    CASES,
+    ids=[f"seed{seed}-{config}" for seed, config in CASES],
 )
 def test_build_matches_golden(tmp_path, seed, config):
-    assert build_fingerprint(tmp_path, seed, config) == GOLDEN[(seed, config)]
+    assert build_fingerprint(tmp_path, seed, config) == GOLDEN[seed]
 
 
 #: Seeds whose synthetic country has a white zone that sessions reach at

@@ -154,10 +154,17 @@ class TestWorkerIndependence:
         serial_jsonl = obs_events.render_jsonl(serial.export_events())
         parallel_jsonl = obs_events.render_jsonl(parallel.export_events())
         assert serial_jsonl == parallel_jsonl
-        # The log is substantive, well-formed, and closes with the
-        # final counter snapshot.
+        # The log is substantive (its generator counter deltas account
+        # for every subscriber, one delta per drawn block), well-formed,
+        # and closes with the final counter snapshot.
         events = obs_events.parse_jsonl(serial_jsonl)
-        assert len(events) > 100
+        subscribers = [
+            value
+            for kind, name, value in events
+            if kind == "counter" and name == "generator.subscribers"
+        ]
+        assert len(subscribers) >= N_SHARDS
+        assert sum(subscribers) == 60
         assert events[-1][:2] == ("snapshot", "final")
 
     def test_counters_identical_across_repeated_runs(self):

@@ -14,7 +14,7 @@ from repro.network.topology import build_topology
 def setup(country):
     topology = build_topology(country, seed=17)
     manager = SessionManager(topology, as_generator(3))
-    handover = HandoverManager(topology, manager, as_generator(4))
+    handover = HandoverManager(topology, manager)
     updates = []
     manager.add_control_listener(
         lambda bulk: updates.append(bulk) if type(bulk) is GtpcUpdateBulk else None

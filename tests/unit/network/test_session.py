@@ -101,7 +101,8 @@ class TestRelocation:
         control, _ = listeners
         created = manager.attach_bulk(1, np.array([0]), False, np.array([0.0]))
         updated = manager.update_bulk(
-            1, created.teids, np.array([7]), False, np.array([3.0]), as_generator(5)
+            1, created.teids, np.array([7]), False, np.array([3.0]),
+            created.session_keys,
         )
         assert control[-1] is updated
         assert type(updated) is GtpcUpdateBulk
@@ -114,7 +115,8 @@ class TestRelocation:
         )
         with obs.observed() as session:
             manager.update_bulk(
-                1, created.teids, np.arange(3, 6), False, np.ones(3), as_generator(5)
+                1, created.teids, np.arange(3, 6), False, np.ones(3),
+                created.session_keys,
             )
         assert session.registry.export_counters()["gtp.control_messages"] == 3
 

@@ -57,7 +57,7 @@ class TestServing:
         communes = np.array([5, 5, 9])
         bs_ids, tech_codes, ra_ids, cell_communes = (
             topology.serving_station_codes(
-                communes, np.full(3, TECH_3G, dtype=np.uint8), rng
+                communes, np.full(3, TECH_3G, dtype=np.uint8), rng.random(3)
             )
         )
         assert cell_communes.tolist() == [5, 5, 9]
@@ -74,7 +74,7 @@ class TestServing:
         if only_3g.size == 0:
             pytest.skip("synthetic country fully 4G-covered")
         bs_ids, tech_codes, _, _ = topology.serving_station_codes(
-            only_3g[:1], np.array([TECH_4G], dtype=np.uint8), rng
+            only_3g[:1], np.array([TECH_4G], dtype=np.uint8), rng.random(1)
         )
         assert tech_codes.tolist() == [TECH_3G]
         assert topology.base_stations[int(bs_ids[0])].technology is Technology.G3
@@ -130,19 +130,18 @@ class TestWhiteZones:
         )
         assert scalar.tolist() == vector[:1].tolist() == vector[1:].tolist()
         _, _, _, cell_communes = white_topology.serving_station_codes(
-            np.array([142, 142]), scalar.repeat(2), as_generator(5)
+            np.array([142, 142]), scalar.repeat(2), as_generator(5).random(2)
         )
         assert cell_communes.tolist() == [served, served]
 
     def test_white_zone_lookup_is_the_served_communes_lookup(
         self, white_topology
     ):
-        # Same stations and same draws: the RNG stream stays aligned.
+        # Same stations and same draws: the same cells.
         served = int(white_topology.serving_communes[142])
         tech = np.full(4, TECH_3G, dtype=np.uint8)
-        a, b = as_generator(9), as_generator(9)
-        white = white_topology.serving_station_codes(np.full(4, 142), tech, a)
-        plain = white_topology.serving_station_codes(np.full(4, served), tech, b)
+        draws = as_generator(9).random(4)
+        white = white_topology.serving_station_codes(np.full(4, 142), tech, draws)
+        plain = white_topology.serving_station_codes(np.full(4, served), tech, draws)
         for x, y in zip(white, plain):
             assert np.array_equal(x, y)
-        assert a.integers(1 << 30) == b.integers(1 << 30)
