@@ -39,8 +39,9 @@ def main() -> None:
             f" peak rss {format_bytes(row['peak_rss_bytes'])})"
         )
 
-    # The five busiest event counters — deterministic for this
-    # (seed, n_shards) whatever the worker count.
+    # The five busiest event counters — deterministic for this seed and
+    # shard count whatever the worker count (the dataset itself depends
+    # on the seed alone; batch counts follow the shards).
     counters = sorted(
         dump["counters"].items(), key=lambda item: item[1], reverse=True
     )

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="subscriber shards for --session runs (defaults to --workers); "
-        "results depend on (seed, shards) only, never on --workers",
+        "results depend on the seed only, never on --shards or --workers",
     )
     build.add_argument(
         "--retries",

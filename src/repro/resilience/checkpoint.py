@@ -4,9 +4,9 @@ A sharded session-level build can take minutes at production scale; a
 crash near the end should not force a from-scratch rerun.  Completed
 :class:`~repro.dataset.parallel.ShardResult` partials spill to a
 checkpoint directory as they arrive, and a resumed build loads them
-instead of re-running the shard — preserving the ``(seed, n_shards)``
-determinism contract because a shard's partial is bit-identical
-whether it was just computed or round-tripped through the checkpoint.
+instead of re-running the shard — preserving the seed-only determinism
+contract because a shard's partial is bit-identical whether it was
+just computed or round-tripped through the checkpoint.
 
 Format (``repro-ckpt/2``): one file per shard,
 ``shard-<index>.ckpt``, containing a pickled envelope::

@@ -1,10 +1,10 @@
-"""Sharded builds must be a function of (seed, n_shards) only.
+"""Sharded builds must not depend on the worker count.
 
 The determinism contract behind ``build_session_level_dataset``'s
-``n_workers`` parameter: for a fixed seed and shard count, running the
-shards serially or across worker processes yields bit-identical
-datasets and DPI reports.  Worker count is an execution detail, never
-a statistical one.
+``n_workers`` parameter: running the shards serially or across worker
+processes yields bit-identical datasets, DPI reports and merged stats.
+Worker count is an execution detail, never a statistical one (nor is
+the shard count: see ``test_seed_only.py``).
 """
 
 import numpy as np
