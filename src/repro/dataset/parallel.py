@@ -318,12 +318,6 @@ class WorkerContext:
     plan: ShardPlan
     fault_plan: Optional[Any] = None
 
-    @classmethod
-    def for_plan(
-        cls, plan: ShardPlan, fault_plan: Optional[Any] = None
-    ) -> "WorkerContext":
-        return cls(plan=plan, fault_plan=fault_plan)
-
     def faults_for(self, shard_index: int, attempt: int) -> Sequence[Any]:
         if self.fault_plan is None:
             return ()

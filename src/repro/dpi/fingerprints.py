@@ -10,15 +10,15 @@ service's flows.  The database is used from both sides:
   become the paper's ~12 % unclassified volume;
 - the **classifier** matches descriptors back against the same features.
 
-The bulk emitter (:meth:`FingerprintDatabase.feature_codes`) does not
-render strings at all: it returns one int64 feature code per flow
-against the database's :attr:`~FingerprintDatabase.codebook`, a
+The emitter (:meth:`FingerprintDatabase.feature_codes`) does not render
+strings at all: it returns one int64 feature code per flow against the
+database's :attr:`~FingerprintDatabase.codebook`, a
 :class:`~repro.network.gtp.FeatureCodebook` over every suffix and hint
 of the catalog's fingerprints.  Each code field is a keyed draw of the
 flow's key, so a flow's features depend on that flow alone.  The
 codebook is a pure function of the catalog, so the classifier's own
-database decodes the emitter's codes to the very strings the scalar
-emitter would have rendered.
+database decodes the emitter's codes to the same strings;
+:meth:`~FingerprintDatabase.emit_flow` renders one flow that way.
 
 Head-service fingerprints use the services' real-world domains; the
 anonymous tail services get generated CDN-style domains.
@@ -31,14 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._rng import (
-    KeyedStream,
-    SeedLike,
-    as_generator,
-    integer_variates,
-    root_key,
-)
-from repro.network.gtp import FeatureCodebook, FlowDescriptor, endpoint_name
+from repro._rng import KeyedStream, SeedLike, integer_variates, root_key
+from repro.network.gtp import FeatureCodebook, FlowDescriptor
 from repro.services.catalog import ServiceCatalog
 
 
@@ -218,7 +212,6 @@ class FingerprintDatabase:
             )
         self._catalog = catalog
         self.unclassifiable_rate = float(unclassifiable_rate)
-        self._rng = as_generator(seed)
         self._draws = KeyedStream(root_key(seed), "dpi.features")
         self._flow_counter = 0
         self._fingerprints: Dict[str, ServiceFingerprint] = {}
@@ -255,10 +248,6 @@ class FingerprintDatabase:
         """Every fingerprint, in catalog order."""
         return [self._fingerprints[s.name] for s in self._catalog]
 
-    def _next_flow_id(self) -> int:
-        self._flow_counter += 1
-        return self._flow_counter
-
     def emit_flow(
         self, service_name: str, obfuscated: Optional[bool] = None
     ) -> FlowDescriptor:
@@ -266,59 +255,28 @@ class FingerprintDatabase:
 
         ``obfuscated=None`` draws obfuscation at the database's
         ``unclassifiable_rate``; an obfuscated flow carries no matchable
-        features (an ESNI/VPN-like flow the DPI cannot attribute).
+        features (an ESNI/VPN-like flow the DPI cannot attribute).  This
+        is one flow of :meth:`emit_flow_features`, rendered.
         """
-        rng = self._rng
-        if obfuscated is None:
-            obfuscated = bool(rng.random() < self.unclassifiable_rate)
-        if obfuscated:
-            return FlowDescriptor(
-                flow_id=self._next_flow_id(),
-                sni=None,
-                host=None,
-                server_port=int(rng.integers(40000, 60000)),
-                protocol="udp" if rng.random() < 0.5 else "tcp",
-                payload_hint=None,
-            )
-
-        fp = self.fingerprint_of(service_name)
-        use_tls = rng.random() < fp.tls_share and fp.sni_suffixes
-        sni = host = None
-        if use_tls:
-            sni = _endpoint(rng, fp.sni_suffixes)
-            port, protocol = 443, "tcp"
-        elif fp.host_suffixes:
-            host = _endpoint(rng, fp.host_suffixes)
-            port, protocol = 80, "tcp"
-        else:
-            port, protocol = 0, "tcp"
-        if fp.port_signatures and (not use_tls or not fp.sni_suffixes):
-            port, protocol = fp.port_signatures[
-                int(rng.integers(len(fp.port_signatures)))
-            ]
-        if port == 0:
-            port, protocol = _GENERIC_PORTS[int(rng.integers(len(_GENERIC_PORTS)))]
-        hint = None
-        if fp.payload_hints and rng.random() < 0.7:
-            hint = fp.payload_hints[int(rng.integers(len(fp.payload_hints)))]
+        (flow_id,), codes = self.emit_flow_features(service_name, 1, obfuscated)
+        ((sni, host, hint, port, protocol),) = self.codebook.decode(codes)
         return FlowDescriptor(
-            flow_id=self._next_flow_id(),
+            flow_id=int(flow_id),
             sni=sni,
             host=host,
-            server_port=int(port),
+            server_port=port,
             protocol=protocol,
             payload_hint=hint,
         )
-
 
     def service_index(self, service_name: str) -> int:
         """Position of a service in catalog order (KeyError if unknown)."""
         return self._service_index[service_name]
 
     def emit_flow_features(
-        self, service_name: str, n: int
+        self, service_name: str, n: int, obfuscated: Optional[bool] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`emit_flow`: features for ``n`` flows at once.
+        """Features for ``n`` flows of one service at once.
 
         Returns ``(flow_ids, feature_codes)``, two int64 arrays: the
         database's next ``n`` flow ids, and :meth:`feature_codes` keyed
@@ -328,19 +286,23 @@ class FingerprintDatabase:
         self._flow_counter += n
         flow_ids = np.arange(start, start + n, dtype=np.int64)
         services = np.full(n, self.service_index(service_name))
-        return flow_ids, self.feature_codes(services, flow_ids)
+        return flow_ids, self.feature_codes(services, flow_ids, obfuscated)
 
     def feature_codes(
-        self, services: np.ndarray, flow_keys: np.ndarray
+        self,
+        services: np.ndarray,
+        flow_keys: np.ndarray,
+        obfuscated: Optional[bool] = None,
     ) -> np.ndarray:
         """One feature code per flow ``i`` of service ``services[i]``.
 
         ``services`` are positions in catalog order (:meth:`service_index`).
 
         The codes decode through :attr:`codebook` to features drawn from
-        the scalar emitter's per-feature distributions (obfuscation
-        rate, TLS share, signature ports, payload-hint probability).
-        Every field is a keyed draw of ``flow_keys[i]``, one counter per
+        each fingerprint's distributions (obfuscation rate, TLS share,
+        signature ports, payload-hint probability); ``obfuscated``
+        forces every flow clear (False) or obfuscated (True).  Every
+        field is a keyed draw of ``flow_keys[i]``, one counter per
         field, drawn only for the flows the field applies to.
         """
         draws, t = self._draws, self._tables
@@ -354,7 +316,8 @@ class FingerprintDatabase:
         hints = np.zeros(n, dtype=np.int64)
         ports = np.zeros(n, dtype=np.int64)
 
-        obfuscated = draws.uniform(keys, 0) < self.unclassifiable_rate
+        rate = self.unclassifiable_rate if obfuscated is None else float(obfuscated)
+        obfuscated = draws.uniform(keys, 0) < rate
         rows = np.flatnonzero(obfuscated)
         ports[rows] = 2 * (40000 + integer_variates(draws.uniform(keys[rows], 1), 20000))
         ports[rows] += draws.uniform(keys[rows], 2) < 0.5  # udp
@@ -367,9 +330,9 @@ class FingerprintDatabase:
         rows = plain[t.host.counts[services[plain]] > 0]
         ports[rows] = t.http
         hosts[rows] = self._endpoint_fields(t.host, services[rows], keys[rows])
-        # Signature ports apply exactly where the scalar emitter applies
-        # them: clear-text flows (and, for SNI-less services, every
-        # non-obfuscated flow); generic ports where no port was chosen.
+        # Signature ports apply to clear-text flows (for SNI-less
+        # services, every non-obfuscated flow); generic ports where no
+        # port was chosen.
         rows = plain[t.signatures.counts[services[plain]] > 0]
         ports[rows] = t.signatures.pick(services[rows], draws.uniform(keys[rows], 4))
         rows = clear[ports[clear] == 0]
@@ -384,9 +347,8 @@ class FingerprintDatabase:
     def _endpoint_fields(
         self, table: "_Choices", services: np.ndarray, keys: np.ndarray
     ) -> np.ndarray:
-        """Endpoint fields drawn like :func:`_endpoint`: a suffix, then a
-        label (1000 edge nodes, or 100 providers for prefix-style
-        suffixes)."""
+        """Endpoint fields: a suffix, then a label (1000 edge nodes, or
+        100 providers for prefix-style suffixes)."""
         suffix = integer_variates(
             self._draws.uniform(keys, 7), table.counts[services]
         )
@@ -438,14 +400,6 @@ class _FeatureTables:
         self.generic = np.asarray([codebook.port_field(*p) for p in _GENERIC_PORTS])
         self.https = codebook.port_field(443, "tcp")
         self.http = codebook.port_field(80, "tcp")
-
-
-def _endpoint(rng: np.random.Generator, suffixes: Sequence[str]) -> str:
-    """Pick a suffix and prepend a plausible edge-node label."""
-    suffix = suffixes[int(rng.integers(len(suffixes)))]
-    # Prefix-style suffixes ("imap.", "mmsc.") get a provider domain.
-    labels = 100 if suffix.endswith(".") else 1000
-    return endpoint_name(suffix, int(rng.integers(labels)))
 
 
 def _tail_fingerprint(service_name: str) -> ServiceFingerprint:

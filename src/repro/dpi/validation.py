@@ -94,10 +94,8 @@ def confusion_matrix(
     volumes = np.zeros(flows_per_service, dtype=np.int64)
     matrix = np.zeros((len(names), len(names) + 1), dtype=np.int64)
     for i, name in enumerate(names):
-        codes, overflow = engine.codebook.encode(
-            database.emit_flow(name, obfuscated=obfuscated).features
-            for _ in range(flows_per_service)
-        )
+        _, codes = database.emit_flow_features(name, flows_per_service, obfuscated)
+        codes, overflow = engine.codebook.encode(database.codebook.decode(codes))
         positions = engine.classify_batch(codes, volumes, overflow)
         matrix[i] = np.bincount(columns[positions], minlength=len(names) + 1)
     return ConfusionReport(service_names=names, matrix=matrix)

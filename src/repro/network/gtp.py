@@ -293,14 +293,6 @@ class FeatureCodebook:
         return None
 
 
-def session_keys_or_teids(session_keys, teids) -> np.ndarray:
-    """Sessions' keyed-draw identities as uint64: the given keys, else
-    the TEIDs (unique per session manager)."""
-    if session_keys is None:
-        session_keys = teids
-    return np.asarray(session_keys).astype(np.uint64, copy=False)
-
-
 #: The codebook with no names: it encodes port/protocol-only features
 #: and sends everything else to a batch's overflow table.
 EMPTY_CODEBOOK = FeatureCodebook()
@@ -334,7 +326,8 @@ class GtpcCreateBulk:
     session_keys: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.session_keys = session_keys_or_teids(self.session_keys, self.teids)
+        if self.session_keys is None:
+            self.session_keys = self.teids
 
     def __len__(self) -> int:
         return len(self.teids)
@@ -365,7 +358,8 @@ class GtpcDeleteBulk:
     session_keys: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        self.session_keys = session_keys_or_teids(self.session_keys, self.teids)
+        if self.session_keys is None:
+            self.session_keys = self.teids
 
     def __len__(self) -> int:
         return len(self.teids)
@@ -443,7 +437,6 @@ __all__ = [
     "GtpcDeleteBulk",
     "GtpuBulk",
     "TeidAllocator",
-    "session_keys_or_teids",
     "TECH_3G",
     "TECH_4G",
     "TECH_BY_CODE",

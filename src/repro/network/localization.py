@@ -56,8 +56,7 @@ class LocalizationAuditor:
             flow_keys = self.n_samples + np.arange(len(true))
         # The subscriber's true position: uniform within the commune's
         # grid cell (the simulator does not track sub-commune movement).
-        keys = np.asarray(flow_keys).astype(np.uint64)
-        unit = np.stack([self._draws.uniform(keys, c) for c in (0, 1)], axis=1)
+        unit = np.stack([self._draws.uniform(flow_keys, c) for c in (0, 1)], axis=1)
         position = self._commune_xy[true] + self._half_cell_km * (2.0 * unit - 1.0)
         offset = position - self._cell_xy[cells]
         errors = np.hypot(offset[:, 0], offset[:, 1])

@@ -24,7 +24,6 @@ from repro.network.gtp import (
     GtpcUpdateBulk,
     GtpuBulk,
     TeidAllocator,
-    session_keys_or_teids,
 )
 from repro.network.topology import NetworkTopology
 
@@ -107,7 +106,7 @@ class SessionManager:
         with obs.span("gtp.signalling", attrs={"subscribers": subscribers}):
             n = len(commune_ids)
             teids = self._teids.allocate_many(n)
-            keys = session_keys_or_teids(session_keys, teids)
+            keys = teids if session_keys is None else session_keys
             bulk = GtpcCreateBulk(
                 timestamps_s=np.asarray(timestamps_s, dtype=np.float64),
                 imsi_hashes=_per_session(imsi_hash, n),
@@ -139,7 +138,7 @@ class SessionManager:
         UpdatePDPContext / ModifyBearer message per session.
         """
         with obs.span("gtp.signalling"):
-            keys = session_keys_or_teids(session_keys, teids)
+            keys = teids if session_keys is None else session_keys
             bulk = GtpcUpdateBulk(
                 timestamps_s=np.asarray(timestamps_s, dtype=np.float64),
                 imsi_hashes=_per_session(imsi_hash, len(teids)),

@@ -491,7 +491,7 @@ def execute_shards_supervised(
         _prefill_from_checkpoint(outcomes, plan, checkpoint, report, spill)
     pending = [o.shard_index for o in outcomes if o.result is None]
 
-    context = WorkerContext.for_plan(plan, fault_plan=fault_plan)
+    context = WorkerContext(plan, fault_plan=fault_plan)
     if pending:
         mp_context = None
         if n_workers > 1 and len(pending) > 1:

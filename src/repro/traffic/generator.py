@@ -82,7 +82,6 @@ class SessionLevelGenerator:
     ):
         self._model = model
         self._population = population
-        self._topology = topology
         self._fingerprints = fingerprints
         self._config = config
         root = root_key(seed)

@@ -140,34 +140,24 @@ class MobilityModel:
         self, subscribers: Sequence[Subscriber]
     ) -> List[Itinerary]:
         """Itineraries of many subscribers, drawing the uncached at once."""
-        cache = self._cache
-        todo = [
-            s for s in subscribers
-            if s.imsi_hash not in cache
-            and s.subscriber_class is not SubscriberClass.RESIDENT
-        ]
+        todo = [s for s in subscribers if s.imsi_hash not in self._cache]
         if todo:
             keys = identity_keys([s.imsi_hash for s in todo])
             draws = np.stack(
                 [self._draws.uniform(keys, c) for c in range(self._DRAWS)], axis=1
             )
             builders = {
+                SubscriberClass.RESIDENT: self._resident,
                 SubscriberClass.COMMUTER: self._commuter,
                 SubscriberClass.STUDENT: self._student,
                 SubscriberClass.TGV_TRAVELLER: self._tgv_traveller,
             }
             for subscriber, u in zip(todo, draws.tolist()):
                 builder = builders[subscriber.subscriber_class]
-                cache[subscriber.imsi_hash] = builder(subscriber, u)
-        out = []
-        for subscriber in subscribers:
-            itinerary = cache.get(subscriber.imsi_hash)
-            if itinerary is None:
-                itinerary = cache[subscriber.imsi_hash] = self._resident(subscriber)
-            out.append(itinerary)
-        return out
+                self._cache[subscriber.imsi_hash] = builder(subscriber, u)
+        return [self._cache[s.imsi_hash] for s in subscribers]
 
-    def _resident(self, subscriber: Subscriber) -> Itinerary:
+    def _resident(self, subscriber: Subscriber, u=None) -> Itinerary:
         return Itinerary((0.0,), (subscriber.home_commune,))
 
     def _daily_shuttle(

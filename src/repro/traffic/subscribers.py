@@ -10,7 +10,6 @@ subscribers through their week.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -108,45 +107,24 @@ class SubscriberPopulation:
         return counts
 
 
-#: Per urbanization class, the running share thresholds of
-#: ``_CLASS_MIX``: a uniform draw below ``thresholds[i]`` (and not below
-#: an earlier one) picks the mix's ``i``-th class.
-_CLASS_THRESHOLDS: Dict[UrbanizationClass, np.ndarray] = {
-    cls: np.asarray(list(accumulate(share for _, share in mix)))
-    for cls, mix in _CLASS_MIX.items()
-}
+def _draw_class(r: float, cls: UrbanizationClass) -> SubscriberClass:
+    """The class a uniform draw ``r`` picks from a home class's mix."""
+    mix = _CLASS_MIX[cls]
+    acc = 0.0
+    for subscriber_class, share in mix:
+        acc += share
+        if r < acc:
+            return subscriber_class
+    return mix[-1][0]
 
 
-def _draw_classes(
-    country: Country, homes: np.ndarray, draws: np.ndarray
-) -> List[SubscriberClass]:
-    """Each subscriber's class from one uniform draw and their home.
-
-    The first class whose running share exceeds the draw wins; a draw
-    past every threshold (the shares' rounding) takes the last class.
-    """
-    classes = country.urbanization.classes[homes]
-    picked: List[SubscriberClass] = [SubscriberClass.RESIDENT] * len(homes)
-    for cls, thresholds in _CLASS_THRESHOLDS.items():
-        rows = np.flatnonzero(classes == int(cls))
-        if not len(rows):
-            continue
-        mix = _CLASS_MIX[cls]
-        index = np.minimum(
-            np.searchsorted(thresholds, draws[rows], side="right"), len(mix) - 1
-        )
-        for row, i in zip(rows.tolist(), index.tolist()):
-            picked[row] = mix[i][0]
-    return picked
-
-
-def _work_commune_tables(
+def _work_commune_cdf(
     country: Country, home: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Candidate work/school communes of one home, with their CDF.
+    """Candidate work/school communes of a home, with their CDF.
 
     Candidates are the communes within a commuting radius, weighted by
-    population (jobs follow people); None when there are none, so the
+    population (jobs follow people); None when there are none, and the
     subscriber works at home.
     """
     xy = country.grid.coordinates_km
@@ -156,8 +134,7 @@ def _work_commune_tables(
         return None
     weights = country.population.residents[candidates]
     cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
-    return candidates, cdf
+    return candidates, cdf / cdf[-1]
 
 
 def synthesize_population(
@@ -171,11 +148,10 @@ def synthesize_population(
     Home communes follow the resident distribution; classes follow the
     urbanization-dependent mix; service adoption follows the intensity
     model's per-commune adoption rates, so the session-level workload
-    reproduces the same spatial sparsity as the volume model.
-
-    Each attribute has its own stream, drawn in one call for the whole
-    population (the work stream: one uniform per commuter or student,
-    in subscriber order, inverted through the home's candidate CDF).
+    reproduces the same spatial sparsity as the volume model.  Each
+    attribute draws from its own stream, whole-population draws in one
+    call; a commuter's or student's work commune inverts one uniform
+    through their home's candidate CDF, computed once per home.
     """
     if n_subscribers < 1:
         raise ValueError(f"n_subscribers must be >= 1, got {n_subscribers}")
@@ -192,40 +168,35 @@ def synthesize_population(
         country.n_communes, size=n_subscribers, p=residents / residents.sum()
     )
     n_head = model.adoption.shape[1]
-    classes = _draw_classes(country, homes, class_rng.random(n_subscribers))
+    class_draws = class_rng.random(n_subscribers).tolist()
     adopted = adoption_rng.random((n_subscribers, n_head)) < model.adoption[homes]
     has_4g = (device_rng.random(n_subscribers) < 0.62).tolist()
-    scales = scale_rng.lognormal(mean=-0.125, sigma=0.5, size=n_subscribers)
+    scales = scale_rng.lognormal(mean=-0.125, sigma=0.5, size=n_subscribers).tolist()
+    work_cdfs: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
-    commuting = (SubscriberClass.COMMUTER, SubscriberClass.STUDENT)
-    works: List[Optional[int]] = [None] * n_subscribers
-    workers = [i for i, cls in enumerate(classes) if cls in commuting]
-    tables: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
-    for i, u in zip(workers, work_rng.random(len(workers)).tolist()):
-        home = int(homes[i])
-        if home not in tables:
-            tables[home] = _work_commune_tables(country, home)
-        table = tables[home]
-        if table is None:
-            works[i] = home
-        else:
-            candidates, cdf = table
-            works[i] = int(candidates[np.searchsorted(cdf, u, side="right")])
-
-    subscribers = [
-        Subscriber(
-            imsi_hash=int(1_000_000_007 * (i + 1) % (2**61 - 1)),
-            home_commune=home,
-            subscriber_class=classes[i],
-            has_4g_device=has_4g[i],
-            activity_scale=scale,
-            adopted_services=tuple(np.flatnonzero(row).tolist()),
-            work_commune=works[i],
+    subscribers: List[Subscriber] = []
+    for i, home in enumerate(homes.tolist()):
+        subscriber_class = _draw_class(class_draws[i], country.class_of(home))
+        work = None
+        if subscriber_class in (SubscriberClass.COMMUTER, SubscriberClass.STUDENT):
+            if home not in work_cdfs:
+                work_cdfs[home] = _work_commune_cdf(country, home)
+            work = home
+            if work_cdfs[home] is not None:
+                candidates, cdf = work_cdfs[home]
+                u = work_rng.random()
+                work = int(candidates[np.searchsorted(cdf, u, side="right")])
+        subscribers.append(
+            Subscriber(
+                imsi_hash=int(1_000_000_007 * (i + 1) % (2**61 - 1)),
+                home_commune=home,
+                subscriber_class=subscriber_class,
+                has_4g_device=has_4g[i],
+                activity_scale=scales[i],
+                adopted_services=tuple(np.flatnonzero(adopted[i]).tolist()),
+                work_commune=work,
+            )
         )
-        for i, (home, scale, row) in enumerate(
-            zip(homes.tolist(), scales.tolist(), adopted)
-        )
-    ]
     return SubscriberPopulation(subscribers, country)
 
 
