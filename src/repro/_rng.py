@@ -1,27 +1,18 @@
 """Deterministic random-number handling.
 
-Two kinds of randomness live here.
-
 **Streams.**  Every stochastic component accepts either a seed or a
 :class:`numpy.random.Generator`.  :func:`as_generator` normalizes the
 two, and :func:`spawn` derives independent child generators so that
 subsystems (geography, population, workload, ...) draw from
 decorrelated streams even when built from a single top-level seed.
 
-**Keyed draws.**  The session chain draws nothing from a stream.  Each
-of its uniforms is a pure function of ``(root key, label, key,
-counter)``: a :class:`KeyedStream` names a root key and a label, a key
-names the thing drawn for (a subscriber, one of their sessions, one of
-a session's flows; see :func:`identity_keys` and :func:`child_keys`),
-and the counter tells that thing's draws apart.  The hash is
-SplitMix64's output function over uint64 arrays, in the spirit of
-counter-based generators (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11).  A value then depends on what it is drawn
-for, never on which shard, block or batch drew it, or in what order.
-Variates come from closed-form or tabulated inverse CDFs of the keyed
-uniforms (:func:`poisson_variates`, :func:`geometric_variates`,
-:func:`exponential_variates`, :func:`normal_variates`,
-:func:`integer_variates`).
+**Keyed draws.**  The session chain draws from no stream: each uniform
+is a pure function of ``(root key, label, key, counter)`` (a
+:class:`KeyedStream`), hashed by SplitMix64's output function over
+uint64 arrays in the manner of counter-based generators (Salmon et al.,
+SC'11).  Keys name what a draw is for (:func:`identity_keys`,
+:func:`child_keys`), so a value never depends on which shard, block or
+batch drew it.  Variates are inverse CDFs of keyed uniforms.
 """
 
 from __future__ import annotations
@@ -106,7 +97,7 @@ def child_keys(parents: np.ndarray, ordinals) -> np.ndarray:
     return _mix(np.asarray(parents, dtype=np.uint64) + steps * _GAMMA)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _stream_offset(root: int, label: str, counter: int) -> np.uint64:
     digest = hashlib.blake2b(
         f"{label}#{counter}".encode("utf-8"),
@@ -138,7 +129,7 @@ class KeyedStream:
         return (h.astype(np.float64) + 0.5) * 2.0**-52
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _poisson_cdf(mean: float) -> np.ndarray:
     """CDF of Poisson(``mean``) up to where its tail is negligible.
 
@@ -151,7 +142,9 @@ def _poisson_cdf(mean: float) -> np.ndarray:
     for k in range(terms):
         acc += math.exp(k * log_mean - mean - math.lgamma(k + 1.0))
         cdf.append(acc)
-    return np.asarray(cdf) / acc
+    table = np.asarray(cdf) / acc
+    table.flags.writeable = False
+    return table
 
 
 def poisson_variates(u: np.ndarray, mean: float) -> np.ndarray:

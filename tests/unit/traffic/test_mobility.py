@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro._time import hour_of_week
-from repro.traffic.mobility import Itinerary, MobilityModel
+from repro._rng import as_generator
+from repro.traffic.mobility import Itinerary, MobilityModel, locations_at
 from repro.traffic.subscribers import (
     Subscriber,
     SubscriberClass,
@@ -49,6 +50,24 @@ class TestItinerary:
         itinerary = Itinerary((0.0,), (1,))
         with pytest.raises(ValueError):
             itinerary.location_at(168.0)
+
+    def test_block_lookup_matches_scalar_lookup(self, country, intensity_model):
+        population = synthesize_population(country, intensity_model, 200, seed=4)
+        itineraries = MobilityModel(country, seed=5).itineraries_for(
+            population.subscribers
+        )
+        rng = as_generator(6)
+        owners = rng.integers(len(itineraries), size=5000)
+        # Breakpoints themselves are queried too: ties go to the new leg.
+        hours = rng.uniform(0.0, 168.0, size=5000)
+        hours[::7] = [
+            rng.choice(itineraries[o].breakpoints) for o in owners[::7].tolist()
+        ]
+        expected = [
+            itineraries[o].location_at(h) for o, h in zip(owners.tolist(), hours.tolist())
+        ]
+        assert locations_at(itineraries, owners, hours).tolist() == expected
+        assert any(len(it.breakpoints) > 1 for it in itineraries)
 
     def test_visited_communes(self):
         itinerary = Itinerary((0.0, 1.0, 2.0), (5, 6, 5))

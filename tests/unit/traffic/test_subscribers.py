@@ -3,10 +3,61 @@
 import numpy as np
 import pytest
 
+from repro._rng import as_generator, spawn
 from repro.traffic.subscribers import (
+    _CLASS_MIX,
+    Subscriber,
     SubscriberClass,
     synthesize_population,
 )
+
+
+def scalar_population(country, model, n, seed):
+    """The per-subscriber reference: every stream drawn one value at a
+    time, the work commune by ``Generator.choice``."""
+    rng = as_generator(seed)
+    streams = [
+        spawn(rng, f"population.{name}")
+        for name in ("homes", "classes", "devices", "adoption", "work", "scale")
+    ]
+    homes_rng, class_rng, device_rng, adoption_rng, work_rng, scale_rng = streams
+    residents = country.population.residents
+    homes = homes_rng.choice(country.n_communes, size=n, p=residents / residents.sum())
+    xy = country.grid.coordinates_km
+    out = []
+    for i, home in enumerate(homes.tolist()):
+        r, acc = class_rng.random(), 0.0
+        subscriber_class = _CLASS_MIX[country.class_of(home)][-1][0]
+        for candidate, share in _CLASS_MIX[country.class_of(home)]:
+            acc += share
+            if r < acc:
+                subscriber_class = candidate
+                break
+        adopted = tuple(
+            j
+            for j in range(model.adoption.shape[1])
+            if adoption_rng.random() < model.adoption[home, j]
+        )
+        work = None
+        if subscriber_class in (SubscriberClass.COMMUTER, SubscriberClass.STUDENT):
+            d = np.linalg.norm(xy - xy[home], axis=1)
+            candidates = np.nonzero((d <= 30.0) & (d > 0))[0]
+            work = home
+            if candidates.size:
+                weights = residents[candidates] / residents[candidates].sum()
+                work = int(work_rng.choice(candidates, p=weights))
+        out.append(
+            Subscriber(
+                imsi_hash=int(1_000_000_007 * (i + 1) % (2**61 - 1)),
+                home_commune=home,
+                subscriber_class=subscriber_class,
+                has_4g_device=bool(device_rng.random() < 0.62),
+                activity_scale=float(scale_rng.lognormal(mean=-0.125, sigma=0.5)),
+                adopted_services=adopted,
+                work_commune=work,
+            )
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +114,14 @@ class TestSynthesis:
     def test_imsi_hashes_unique(self, population):
         hashes = {s.imsi_hash for s in population}
         assert len(hashes) == len(population)
+
+    @pytest.mark.parametrize("seed", [5, 21])
+    def test_matches_the_scalar_reference(self, country, intensity_model, seed):
+        # Whole-stream draws yield the same doubles in the same order.
+        population = synthesize_population(country, intensity_model, 300, seed=seed)
+        assert population.subscribers == scalar_population(
+            country, intensity_model, 300, seed
+        )
 
     def test_determinism(self, country, intensity_model):
         a = synthesize_population(country, intensity_model, 50, seed=5)
