@@ -22,7 +22,7 @@ week is therefore the same whichever block, shard or worker draws it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
