@@ -7,7 +7,10 @@ faithful reimplementation:
 
 - the **shape-based distance** (SBD) between two z-normalized series is
   ``1 - max_w NCC_c(x, y, w)``, the normalized cross-correlation
-  maximized over all alignments, computed in O(n log n) via FFT;
+  maximized over all alignments, computed in O(n log n) via FFT from
+  spectra: :func:`kshape` transforms its rows once per call, and one
+  batched inverse transform gives the distances to all k centroids (or
+  every series' alignment to its centroid); :func:`sbd` is one pair;
 - **shape extraction** finds each cluster's centroid as the series
   maximizing the summed squared cross-correlation to the members — the
   dominant eigenvector of ``Q S Q`` where ``S`` is the scatter of the
@@ -37,23 +40,47 @@ def z_normalize(series: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ncc_c(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient-normalized cross-correlation of two 1-D series.
+def _fft_size(n: int) -> int:
+    """Transform length that holds a linear cross-correlation of length n."""
+    return 1 << (2 * n - 1).bit_length()
 
-    Returns the correlation at every shift ``w`` in ``[-(n-1), n-1]``,
-    normalized by ``||x|| * ||y||`` so values lie in [-1, 1].
+
+def _ncc(
+    x_fft: np.ndarray, y_fft_conj: np.ndarray, norms: np.ndarray, n: int
+) -> np.ndarray:
+    """NCC_c at every shift ``w`` in ``[-(n-1), n-1]`` (last axis), in [-1, 1].
+
+    Takes x's ``rfft`` and y's conjugate ``rfft`` at ``_fft_size(n)``,
+    broadcast over leading axes, and ``||x|| * ||y||`` per pair; a pair
+    with a zero norm correlates as zeros.
     """
-    n = len(x)
-    norm = np.linalg.norm(x) * np.linalg.norm(y)
-    if norm == 0:
-        return np.zeros(2 * n - 1)
-    size = 1 << (2 * n - 1).bit_length()
-    cc = np.fft.irfft(
-        np.fft.rfft(x, size) * np.conj(np.fft.rfft(y, size)), size
-    )
+    size = _fft_size(n)
+    cc = np.fft.irfft(x_fft * y_fft_conj, size, axis=-1)
     # Shifts -(n-1)..-1 live at the tail of the circular correlation.
-    cc = np.concatenate((cc[-(n - 1):], cc[:n]))
-    return cc / norm
+    cc = np.concatenate((cc[..., size - (n - 1):], cc[..., :n]), axis=-1)
+    norms = np.asarray(norms)[..., None]
+    out = np.zeros_like(cc)
+    np.divide(cc, norms, out=out, where=norms > 0)
+    return out
+
+
+def _reference_norms(rows: np.ndarray) -> np.ndarray:
+    """Norm of each row alone (a BLAS dot), for the reference side of ``_ncc``.
+
+    The fidelity baseline pins SBD distances to the last bit, and its
+    values take the compared rows' norms along axis 1 (a pairwise sum),
+    which can differ from the dot in the last place.
+    """
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
+def _align(ncc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Shift row ``i`` by ``argmax(ncc[i]) - (n - 1)`` places, zero-padded."""
+    n = rows.shape[1]
+    shifts = np.argmax(ncc, axis=-1) - (n - 1)
+    padded = np.pad(rows, ((0, 0), (n, n)))
+    index = (n - shifts)[:, None] + np.arange(n)
+    return np.take_along_axis(padded, index, axis=1)
 
 
 def sbd(x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -67,64 +94,32 @@ def sbd(x: np.ndarray, y: np.ndarray) -> Tuple[float, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"series shapes differ: {x.shape} vs {y.shape}")
-    ncc = _ncc_c(x, y)
-    idx = int(np.argmax(ncc))
-    dist = 1.0 - float(ncc[idx])
-    shift = idx - (len(x) - 1)
-    aligned = np.zeros_like(y)
-    if shift >= 0:
-        aligned[shift:] = y[: len(y) - shift]
-    else:
-        aligned[:shift] = y[-shift:]
-    return dist, aligned
-
-
-def _batch_sbd_to(data: np.ndarray, centroid: np.ndarray) -> np.ndarray:
-    """SBD distance from ``centroid`` to every row of ``data`` (vectorized).
-
-    One batched FFT replaces m pairwise calls; SBD is symmetric in the
-    distance (though not in the alignment), so this serves the k-Shape
-    assignment step.
-    """
-    m, n = data.shape
-    size = 1 << (2 * n - 1).bit_length()
-    c_fft = np.fft.rfft(centroid, size)
-    d_fft = np.fft.rfft(data, size, axis=1)
-    cc = np.fft.irfft(c_fft[None, :] * np.conj(d_fft), size, axis=1)
-    valid = np.concatenate((cc[:, -(n - 1):], cc[:, :n]), axis=1)
-    norms = np.linalg.norm(data, axis=1) * np.linalg.norm(centroid)
-    best = valid.max(axis=1)
-    out = np.ones(m)
-    positive = norms > 0
-    out[positive] = 1.0 - best[positive] / norms[positive]
-    return out
+    n = len(x)
+    spectra = np.fft.rfft(np.stack((x, y)), _fft_size(n))
+    norms = np.linalg.norm(x) * np.linalg.norm(y)
+    ncc = _ncc(spectra[0], np.conj(spectra[1]), norms, n)
+    return 1.0 - float(ncc.max()), _align(ncc[None], y[None])[0]
 
 
 def sbd_matrix(series: np.ndarray) -> np.ndarray:
     """Pairwise SBD distance matrix for an ``(m, n)`` series stack."""
     series = z_normalize(series)
-    m = series.shape[0]
-    out = np.zeros((m, m))
-    for i in range(m - 1):
-        distances = _batch_sbd_to(series[i + 1:], series[i])
-        out[i, i + 1:] = distances
-        out[i + 1:, i] = distances
-    return out
+    n = series.shape[1]
+    spectra = np.fft.rfft(series, _fft_size(n), axis=1)
+    norms = _reference_norms(series)[:, None] * np.linalg.norm(series, axis=1)
+    ncc = _ncc(spectra[:, None], np.conj(spectra), norms, n)
+    upper = np.triu(1.0 - ncc.max(axis=-1), 1)
+    return upper + upper.T
 
 
 def _extract_shape(
-    members: np.ndarray, centroid: np.ndarray
+    aligned: np.ndarray, centroid: np.ndarray
 ) -> np.ndarray:
-    """Refine one cluster's centroid by shape extraction."""
-    if members.shape[0] == 0:
+    """Refine one cluster's centroid from its members, each already
+    shifted to its best alignment with ``centroid``."""
+    if aligned.shape[0] == 0:
         return centroid
-    n = members.shape[1]
-    if np.any(centroid):
-        aligned = np.empty_like(members)
-        for i in range(members.shape[0]):
-            _, aligned[i] = sbd(centroid, members[i])
-    else:
-        aligned = members
+    n = aligned.shape[1]
     aligned = z_normalize(aligned)
 
     # The new shape maximizes the Rayleigh quotient of M = Q Sᵀ S Q
@@ -194,24 +189,39 @@ def kshape(
     m, n = series.shape
     if not 1 <= k <= m:
         raise ValueError(f"k must be in [1, {m}], got {k}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     rng = as_generator(seed)
     data = z_normalize(series)
+    # The rows never change: their spectra and norms serve every step.
+    size = _fft_size(n)
+    data_fft_conj = np.conj(np.fft.rfft(data, size, axis=1))
+    data_norms = np.linalg.norm(data, axis=1)
 
     labels = rng.integers(0, k, size=m)
     # Guarantee that every cluster starts non-empty.
     labels[rng.permutation(m)[:k]] = np.arange(k)
     centroids = np.zeros((k, n))
+    centroid_fft = np.zeros((k, data_fft_conj.shape[1]), dtype=complex)
+    centroid_norms = np.zeros(k)
 
     for iteration in range(1, max_iterations + 1):
-        # Refinement: re-extract each cluster's shape.
+        # Refinement: align every series to its cluster's current shape
+        # (members of a cluster without one yet stay unshifted), then
+        # re-extract each cluster's shape.
+        norms = centroid_norms[labels] * data_norms
+        ncc = _ncc(centroid_fft[labels], data_fft_conj, norms, n)
+        shaped = np.any(centroids, axis=1)[labels, None]
+        aligned = np.where(shaped, _align(ncc, data), data)
         for c in range(k):
-            members = data[labels == c]
-            centroids[c] = _extract_shape(members, centroids[c])
+            centroids[c] = _extract_shape(aligned[labels == c], centroids[c])
 
-        # Assignment: nearest centroid under SBD (batched per centroid).
-        distances = np.empty((m, k))
-        for c in range(k):
-            distances[:, c] = _batch_sbd_to(data, centroids[c])
+        # Assignment: nearest centroid under SBD.
+        centroid_fft = np.fft.rfft(centroids, size, axis=1)
+        centroid_norms = _reference_norms(centroids)
+        norms = centroid_norms[:, None] * data_norms
+        ncc = _ncc(centroid_fft[:, None], data_fft_conj, norms, n)
+        distances = 1.0 - ncc.max(axis=-1).T
         new_labels = np.argmin(distances, axis=1)
 
         # Reseed empty clusters with the currently worst-fit series.
@@ -224,14 +234,8 @@ def kshape(
             labels = new_labels
             break
         labels = new_labels
-    else:
-        iteration = max_iterations
 
-    inertia = 0.0
-    for c in range(k):
-        members = labels == c
-        if members.any():
-            inertia += float(_batch_sbd_to(data[members], centroids[c]).sum())
+    inertia = sum(float(distances[labels == c, c].sum()) for c in range(k))
     return KShapeResult(
         labels=labels,
         centroids=centroids.copy(),

@@ -60,24 +60,26 @@ class PeakDetection:
         return list(zip(starts.tolist(), ends.tolist()))
 
 
-def smoothed_zscore(
-    series: np.ndarray,
+def smoothed_zscore_rows(
+    stack: np.ndarray,
     lag: int,
     threshold: float = 3.0,
     influence: float = 0.4,
-) -> PeakDetection:
-    """Run the smoothed z-score detector over a 1-D series.
+) -> List[PeakDetection]:
+    """Run the smoothed z-score detector over each row of an ``(S, n)`` stack.
 
     Parameters follow the reference implementation: ``lag`` is the
     trailing-window length in samples, ``threshold`` the z-score beyond
     which a sample is flagged, and ``influence`` the weight with which
     flagged samples enter the filtered history (0 freezes the baseline
-    during peaks, 1 disables the smoothing entirely).
+    during peaks, 1 disables the smoothing entirely).  The recurrence
+    steps over time once for all rows, with each row's arithmetic that
+    of the row alone.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError(f"expected a 1-D series, got shape {series.shape}")
-    n = len(series)
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 2:
+        raise ValueError(f"expected an (S, n) stack, got shape {stack.shape}")
+    n = stack.shape[1]
     if not 1 <= lag < n:
         raise ValueError(f"lag must be in [1, {n}), got {lag}")
     if threshold <= 0:
@@ -85,36 +87,53 @@ def smoothed_zscore(
     if not 0 <= influence <= 1:
         raise ValueError(f"influence must be in [0, 1], got {influence}")
 
-    signals = np.zeros(n, dtype=int)
-    filtered = series.copy()
-    moving_mean = np.zeros(n)
-    moving_std = np.zeros(n)
-    moving_mean[lag - 1] = filtered[:lag].mean()
-    moving_std[lag - 1] = filtered[:lag].std()
+    flagged = np.zeros(stack.shape, dtype=bool)
+    filtered = stack.copy()
+    weighted = influence * stack
+    moving_mean = np.zeros(stack.shape)
+    moving_std = np.zeros(stack.shape)
+    moving_mean[:, lag - 1] = filtered[:, :lag].mean(axis=1)
+    moving_std[:, lag - 1] = filtered[:, :lag].std(axis=1)
 
     for i in range(lag, n):
-        deviation = series[i] - moving_mean[i - 1]
-        if abs(deviation) > threshold * moving_std[i - 1] and moving_std[i - 1] > 0:
-            signals[i] = 1 if deviation > 0 else -1
-            filtered[i] = (
-                influence * series[i] + (1.0 - influence) * filtered[i - 1]
-            )
-        else:
-            signals[i] = 0
-            filtered[i] = series[i]
-        window = filtered[i - lag + 1 : i + 1]
-        moving_mean[i] = window.mean()
-        moving_std[i] = window.std()
+        mean, std = moving_mean[:, i - 1], moving_std[:, i - 1]
+        hit = (np.abs(stack[:, i] - mean) > threshold * std) & (std > 0)
+        flagged[:, i] = hit
+        filtered[:, i] = np.where(
+            hit, weighted[:, i] + (1.0 - influence) * filtered[:, i - 1], stack[:, i]
+        )
+        # np.mean and np.std of the window, spelled out: the same
+        # reductions in the same order, without their per-call overhead.
+        window = filtered[:, i - lag + 1 : i + 1]
+        moving_mean[:, i] = mean = window.sum(axis=1) / lag
+        centred = window - mean[:, None]
+        moving_std[:, i] = np.sqrt((centred * centred).sum(axis=1) / lag)
 
-    return PeakDetection(
-        signals=signals,
-        filtered=filtered,
-        moving_mean=moving_mean,
-        moving_std=moving_std,
-        threshold=threshold,
-        lag=lag,
-        influence=influence,
-    )
+    signals = np.zeros(stack.shape, dtype=int)
+    deviation = stack[:, 1:] - moving_mean[:, :-1]
+    signals[:, 1:] = np.where(flagged[:, 1:], np.sign(deviation), 0)
+    return [
+        PeakDetection(*row, threshold=threshold, lag=lag, influence=influence)
+        for row in zip(signals, filtered, moving_mean, moving_std)
+    ]
+
+
+def smoothed_zscore(
+    series: np.ndarray,
+    lag: int,
+    threshold: float = 3.0,
+    influence: float = 0.4,
+) -> PeakDetection:
+    """The detector on one 1-D series (see :func:`smoothed_zscore_rows`)."""
+    series = np.asarray(series, dtype=float)
+    if series.ndim != 1:
+        raise ValueError(f"expected a 1-D series, got shape {series.shape}")
+    return smoothed_zscore_rows(series[None, :], lag, threshold, influence)[0]
+
+
+def sample_lag(axis: TimeAxis, lag_hours: float = 2.0) -> int:
+    """The smoothing interval (the paper's is 2 hours) in samples, at least 2."""
+    return max(2, int(round(lag_hours * axis.bins_per_hour)))
 
 
 def detect_peaks(
@@ -124,15 +143,14 @@ def detect_peaks(
     threshold: float = 3.0,
     influence: float = 0.4,
 ) -> PeakDetection:
-    """Paper-parameterized detection on a weekly series.
-
-    The paper sets the z-score smoothing interval to 2 hours; the sample
-    lag is derived from the axis resolution.
-    """
-    lag = max(2, int(round(lag_hours * axis.bins_per_hour)))
-    return smoothed_zscore(
-        series, lag=lag, threshold=threshold, influence=influence
-    )
+    """Paper-parameterized detection on a weekly series."""
+    return smoothed_zscore(series, sample_lag(axis, lag_hours), threshold, influence)
 
 
-__all__ = ["PeakDetection", "smoothed_zscore", "detect_peaks"]
+__all__ = [
+    "PeakDetection",
+    "smoothed_zscore_rows",
+    "smoothed_zscore",
+    "sample_lag",
+    "detect_peaks",
+]

@@ -7,7 +7,9 @@ topical times.  This module:
 - maps detected peak fronts onto the seven topical-time windows
   (:func:`topical_windows`);
 - summarizes each service's peak pattern as a set of topical times
-  (:func:`peak_signature`, the content of Fig. 6);
+  (:func:`peak_signatures`, the content of Fig. 6): one batched detector
+  pass over the ``(S, n)`` stack of services, with :func:`peak_signature`
+  its one-row case;
 - computes per-(service, topical-time) peak intensities as the paper
   does: "the ratio between the maximum and minimum traffic volumes
   recorded during the peak intervals as detected by the smoothed z-score
@@ -17,12 +19,12 @@ topical times.  This module:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._time import TimeAxis
-from repro.core.peaks import PeakDetection, detect_peaks
+from repro.core.peaks import PeakDetection, sample_lag, smoothed_zscore_rows
 from repro.services.profiles import TopicalTime
 
 #: Half-width, in hours, of the window around a topical time within
@@ -85,18 +87,20 @@ class PeakSignature:
         return topical in self.topical_times
 
 
-def peak_signature(
-    series: np.ndarray,
+def peak_signatures(
+    matrix: np.ndarray,
     axis: TimeAxis,
-    service_name: str = "",
+    names: Sequence[str],
     lag_hours: float = 2.0,
     threshold: float = 3.0,
     influence: float = 0.4,
     local_max_window_hours: float = 1.5,
-) -> PeakSignature:
-    """Detect peaks in one national series and map them to topical times.
+) -> List[PeakSignature]:
+    """Detect peaks in each national series and map them to topical times.
 
-    Each detected interval is attributed in two steps:
+    ``matrix`` is an ``(S, n)`` stack with one row per name, run through
+    one batched detector pass.  Each detected interval is attributed in
+    two steps:
 
     1. if the interval's apex is a genuine local maximum of the signal
        (traffic falls back within ``local_max_window_hours``), the apex
@@ -109,42 +113,63 @@ def peak_signature(
     trend itself, not activity peaks, and are dropped; local-maximum
     peaks outside every window are reported as unattributed.
     """
-    series = np.asarray(series, dtype=float)
-    detection = detect_peaks(
-        series, axis, lag_hours=lag_hours, threshold=threshold, influence=influence
-    )
+    matrix = np.asarray(matrix, dtype=float)
+    lag = sample_lag(axis, lag_hours)
+    detections = smoothed_zscore_rows(matrix, lag, threshold, influence)
+    if len(names) != len(detections):
+        raise ValueError(f"got {len(names)} names for {len(detections)} series")
     half = max(1, int(round(local_max_window_hours * axis.bins_per_hour)))
-    attributed: List[TopicalTime] = []
-    intervals: List[Tuple[int, int, TopicalTime]] = []
-    moments: List[int] = []
-    orphans: List[int] = []
-    for start, end in detection.peak_intervals():
-        apex = int(start + np.argmax(series[start : max(start + 1, end)]))
-        lo, hi = max(0, apex - half), min(len(series), apex + half + 1)
-        is_local_max = series[apex] >= series[lo:hi].max()
-        topical = classify_front(apex, axis) if is_local_max else None
-        used_front = False
-        if topical is None:
-            topical = classify_front(int(start), axis)
-            used_front = topical is not None
-        if topical is None:
-            if is_local_max:
-                orphans.append(apex)
-                moments.append(apex)
-            continue
-        moments.append(int(start) if used_front else apex)
-        intervals.append((int(start), int(end), topical))
-        if topical not in attributed:
-            attributed.append(topical)
-    return PeakSignature(
-        service_name=service_name,
-        topical_times=tuple(attributed),
-        fronts=detection.rising_fronts(),
-        unattributed_fronts=np.asarray(orphans, dtype=int),
-        detection=detection,
-        attributed_intervals=tuple(intervals),
-        moment_bins=tuple(moments),
-    )
+    signatures = []
+    for series, detection, service_name in zip(matrix, detections, names):
+        attributed: List[TopicalTime] = []
+        intervals: List[Tuple[int, int, TopicalTime]] = []
+        moments: List[int] = []
+        orphans: List[int] = []
+        for start, end in detection.peak_intervals():
+            apex = int(start + np.argmax(series[start : max(start + 1, end)]))
+            lo, hi = max(0, apex - half), min(len(series), apex + half + 1)
+            is_local_max = series[apex] >= series[lo:hi].max()
+            topical = classify_front(apex, axis) if is_local_max else None
+            moment = apex
+            if topical is None:
+                topical, moment = classify_front(int(start), axis), int(start)
+            if topical is None:
+                if is_local_max:
+                    orphans.append(apex)
+                    moments.append(apex)
+                continue
+            moments.append(moment)
+            intervals.append((int(start), int(end), topical))
+            if topical not in attributed:
+                attributed.append(topical)
+        signatures.append(
+            PeakSignature(
+                service_name=service_name,
+                topical_times=tuple(attributed),
+                fronts=detection.rising_fronts(),
+                unattributed_fronts=np.asarray(orphans, dtype=int),
+                detection=detection,
+                attributed_intervals=tuple(intervals),
+                moment_bins=tuple(moments),
+            )
+        )
+    return signatures
+
+
+def peak_signature(
+    series: np.ndarray,
+    axis: TimeAxis,
+    service_name: str = "",
+    lag_hours: float = 2.0,
+    threshold: float = 3.0,
+    influence: float = 0.4,
+    local_max_window_hours: float = 1.5,
+) -> PeakSignature:
+    """One series' peak signature (see :func:`peak_signatures`)."""
+    return peak_signatures(
+        np.asarray(series, dtype=float)[None, :], axis, [service_name],
+        lag_hours, threshold, influence, local_max_window_hours,
+    )[0]
 
 
 def signature_matrix(
@@ -286,6 +311,7 @@ __all__ = [
     "topical_windows",
     "classify_front",
     "PeakSignature",
+    "peak_signatures",
     "peak_signature",
     "signature_matrix",
     "peak_intensities",

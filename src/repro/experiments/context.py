@@ -3,7 +3,8 @@
 Building the synthetic country and dataset dominates the cost of every
 figure, so all experiments share one :class:`ExperimentContext`: the
 hourly nationwide dataset for the spatial figures, plus (lazily) a
-15-minute-resolution national series bundle for the temporal figures.
+15-minute-resolution national series bundle for the temporal figures
+and the peak signatures of those series, which Figs. 4, 6 and 7 share.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from repro._rng import as_generator, spawn
 from repro._time import TimeAxis
+from repro.core import topical
 from repro.dataset.builder import PipelineArtifacts, build_volume_level_dataset
 from repro.dataset.store import MobileTrafficDataset
 from repro.geo.country import CountryConfig
@@ -33,6 +35,9 @@ class ExperimentContext:
     artifacts: PipelineArtifacts
     seed: int
     _fine_series: Dict[str, np.ndarray] = field(default_factory=dict)
+    _peak_signatures: Dict[str, List[topical.PeakSignature]] = field(
+        default_factory=dict
+    )
     _fine_axis: TimeAxis = TimeAxis(FINE_BINS_PER_HOUR)
 
     @property
@@ -66,6 +71,17 @@ class ExperimentContext:
                     model, d, seed=spawn(parent, f"context.fine-series.{d}")
                 )
         return self._fine_series[direction]
+
+    def peak_signatures(self, direction: str) -> List[topical.PeakSignature]:
+        """Paper-parameterized peak signature of each head service's fine
+        national series, in head order; detected once per direction."""
+        if direction not in self._peak_signatures:
+            self._peak_signatures[direction] = topical.peak_signatures(
+                self.national_series_fine(direction),
+                self._fine_axis,
+                self.head_names,
+            )
+        return self._peak_signatures[direction]
 
     @property
     def head_names(self) -> List[str]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro._time import DAY_NAMES
-from repro.core.topical import peak_signature
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import ExperimentContext
 from repro.fidelity.extract import register_check_extractor
@@ -34,11 +33,12 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     axis = ctx.fine_axis
     series = ctx.national_series_fine("dl")
     names = ctx.head_names
+    signatures = ctx.peak_signatures("dl")
 
     result.blocks.append("Week runs " + " ".join(DAY_NAMES) + " (Sat..Fri).")
     for service in SAMPLE_SERVICES:
         j = names.index(service)
-        signature = peak_signature(series[j], axis, service)
+        signature = signatures[j]
         result.blocks.append(
             render_series(
                 service,

@@ -14,11 +14,7 @@ the seven topical times, in service-specific combinations.
 
 from __future__ import annotations
 
-from repro.core.topical import (
-    derive_topical_moments,
-    peak_signature,
-    signature_matrix,
-)
+from repro.core.topical import derive_topical_moments, signature_matrix
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import ExperimentContext
 from repro.fidelity.extract import register_check_extractor
@@ -36,12 +32,9 @@ _STUDENT_SERVICES = ("SnapChat", "Instagram", "Facebook", "Twitter")
 def run(ctx: ExperimentContext) -> ExperimentResult:
     result = ExperimentResult(EXPERIMENT_ID, TITLE)
     axis = ctx.fine_axis
-    series = ctx.national_series_fine("dl")
     names = ctx.head_names
 
-    signatures = [
-        peak_signature(series[j], axis, name) for j, name in enumerate(names)
-    ]
+    signatures = ctx.peak_signatures("dl")
     matrix, row_names, topicals = signature_matrix(signatures)
     result.data["matrix"] = matrix
     result.data["signatures"] = signatures

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.topical import peak_intensities, peak_signature
+from repro.core.topical import peak_intensities
 from repro.experiments.base import ExperimentResult
 from repro.experiments.context import ExperimentContext
 from repro.fidelity.extract import register_check_extractor
@@ -33,9 +33,8 @@ def run(ctx: ExperimentContext) -> ExperimentResult:
     names = ctx.head_names
 
     intensities = {}
-    for j, name in enumerate(names):
-        signature = peak_signature(series[j], axis, name)
-        intensities[name] = peak_intensities(series[j], signature, axis)
+    for name, row, signature in zip(names, series, ctx.peak_signatures("dl")):
+        intensities[name] = peak_intensities(row, signature, axis)
     result.data["intensities"] = intensities
 
     for topical in TopicalTime:

@@ -5,7 +5,10 @@ import pytest
 
 from repro._rng import as_generator
 from repro.core.kshape import (
-    _batch_sbd_to,
+    _align,
+    _extract_shape,
+    _fft_size,
+    _ncc,
     kshape,
     kshape_best,
     sbd,
@@ -21,6 +24,105 @@ def two_families(n=120, per_family=5, seed=0):
     sines = [np.sin(t) + rng.normal(0, 0.05, n) for _ in range(per_family)]
     squares = [np.sign(np.sin(2 * t)) + rng.normal(0, 0.05, n) for _ in range(per_family)]
     return np.vstack(sines + squares)
+
+
+# Scalar reference for the batched k-Shape steps: one FFT pair per
+# member alignment and one batched transform per centroid distance.
+
+
+def _reference_ncc(x, y):
+    """NCC_c of one pair at every shift -(n-1)..n-1."""
+    n = len(x)
+    norm = np.linalg.norm(x) * np.linalg.norm(y)
+    if norm == 0:
+        return np.zeros(2 * n - 1)
+    size = 1 << (2 * n - 1).bit_length()
+    cc = np.fft.irfft(np.fft.rfft(x, size) * np.conj(np.fft.rfft(y, size)), size)
+    return np.concatenate((cc[-(n - 1):], cc[:n])) / norm
+
+
+def _reference_align(centroid, member):
+    """``member`` shifted to its best alignment with ``centroid``."""
+    shift = int(np.argmax(_reference_ncc(centroid, member))) - (len(member) - 1)
+    aligned = np.zeros_like(member)
+    if shift >= 0:
+        aligned[shift:] = member[: len(member) - shift]
+    else:
+        aligned[:shift] = member[-shift:]
+    return aligned
+
+
+def _reference_distances(data, centroid):
+    """SBD from ``centroid`` to every row of ``data``."""
+    m, n = data.shape
+    size = 1 << (2 * n - 1).bit_length()
+    cc = np.fft.irfft(
+        np.fft.rfft(centroid, size)[None, :] * np.conj(np.fft.rfft(data, size, axis=1)),
+        size,
+        axis=1,
+    )
+    best = np.concatenate((cc[:, -(n - 1):], cc[:, :n]), axis=1).max(axis=1)
+    norms = np.linalg.norm(data, axis=1) * np.linalg.norm(centroid)
+    out = np.ones(m)
+    positive = norms > 0
+    out[positive] = 1.0 - best[positive] / norms[positive]
+    return out
+
+
+def reference_kshape(series, k, max_iterations=100, seed=None):
+    """k-Shape with per-member alignment and per-centroid distances."""
+    rng = as_generator(seed)
+    data = z_normalize(series)
+    m, n = data.shape
+    labels = rng.integers(0, k, size=m)
+    labels[rng.permutation(m)[:k]] = np.arange(k)
+    centroids = np.zeros((k, n))
+    for iteration in range(1, max_iterations + 1):
+        for c in range(k):
+            members = data[labels == c]
+            if np.any(centroids[c]):
+                members = np.array(
+                    [_reference_align(centroids[c], x) for x in members]
+                ).reshape(members.shape)
+            centroids[c] = _extract_shape(members, centroids[c])
+        distances = np.stack(
+            [_reference_distances(data, centroids[c]) for c in range(k)], axis=1
+        )
+        new_labels = np.argmin(distances, axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                worst = int(np.argmax(distances[np.arange(m), new_labels]))
+                new_labels[worst] = c
+        converged = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if converged:
+            break
+    inertia = sum(float(distances[labels == c, c].sum()) for c in range(k))
+    return labels, centroids, iteration, inertia
+
+
+def _phase_shifted_sines(m=10, n=64, seed=4):
+    rng = as_generator(seed)
+    t = np.linspace(0, 4 * np.pi, n)
+    freqs = rng.choice([1.0, 2.0], size=m)
+    phases = rng.uniform(0, 2 * np.pi, size=m)
+    return np.sin(freqs[:, None] * t + phases[:, None]) + rng.normal(0, 0.1, (m, n))
+
+
+def _with_constant_row():
+    data = two_families(n=60, per_family=3, seed=5)
+    data[2] = 5.0  # z-normalizes to zeros: a zero-norm row
+    return data
+
+
+REFERENCE_CASES = [
+    ("two-families", two_families, 2),
+    ("two-families", two_families, 3),
+    ("noise k=m", lambda: as_generator(6).normal(size=(7, 40)), 7),
+    ("noise", lambda: as_generator(6).normal(size=(7, 40)), 3),
+    ("phase-shifted", _phase_shifted_sines, 4),
+    ("constant row", _with_constant_row, 3),
+]
 
 
 class TestZNormalize:
@@ -76,11 +178,23 @@ class TestSbd:
 
     def test_batch_matches_pairwise(self, rng):
         data = z_normalize(rng.normal(size=(6, 80)))
-        centroid = z_normalize(rng.normal(size=80))
-        batch = _batch_sbd_to(data, centroid)
-        for i in range(6):
-            single, _ = sbd(centroid, data[i])
-            assert batch[i] == pytest.approx(single, abs=1e-9)
+        data[4] = 0.0  # a zero-norm row sits at distance 1 from everything
+        centroids = z_normalize(rng.normal(size=(3, 80)))
+        size = _fft_size(80)
+        ncc = _ncc(
+            np.fft.rfft(centroids, size, axis=1)[:, None],
+            np.conj(np.fft.rfft(data, size, axis=1)),
+            np.linalg.norm(centroids, axis=1)[:, None] * np.linalg.norm(data, axis=1),
+            80,
+        )
+        assert ncc.shape == (3, 6, 159)
+        for c in range(3):
+            aligned = _align(ncc[c], data)
+            for i in range(6):
+                single, single_aligned = sbd(centroids[c], data[i])
+                assert 1.0 - ncc[c, i].max() == pytest.approx(single, abs=1e-9)
+                assert np.array_equal(aligned[i], single_aligned)
+            assert 1.0 - ncc[c, 4].max() == 1.0
 
 
 class TestSbdMatrix:
@@ -142,6 +256,21 @@ class TestKShape:
             kshape(data, 11)
         with pytest.raises(ValueError):
             kshape(np.zeros(10), 2)
+        with pytest.raises(ValueError):
+            kshape(data, 2, max_iterations=0)
+
+
+class TestKShapeMatchesReference:
+    @pytest.mark.parametrize("name,make,k", REFERENCE_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_reference(self, name, make, k, seed):
+        data = make()
+        labels, centroids, iterations, inertia = reference_kshape(data, k, seed=seed)
+        result = kshape(data, k, seed=seed)
+        assert np.array_equal(result.labels, labels)
+        assert result.iterations == iterations
+        assert np.allclose(result.centroids, centroids, rtol=0, atol=1e-9)
+        assert result.inertia == pytest.approx(inertia, rel=1e-12, abs=1e-300)
 
 
 class TestKShapeBest:

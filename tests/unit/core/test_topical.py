@@ -10,6 +10,7 @@ from repro.core.topical import (
     derive_topical_moments,
     peak_intensities,
     peak_signature,
+    peak_signatures,
     signature_matrix,
     topical_windows,
 )
@@ -91,6 +92,11 @@ class TestSignature:
         )
         assert TopicalTime.MIDDAY not in signature.topical_times
         assert len(signature.unattributed_fronts) >= 3
+
+    def test_names_must_match_rows(self, axis):
+        stack = np.stack([curve_with_peaks(axis, [], seed=s) for s in (0, 1)])
+        with pytest.raises(ValueError):
+            peak_signatures(stack, axis, ["only-one"])
 
     def test_signature_matrix(self, axis):
         signal = curve_with_peaks(axis, [(d, 13.0, 0.6) for d in range(2, 7)])

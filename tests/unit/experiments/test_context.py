@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.topical import peak_signature
 from repro.experiments.context import (
     build_default_context,
     build_default_dataset,
@@ -32,6 +33,29 @@ class TestContext:
         ul = ctx.national_series_fine("ul")
         assert dl.shape == ul.shape
         assert not np.allclose(dl, ul)
+
+    def test_peak_signatures_cached(self, ctx):
+        assert ctx.peak_signatures("dl") is ctx.peak_signatures("dl")
+        assert ctx.peak_signatures("ul") is not ctx.peak_signatures("dl")
+
+    @pytest.mark.parametrize("direction", ["dl", "ul"])
+    def test_peak_signatures_match_one_series(self, ctx, direction):
+        series = ctx.national_series_fine(direction)
+        signatures = ctx.peak_signatures(direction)
+        assert len(signatures) == len(ctx.head_names)
+        for j, name in enumerate(ctx.head_names):
+            got = signatures[j]
+            want = peak_signature(series[j], ctx.fine_axis, name)
+            assert got.service_name == want.service_name == name
+            assert got.topical_times == want.topical_times
+            assert got.attributed_intervals == want.attributed_intervals
+            assert got.moment_bins == want.moment_bins
+            assert np.array_equal(got.fronts, want.fronts)
+            assert np.array_equal(got.unattributed_fronts, want.unattributed_fronts)
+            for field in ("signals", "filtered", "moving_mean", "moving_std"):
+                assert np.array_equal(
+                    getattr(got.detection, field), getattr(want.detection, field)
+                )
 
     def test_head_names(self, ctx):
         assert ctx.head_names[0] == "YouTube"
