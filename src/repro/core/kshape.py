@@ -17,7 +17,8 @@ faithful reimplementation:
   aligned members and ``Q`` the centering matrix (Rayleigh quotient
   maximization);
 - the usual two-phase iteration (assignment / refinement) with empty
-  clusters reseeded from the worst-fit series.
+  clusters reseeded from the worst-fit series of clusters that can
+  spare one, so no cluster ends empty.
 """
 
 from __future__ import annotations
@@ -224,10 +225,14 @@ def kshape(
         distances = 1.0 - ncc.max(axis=-1).T
         new_labels = np.argmin(distances, axis=1)
 
-        # Reseed empty clusters with the currently worst-fit series.
+        # Reseed each empty cluster with the worst-fit series of a
+        # cluster that has members to spare.  A reseeded series is then
+        # its new cluster's only member, so it is never moved again.
         for c in range(k):
             if not np.any(new_labels == c):
-                worst = int(np.argmax(distances[np.arange(m), new_labels]))
+                fit = distances[np.arange(m), new_labels]
+                spare = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                worst = int(np.argmax(np.where(spare, fit, -np.inf)))
                 new_labels[worst] = c
 
         if np.array_equal(new_labels, labels):

@@ -91,7 +91,9 @@ def reference_kshape(series, k, max_iterations=100, seed=None):
         new_labels = np.argmin(distances, axis=1)
         for c in range(k):
             if not np.any(new_labels == c):
-                worst = int(np.argmax(distances[np.arange(m), new_labels]))
+                fit = distances[np.arange(m), new_labels]
+                spare = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                worst = int(np.argmax(np.where(spare, fit, -np.inf)))
                 new_labels[worst] = c
         converged = np.array_equal(new_labels, labels)
         labels = new_labels
@@ -232,6 +234,17 @@ class TestKShape:
         for seed in range(3):
             result = kshape(data, 5, seed=seed)
             assert set(result.labels) == set(range(5))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_no_empty_cluster_when_several_empty_at_once(self, seed):
+        # Two tight families split six ways: several clusters can empty
+        # in one assignment step, and a worst-fit series may be the only
+        # member of its own cluster.
+        rng = as_generator(seed)
+        base = rng.normal(size=(2, 56))
+        data = base[rng.integers(0, 2, 15)] + 0.05 * rng.normal(size=(15, 56))
+        result = kshape(data, 6, seed=seed)
+        assert np.all(result.cluster_sizes() > 0)
 
     def test_inertia_decreases_with_k(self):
         data = two_families()
