@@ -117,11 +117,10 @@ def _extract_shape(
     aligned: np.ndarray, centroid: np.ndarray
 ) -> np.ndarray:
     """Refine one cluster's centroid from its members, each already
-    shifted to its best alignment with ``centroid``."""
+    shifted to its best alignment with ``centroid`` and z-normalized."""
     if aligned.shape[0] == 0:
         return centroid
     n = aligned.shape[1]
-    aligned = z_normalize(aligned)
 
     # The new shape maximizes the Rayleigh quotient of M = Q Sᵀ S Q
     # (Q = centering matrix): its dominant eigenvector.  Power iteration
@@ -213,7 +212,7 @@ def kshape(
         norms = centroid_norms[labels] * data_norms
         ncc = _ncc(centroid_fft[labels], data_fft_conj, norms, n)
         shaped = np.any(centroids, axis=1)[labels, None]
-        aligned = np.where(shaped, _align(ncc, data), data)
+        aligned = z_normalize(np.where(shaped, _align(ncc, data), data))
         for c in range(k):
             centroids[c] = _extract_shape(aligned[labels == c], centroids[c])
 

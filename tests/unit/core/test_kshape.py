@@ -84,7 +84,7 @@ def reference_kshape(series, k, max_iterations=100, seed=None):
                 members = np.array(
                     [_reference_align(centroids[c], x) for x in members]
                 ).reshape(members.shape)
-            centroids[c] = _extract_shape(members, centroids[c])
+            centroids[c] = _extract_shape(z_normalize(members), centroids[c])
         distances = np.stack(
             [_reference_distances(data, centroids[c]) for c in range(k)], axis=1
         )
