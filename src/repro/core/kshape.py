@@ -66,11 +66,12 @@ def _ncc(
 
 
 def _reference_norms(rows: np.ndarray) -> np.ndarray:
-    """Norm of each row alone (a BLAS dot), for the reference side of ``_ncc``.
+    """Norms of the reference rows of ``_ncc`` (centroids, or the rows
+    distances are measured from), each a 1-D ``np.linalg.norm``.
 
-    The fidelity baseline pins SBD distances to the last bit, and its
-    values take the compared rows' norms along axis 1 (a pairwise sum),
-    which can differ from the dot in the last place.
+    That is a BLAS dot, which can differ in the last place from the
+    axis-1 norm the compared rows take; the fidelity baseline pins SBD
+    distances to the last bit.
     """
     return np.array([np.linalg.norm(row) for row in rows])
 
@@ -226,7 +227,7 @@ def kshape(
 
         # Reseed each empty cluster with the worst-fit series of a
         # cluster that has members to spare.  A reseeded series is then
-        # its new cluster's only member, so it is never moved again.
+        # its new cluster's only member, so this step never picks it twice.
         for c in range(k):
             if not np.any(new_labels == c):
                 fit = distances[np.arange(m), new_labels]
