@@ -6,6 +6,9 @@ compared against the mean and standard deviation of a *filtered* trailing
 window; samples deviating by more than ``threshold`` standard deviations
 are flagged, and flagged samples enter the filtered history only with
 weight ``influence`` so a peak does not inflate its own baseline.
+:func:`smoothed_zscore_rows` runs the recurrence once over time for a
+whole ``(S, n)`` stack of services; :func:`smoothed_zscore` is its
+one-row case.
 
 The paper's parameters — threshold 3 z-scores, lag 2 hours, influence
 0.4 — are the defaults (the lag is converted to samples through the time
@@ -105,8 +108,9 @@ def smoothed_zscore_rows(
         # np.mean and np.std of the window, spelled out: the same
         # reductions in the same order, without their per-call overhead.
         window = filtered[:, i - lag + 1 : i + 1]
-        moving_mean[:, i] = mean = window.sum(axis=1) / lag
+        mean = window.sum(axis=1) / lag
         centred = window - mean[:, None]
+        moving_mean[:, i] = mean
         moving_std[:, i] = np.sqrt((centred * centred).sum(axis=1) / lag)
 
     signals = np.zeros(stack.shape, dtype=int)
