@@ -85,7 +85,12 @@ class CommuneAggregator:
             engine.report.merge(partial.report)
 
     def ingest_columnar(self, batch: ProbeRecordBatch) -> int:
-        """Classify and accumulate one columnar probe batch."""
+        """Classify and accumulate one columnar probe batch.
+
+        The batch's feature codes must be against the engine's codebook
+        (``ValueError`` otherwise); they are never re-encoded.
+        """
+        batch.require_codebook(self._engine.codebook)
         n = len(batch)
         if n == 0:
             return 0
@@ -115,17 +120,8 @@ class CommuneAggregator:
                 sorted_imsi[s:e].tolist()
             )
 
-        batch = batch.recoded(self._engine.codebook)
         with obs.span("dpi.classify"):
-            # Builds never fill an overflow table (only hand-built records
-            # do), so they keep the two-argument classify_batch(keys,
-            # volumes) call that perfbench's wrappers expect.
-            if batch.overflow:
-                positions = self._engine.classify_batch(
-                    batch.feature_codes, volumes, batch.overflow
-                )
-            else:
-                positions = self._engine.classify_batch(batch.feature_codes, volumes)
+            positions = self._engine.classify_batch(batch.feature_codes, volumes)
 
         service_ids = self._service_id_of[positions]
         classified = service_ids >= 0

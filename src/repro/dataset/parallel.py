@@ -242,10 +242,6 @@ def _run_shard(
         config=plan.workload_config,
         seed=plan.root_key,
     )
-    probe = CoreProbe(
-        control_loss_rate=plan.control_loss_rate, seed=plan.root_key
-    )
-    probe.attach_to(generator.session_manager)
     if plan.audit_localization:
         generator.auditor = LocalizationAuditor(plan.topology, seed=plan.root_key)
     drop_fraction = drop_fraction_for(faults)
@@ -262,7 +258,12 @@ def _run_shard(
             records_dropped += dropped
         aggregator.ingest_columnar(batch)
 
-    probe.stream_to(_ingest, chunk_rows=plan.chunk_size)
+    probe = CoreProbe(
+        _ingest,
+        chunk_rows=plan.chunk_size,
+        control_loss_rate=plan.control_loss_rate,
+        seed=plan.root_key,
+    ).attach_to(generator.session_manager)
     generator.run_week(chunk_size=plan.chunk_size)
     fire_stage_faults(faults, "aggregate", in_worker)
     probe.flush_stream()

@@ -34,7 +34,7 @@ from repro.network.elements import (
 )
 from repro.network.gtp import FlowDescriptor
 from repro.network.handover import HandoverManager
-from repro.network.probes import CoreProbe, ProbeRecord
+from repro.network.probes import CoreProbe, ProbeRecordBatch
 from repro.network.session import SessionManager
 from repro.network.topology import NetworkTopology, build_topology
 
@@ -49,5 +49,5 @@ __all__ = [
     "SessionManager",
     "HandoverManager",
     "CoreProbe",
-    "ProbeRecord",
+    "ProbeRecordBatch",
 ]

@@ -38,7 +38,6 @@ from repro.geo.coverage import Technology
 #: Compact integer codes for :class:`~repro.geo.coverage.Technology`,
 #: used by the columnar (bulk) message structures below.
 TECH_3G, TECH_4G = 0, 1
-TECH_BY_CODE = (Technology.G3, Technology.G4)
 TECH_CODES = {Technology.G3: TECH_3G, Technology.G4: TECH_4G}
 
 
@@ -439,6 +438,5 @@ __all__ = [
     "TeidAllocator",
     "TECH_3G",
     "TECH_4G",
-    "TECH_BY_CODE",
     "TECH_CODES",
 ]

@@ -5,11 +5,12 @@ A :class:`CoreProbe` reproduces the measurement apparatus of §2:
 - it inspects **GTP-C** to maintain the tunnel state table — for each
   TEID, the subscriber (hashed identifier) and the current ULI, i.e. the
   commune of the last reporting cell;
-- it inspects **GTP-U** to account per-flow traffic, joining each record
+- it inspects **GTP-U** to account per-flow traffic, joining each flow
   with the tunnel state to geo-reference it;
-- it emits columnar :class:`ProbeRecordBatch` chunks, the raw input of
-  the dataset pipeline (DPI classification and commune-level
-  aggregation follow downstream).
+- it streams the joined records to a sink as columnar
+  :class:`ProbeRecordBatch` chunks, the raw input of the dataset
+  pipeline (DPI classification and commune-level aggregation follow
+  downstream).  The batch is the probe's only record type.
 
 The 3G (Gn) and 4G (S5/S8) gateways being co-located, one probe object
 observes both planes of both technologies — exactly the deployment
@@ -18,21 +19,15 @@ convenience the paper mentions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro._rng import KeyedStream, SeedLike, root_key
-from repro.geo.coverage import Technology
 from repro.network.gtp import (
-    TECH_BY_CODE,
-    TECH_CODES,
-    EMPTY_CODEBOOK,
     FeatureCodebook,
-    Features,
-    FlowDescriptor,
     GtpcCreateBulk,
     GtpcDeleteBulk,
     GtpcUpdateBulk,
@@ -41,33 +36,14 @@ from repro.network.gtp import (
 from repro.network.session import SessionManager
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One geo-referenced, DPI-ready flow accounting record."""
-
-    timestamp_s: float
-    imsi_hash: int
-    commune_id: int
-    technology: Technology
-    flow: FlowDescriptor
-    dl_bytes: int
-    ul_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.dl_bytes + self.ul_bytes
-
-
 @dataclass
 class ProbeRecordBatch:
     """A columnar batch of geo-referenced flow accounting records.
 
-    The probe emits these, one row per flow.  Every column is a numpy
-    array; a flow's DPI features are one int64 code of
-    ``feature_codes`` against ``codebook``, and negative codes index the
-    batch's own ``overflow`` table of features the codebook has no code
-    for.  :meth:`to_records` expands back to scalar :class:`ProbeRecord`
-    objects (the trace format's rows).
+    The probe emits these, one row per flow, and they are the only form
+    its records take.  Every column is a numpy array; a flow's DPI
+    features are one int64 code of ``feature_codes`` against
+    ``codebook``.
     """
 
     timestamps_s: np.ndarray
@@ -79,78 +55,35 @@ class ProbeRecordBatch:
     flow_ids: np.ndarray
     feature_codes: np.ndarray
     codebook: FeatureCodebook
-    overflow: Tuple[Features, ...] = ()
 
     def __len__(self) -> int:
         return len(self.timestamps_s)
 
-    def to_records(self) -> List[ProbeRecord]:
-        """Materialize the batch as scalar :class:`ProbeRecord` objects."""
-        out: List[ProbeRecord] = []
-        features = self.codebook.decode(self.feature_codes, self.overflow)
-        for i, (flow_id, (sni, host, hint, port, protocol)) in enumerate(
-            zip(self.flow_ids.tolist(), features)
-        ):
-            out.append(
-                ProbeRecord(
-                    timestamp_s=float(self.timestamps_s[i]),
-                    imsi_hash=int(self.imsi_hashes[i]),
-                    commune_id=int(self.commune_ids[i]),
-                    technology=TECH_BY_CODE[int(self.tech_codes[i])],
-                    flow=FlowDescriptor(
-                        flow_id=flow_id,
-                        sni=sni,
-                        host=host,
-                        server_port=port,
-                        protocol=protocol,
-                        payload_hint=hint,
-                    ),
-                    dl_bytes=int(self.dl_bytes[i]),
-                    ul_bytes=int(self.ul_bytes[i]),
-                )
-            )
-        return out
+    def require_codebook(self, codebook: FeatureCodebook) -> None:
+        """Raise ``ValueError`` unless the codes are against ``codebook``.
 
-    def recoded(self, codebook: FeatureCodebook) -> "ProbeRecordBatch":
-        """The same batch with its codes re-expressed against ``codebook``.
-
-        Free when the codebooks are equal (the common case: every
-        database built from one catalog has the same codebook);
-        otherwise each distinct code is decoded and encoded once.
+        Codes are never re-encoded: every build gives the probe and the
+        DPI engine equal codebooks, since a codebook is a pure function
+        of the catalog's fingerprints.
         """
-        if codebook is self.codebook or codebook == self.codebook:
-            return self
-        distinct, inverse = np.unique(self.feature_codes, return_inverse=True)
-        codes, overflow = codebook.encode(
-            self.codebook.decode(distinct, self.overflow)
-        )
-        return replace(
-            self,
-            feature_codes=codes[inverse],
-            codebook=codebook,
-            overflow=overflow,
-        )
+        if self.codebook is not codebook and self.codebook != codebook:
+            raise ValueError(
+                "probe batch codes are against a different feature codebook"
+            )
 
     @classmethod
     def concat(cls, batches: List["ProbeRecordBatch"]) -> "ProbeRecordBatch":
         """Concatenate batches (order preserved) into one.
 
-        Codes are expressed against the first batch's codebook, and the
-        overflow tables are appended, shifting each batch's negative
-        codes past the rows before it.
+        Every batch must share the first batch's codebook.
         """
         if not batches:
             raise ValueError("cannot concatenate zero batches")
         if len(batches) == 1:
             return batches[0]
         codebook = batches[0].codebook
-        batches = [b.recoded(codebook) for b in batches]
-        codes = [b.feature_codes for b in batches]
-        overflow: Tuple[Features, ...] = ()
-        for i, b in enumerate(batches):
-            if b.overflow:
-                codes[i] = np.where(codes[i] < 0, codes[i] - len(overflow), codes[i])
-                overflow += b.overflow
+        for batch in batches[1:]:
+            batch.require_codebook(codebook)
         return cls(
             timestamps_s=np.concatenate([b.timestamps_s for b in batches]),
             imsi_hashes=np.concatenate([b.imsi_hashes for b in batches]),
@@ -159,36 +92,8 @@ class ProbeRecordBatch:
             dl_bytes=np.concatenate([b.dl_bytes for b in batches]),
             ul_bytes=np.concatenate([b.ul_bytes for b in batches]),
             flow_ids=np.concatenate([b.flow_ids for b in batches]),
-            feature_codes=np.concatenate(codes),
+            feature_codes=np.concatenate([b.feature_codes for b in batches]),
             codebook=codebook,
-            overflow=overflow,
-        )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: List[ProbeRecord],
-        codebook: FeatureCodebook = EMPTY_CODEBOOK,
-    ) -> "ProbeRecordBatch":
-        """Pack scalar records into one columnar batch.
-
-        Flow features are encoded against ``codebook``; features it has
-        no code for go to the batch's overflow table.
-        """
-        codes, overflow = codebook.encode(r.flow.features for r in records)
-        return cls(
-            timestamps_s=np.asarray([r.timestamp_s for r in records]),
-            imsi_hashes=np.asarray([r.imsi_hash for r in records], dtype=np.int64),
-            commune_ids=np.asarray([r.commune_id for r in records], dtype=np.int64),
-            tech_codes=np.asarray(
-                [TECH_CODES[r.technology] for r in records], dtype=np.uint8
-            ),
-            dl_bytes=np.asarray([r.dl_bytes for r in records], dtype=np.int64),
-            ul_bytes=np.asarray([r.ul_bytes for r in records], dtype=np.int64),
-            flow_ids=np.asarray([r.flow.flow_id for r in records], dtype=np.int64),
-            feature_codes=codes,
-            codebook=codebook,
-            overflow=overflow,
         )
 
 
@@ -211,10 +116,20 @@ class ProbeStats:
 
 
 class CoreProbe:
-    """The passive probe: correlates GTP-C and GTP-U into probe records."""
+    """The passive probe: joins GTP-C and GTP-U into record batches.
+
+    Joined records go to ``sink`` in columnar chunks: the probe
+    coalesces arrivals and hands ``sink(batch)`` a
+    :class:`ProbeRecordBatch` as soon as ~``chunk_rows`` records are
+    buffered, so its working set never exceeds one chunk.  Call
+    :meth:`flush_stream` after the generator run to push the partial
+    tail chunk.
+    """
 
     def __init__(
         self,
+        sink: Callable[[ProbeRecordBatch], None],
+        chunk_rows: int = 8192,
         control_loss_rate: float = 0.0,
         seed: SeedLike = None,
     ):
@@ -224,22 +139,22 @@ class CoreProbe:
         cannot be geo-referenced).  Each loss is a keyed draw of the
         session's key under ``seed``'s root key (see :meth:`on_control`),
         so what is lost does not depend on how messages are batched."""
+        if chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         if not 0 <= control_loss_rate < 1:
             raise ValueError(
                 f"control_loss_rate must be in [0, 1), got {control_loss_rate}"
             )
         # Tunnel table: teid -> (imsi_hash, commune_id, tech_code).
         self._tunnels: Dict[int, Tuple[int, int, int]] = {}
-        # Arrival-ordered record batches.
-        self._records: List[ProbeRecordBatch] = []
+        # Arrival-ordered batches not yet handed to the sink.
+        self._pending: List[ProbeRecordBatch] = []
+        self._pending_rows = 0
+        self._sink = sink
+        self._chunk_rows = chunk_rows
         self._loss_rate = control_loss_rate
         self._loss_draws = KeyedStream(root_key(seed), "probe.loss")
         self.stats = ProbeStats()
-        # Streaming mode (see stream_to): records flow to a sink in
-        # bounded chunks instead of accumulating until drained.
-        self._sink = None
-        self._sink_chunk_rows = 0
-        self._pending_rows = 0
 
     def attach_to(self, sessions: SessionManager) -> "CoreProbe":
         """Tap both planes of a session manager; returns self for chaining."""
@@ -247,39 +162,22 @@ class CoreProbe:
         sessions.add_user_plane_listener(self.on_user_plane)
         return self
 
-    def stream_to(self, sink, chunk_rows: int = 8192) -> "CoreProbe":
-        """Stream records to ``sink`` in ~``chunk_rows``-record chunks.
-
-        This is the bounded-memory path: instead of accumulating every
-        record until :meth:`drain`, the probe coalesces arrivals into
-        columnar batches and hands each full chunk to ``sink(batch)``
-        immediately, so the working set never exceeds one chunk.  Call
-        :meth:`flush_stream` after the generator run to push the partial
-        tail chunk.  Returns self for chaining.
-        """
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        self._sink = sink
-        self._sink_chunk_rows = chunk_rows
-        return self
-
     def flush_stream(self) -> None:
-        """Emit whatever is buffered to the sink (streaming mode only)."""
-        if self._sink is None or not self._records:
+        """Hand whatever is buffered to the sink as one batch."""
+        if not self._pending:
             return
-        store, self._records = self._records, []
+        store, self._pending = self._pending, []
         self._pending_rows = 0
         batch = ProbeRecordBatch.concat(store)
         obs.add("stream.chunks")
         self._sink(batch)
 
     def _store(self, batch: ProbeRecordBatch) -> None:
-        """Buffer one batch; flush a chunk in streaming mode."""
-        self._records.append(batch)
-        if self._sink is not None:
-            self._pending_rows += len(batch)
-            if self._pending_rows >= self._sink_chunk_rows:
-                self.flush_stream()
+        """Buffer one batch; flush once a chunk's worth is buffered."""
+        self._pending.append(batch)
+        self._pending_rows += len(batch)
+        if self._pending_rows >= self._chunk_rows:
+            self.flush_stream()
 
     def on_control(
         self, bulk: Union[GtpcCreateBulk, GtpcUpdateBulk, GtpcDeleteBulk]
@@ -376,14 +274,9 @@ class CoreProbe:
     on_control_bulk = on_control
     on_user_plane_bulk = on_user_plane
 
-    def drain(self) -> List[ProbeRecord]:
-        """Return and clear the accumulated records (scalar view)."""
-        store, self._records = self._records, []
-        return [record for batch in store for record in batch.to_records()]
-
     @property
     def n_tracked_tunnels(self) -> int:
         return len(self._tunnels)
 
 
-__all__ = ["ProbeRecord", "ProbeRecordBatch", "ProbeStats", "CoreProbe"]
+__all__ = ["ProbeRecordBatch", "ProbeStats", "CoreProbe"]

@@ -202,7 +202,7 @@ def simulate_overload(
     tokens = float(policy.token_burst)
     last_refill = 0.0
 
-    def drain(until: float) -> None:
+    def start_waiting(until: float) -> None:
         """Start every waiting request whose service begins by ``until``."""
         nonlocal server_free
         while waiting and server_free <= until:
@@ -214,7 +214,7 @@ def simulate_overload(
     for raw in order:
         i = int(raw)
         t = float(arrivals_s[i])
-        drain(t)
+        start_waiting(t)
         depth = len(waiting) + (1 if server_free > t else 0)
         bucket = queue_depth_bucket(depth, policy.queue_capacity)
         depth_buckets[i] = bucket
@@ -249,7 +249,7 @@ def simulate_overload(
                 i,
             ),
         )
-    drain(float("inf"))
+    start_waiting(float("inf"))
 
     for i in range(n):
         if not admitted[i]:

@@ -12,9 +12,7 @@ Two resolutions share one statistical model (see DESIGN.md §5):
 - :mod:`repro.traffic.generator` — session-level workload: subscribers
   attach, move, and exchange flows through the network simulator;
 - :mod:`repro.traffic.volume_model` — closed-form commune × service ×
-  time tensors for nationwide-scale runs;
-- :mod:`repro.traffic.trace` — a streaming record format for
-  session-level traces.
+  time tensors for nationwide-scale runs.
 """
 
 from repro.traffic.generator import SessionLevelGenerator, WorkloadConfig
@@ -26,7 +24,6 @@ from repro.traffic.subscribers import (
     SubscriberPopulation,
     synthesize_population,
 )
-from repro.traffic.trace import TraceReader, TraceWriter
 from repro.traffic.volume_model import VolumeModelConfig, synthesize_volume_dataset
 
 __all__ = [
@@ -42,6 +39,4 @@ __all__ = [
     "WorkloadConfig",
     "VolumeModelConfig",
     "synthesize_volume_dataset",
-    "TraceWriter",
-    "TraceReader",
 ]

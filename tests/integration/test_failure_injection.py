@@ -92,8 +92,9 @@ class TestDegenerateWorkloads:
         )
         engine = DpiEngine(FingerprintDatabase(catalog, seed=0))
         aggregator = CommuneAggregator(country, catalog, engine)
-        probe = CoreProbe().attach_to(generator.session_manager)
-        probe.stream_to(aggregator.ingest_columnar, chunk_rows=8192)
+        probe = CoreProbe(aggregator.ingest_columnar, chunk_rows=8192).attach_to(
+            generator.session_manager
+        )
         generator.run_week(time_limit_hours=48.0)  # only the weekend
         probe.flush_stream()
         dataset = aggregator.finalize()

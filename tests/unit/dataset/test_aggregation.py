@@ -8,8 +8,20 @@ from repro._time import TimeAxis
 from repro.dataset.aggregation import CommuneAggregator
 from repro.dpi.classifier import DpiEngine
 from repro.dpi.fingerprints import FingerprintDatabase
-from repro.geo.coverage import Technology
-from repro.network.probes import ProbeRecord, ProbeRecordBatch
+from repro.network.gtp import EMPTY_CODEBOOK, TECH_3G
+from repro.network.probes import ProbeRecordBatch
+
+#: Each batch column's dtype, in declaration order.
+DTYPES = {
+    "timestamps_s": np.float64,
+    "imsi_hashes": np.int64,
+    "commune_ids": np.int64,
+    "tech_codes": np.uint8,
+    "dl_bytes": np.int64,
+    "ul_bytes": np.int64,
+    "flow_ids": np.int64,
+    "feature_codes": np.int64,
+}
 
 
 @pytest.fixture()
@@ -19,26 +31,32 @@ def aggregator(country, catalog):
 
 
 def make_record(db, service, commune, hour, imsi=1, dl=100, ul=10, obfuscated=False):
-    return ProbeRecord(
-        timestamp_s=hour * 3600.0,
-        imsi_hash=imsi,
-        commune_id=commune,
-        technology=Technology.G3,
-        flow=db.emit_flow(service, obfuscated=obfuscated),
-        dl_bytes=dl,
-        ul_bytes=ul,
+    """One flow of ``service`` as a row of batch column values."""
+    (flow_id,), (code,) = db.emit_flow_features(service, 1, obfuscated)
+    return (hour * 3600.0, imsi, commune, TECH_3G, dl, ul, flow_id, code)
+
+
+def make_batch(codebook, *records):
+    """Pack record rows into one columnar batch under ``codebook``."""
+    columns = zip(*records)
+    return ProbeRecordBatch(
+        **{
+            name: np.asarray(values, dtype=DTYPES[name])
+            for name, values in zip(DTYPES, columns)
+        },
+        codebook=codebook,
     )
 
 
-def ingest(agg, *records):
-    """Feed scalar records through the columnar entry point."""
-    return agg.ingest_columnar(ProbeRecordBatch.from_records(list(records)))
+def ingest(agg, db, *records):
+    """Feed record rows through the columnar entry point as one batch."""
+    return agg.ingest_columnar(make_batch(db.codebook, *records))
 
 
 class TestIngest:
     def test_classified_record_bucketed(self, aggregator):
         agg, db = aggregator
-        assert ingest(agg, make_record(db, "YouTube", commune=3, hour=61.0)) == 1
+        assert ingest(agg, db, make_record(db, "YouTube", commune=3, hour=61.0)) == 1
         assert agg.dl[3, 0, 61] == 100.0
         assert agg.ul[3, 0, 61] == 10.0
         # Classified as YouTube (service 0) and nothing else.
@@ -46,7 +64,9 @@ class TestIngest:
 
     def test_obfuscated_record_unclassified(self, aggregator):
         agg, db = aggregator
-        ingest(agg, make_record(db, "YouTube", commune=3, hour=1.0, obfuscated=True))
+        ingest(
+            agg, db, make_record(db, "YouTube", commune=3, hour=1.0, obfuscated=True)
+        )
         assert agg.national_dl.sum() == 0
         assert agg.unclassified_bytes == 110.0
         assert agg.dl.sum() == 0
@@ -55,6 +75,7 @@ class TestIngest:
         agg, db = aggregator
         ingest(
             agg,
+            db,
             make_record(db, "YouTube", 3, 1.0, imsi=1),
             make_record(db, "Twitter", 3, 2.0, imsi=1),
             make_record(db, "Twitter", 3, 3.0, imsi=2),
@@ -66,6 +87,7 @@ class TestIngest:
         agg, db = aggregator
         ingest(
             agg,
+            db,
             make_record(db, "YouTube", 0, 1.0, dl=880, ul=0),
             make_record(db, "YouTube", 0, 1.0, dl=120, ul=0, obfuscated=True),
         )
@@ -74,13 +96,13 @@ class TestIngest:
     def test_out_of_week_records_kept_national_only(self, aggregator):
         agg, db = aggregator
         record = make_record(db, "YouTube", 0, 200.0)  # beyond hour 168
-        ingest(agg, record)
+        ingest(agg, db, record)
         assert agg.dl.sum() == 0
         assert agg.national_dl[0] == 100.0
 
     def test_finalize_dataset_shape(self, aggregator, country):
         agg, db = aggregator
-        ingest(agg, make_record(db, "Facebook", 1, 10.0))
+        ingest(agg, db, make_record(db, "Facebook", 1, 10.0))
         dataset = agg.finalize()
         assert dataset.n_communes == country.n_communes
         assert dataset.commune_volumes("Facebook", "dl")[1] == 100.0
@@ -88,9 +110,19 @@ class TestIngest:
     def test_tail_service_not_in_tensor(self, aggregator, catalog):
         agg, db = aggregator
         tail_name = catalog.tail_services[0].name
-        ingest(agg, make_record(db, tail_name, 2, 5.0))
+        ingest(agg, db, make_record(db, tail_name, 2, 5.0))
         assert agg.dl.sum() == 0  # head tensor untouched
         assert agg.national_dl[catalog.by_name(tail_name).service_id] == 100.0
+
+    def test_foreign_codebook_refused(self, aggregator):
+        # Codes are never re-encoded: a batch under another codebook is
+        # refused before anything is counted.
+        agg, db = aggregator
+        batch = make_batch(EMPTY_CODEBOOK, make_record(db, "YouTube", 0, 1.0))
+        with pytest.raises(ValueError, match="codebook"):
+            agg.ingest_columnar(batch)
+        assert agg.records_ingested == 0
+        assert agg.report.flows_total == 0
 
 
 def random_batch(db, catalog, n_communes, seed, per_service=200):

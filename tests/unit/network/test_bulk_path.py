@@ -1,8 +1,8 @@
 """Unit tests for the columnar session/probe chain.
 
-Bulk sessions must reach the probe as records that decode to the
-reported flows, with the right counters, and with no double delivery
-to a probe tapping both planes of one manager.
+Bulk sessions must reach the probe's sink as record batches whose codes
+decode to the reported flows, with the right counters, and with no
+double delivery to a probe tapping both planes of one manager.
 """
 
 from dataclasses import replace
@@ -12,16 +12,24 @@ import pytest
 
 from repro._rng import as_generator
 from repro.dataset.parallel import _drop_batch_tail
-from repro.network.gtp import (
-    EMPTY_CODEBOOK,
-    FeatureCodebook,
-    FlowDescriptor,
-)
+from repro.network.gtp import EMPTY_CODEBOOK, FeatureCodebook
 from repro.network.probes import CoreProbe, ProbeRecordBatch, ProbeStats
 from repro.network.session import SessionManager
 from repro.network.topology import build_topology
 
 CODEBOOK = FeatureCodebook(suffixes=("youtube.com", "imap."), hints=("quic-yt",))
+
+#: Every column of a batch, in declaration order.
+COLUMNS = (
+    "timestamps_s",
+    "imsi_hashes",
+    "commune_ids",
+    "tech_codes",
+    "dl_bytes",
+    "ul_bytes",
+    "flow_ids",
+    "feature_codes",
+)
 
 
 @pytest.fixture()
@@ -39,11 +47,8 @@ def _features(n_flows):
         for i in range(n_flows)
     ]
 
-#: A name CODEBOOK has no code for: it rides in a batch's overflow table.
-FOREIGN = ("edge.youtube.com", None, None, 443, "tcp")
 
-
-def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
+def _bulk_session_batch(manager, imsi=42, n_sessions=3, flows_per=2):
     """Drive n_sessions through attach/report/detach on the bulk path."""
     commune_ids = np.arange(n_sessions, dtype=np.int64)
     timestamps = np.arange(n_sessions, dtype=np.float64)
@@ -65,44 +70,44 @@ def _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2):
     return created.teids
 
 
-def _streamed(probe):
-    """Collect ``probe``'s streamed batches; ``flush_stream`` ends the run."""
+def _tapped(manager, chunk_rows=8192):
+    """A probe on ``manager`` whose sink collects the returned list."""
     batches = []
-    probe.stream_to(batches.append, chunk_rows=8192)
-    return batches
+    return CoreProbe(batches.append, chunk_rows).attach_to(manager), batches
 
 
-def _flow_features(records):
-    return [
-        (
-            r.flow.flow_id,
-            r.flow.sni,
-            r.flow.host,
-            r.flow.payload_hint,
-            r.flow.server_port,
-            r.flow.protocol,
-        )
-        for r in records
-    ]
+def _emitted(probe, batches):
+    """Flush ``probe``; everything its sink received, as one batch."""
+    probe.flush_stream()
+    return ProbeRecordBatch.concat(batches)
+
+
+def _columns(batch):
+    return {name: getattr(batch, name).tolist() for name in COLUMNS}
+
+
+def _rows(batch, rows):
+    """The batch restricted to ``rows`` (a slice)."""
+    return replace(batch, **{name: getattr(batch, name)[rows] for name in COLUMNS})
 
 
 class TestBulkProbe:
     def test_bulk_records_join_planes(self, manager):
-        probe = CoreProbe().attach_to(manager)
-        _bulk_session_batch(manager, probe, imsi=42, n_sessions=3, flows_per=2)
-        records = probe.drain()
-        assert len(records) == 6
-        assert all(r.imsi_hash == 42 for r in records)
-        assert all(r.total_bytes == 520.0 for r in records)
+        probe, batches = _tapped(manager)
+        _bulk_session_batch(manager, imsi=42, n_sessions=3, flows_per=2)
+        batch = _emitted(probe, batches)
+        assert len(batch) == 6
+        assert set(batch.imsi_hashes.tolist()) == {42}
+        assert (batch.dl_bytes + batch.ul_bytes).tolist() == [520] * 6
         # commune follows the session the flow rode on
-        assert sorted({r.commune_id for r in records}) == [0, 1, 2]
+        assert batch.commune_ids.tolist() == [0, 0, 1, 1, 2, 2]
         # the codes decode to the reported features
-        assert _flow_features(records) == [
-            (i,) + features for i, features in enumerate(_features(6))
-        ]
+        assert batch.codebook is CODEBOOK
+        assert batch.flow_ids.tolist() == list(range(6))
+        assert batch.codebook.decode(batch.feature_codes) == _features(6)
 
     def test_create_bulk_counts_request_and_response(self, manager):
-        probe = CoreProbe().attach_to(manager)
+        probe, _ = _tapped(manager)
         n = 4
         created = manager.attach_bulk(7, np.arange(n), False, np.zeros(n))
         assert probe.n_tracked_tunnels == n
@@ -114,7 +119,7 @@ class TestBulkProbe:
         assert probe.stats.control_messages == 3 * n
 
     def test_orphan_flows_counted(self, manager):
-        probe = CoreProbe().attach_to(manager)
+        probe, batches = _tapped(manager)
         codes, overflow = EMPTY_CODEBOOK.encode(
             [(None, None, None, 80, "tcp")] * 2
         )
@@ -130,101 +135,71 @@ class TestBulkProbe:
             codebook=EMPTY_CODEBOOK,
         )
         assert probe.stats.orphan_packets == 2
-        assert probe.drain() == []
+        probe.flush_stream()
+        assert batches == []
 
     def test_streamed_batches_match_drain(self, manager):
-        scalar_probe = CoreProbe().attach_to(manager)
-        _bulk_session_batch(manager, scalar_probe, n_sessions=3, flows_per=4)
-        expected = scalar_probe.drain()
-
-        probe = CoreProbe().attach_to(manager)
-        batches = _streamed(probe)
-        _bulk_session_batch(manager, probe, n_sessions=3, flows_per=4)
-        probe.flush_stream()
-        got = [r for batch in batches for r in batch.to_records()]
-        assert [(r.imsi_hash, r.flow.flow_id, r.dl_bytes) for r in got] == [
-            (r.imsi_hash, r.flow.flow_id, r.dl_bytes) for r in expected
-        ]
-        assert probe.drain() == []
+        # One-row chunks flush per arrival; the default chunk holds the
+        # whole run until the final flush drains it.  Both sinks see the
+        # same rows in the same order.
+        small, small_batches = _tapped(manager, chunk_rows=1)
+        whole, whole_batches = _tapped(manager)
+        _bulk_session_batch(manager, n_sessions=3, flows_per=4)
+        _bulk_session_batch(manager, imsi=43, n_sessions=2, flows_per=1)
+        expected = _emitted(whole, whole_batches)
+        assert len(whole_batches) == 1 and len(expected) == 14
+        assert len(small_batches) == 2
+        assert _columns(_emitted(small, small_batches)) == _columns(expected)
 
 
 class TestMaterialization:
     def test_no_double_delivery_with_bulk_listener(self, manager):
         """A probe tapping both planes must see each event exactly once."""
-        probe = CoreProbe().attach_to(manager)
-        _bulk_session_batch(manager, probe, n_sessions=2, flows_per=3)
+        probe, batches = _tapped(manager)
+        _bulk_session_batch(manager, n_sessions=2, flows_per=3)
         assert probe.stats.user_packets == 6
         assert probe.stats.control_messages == 6
-        assert len(probe.drain()) == 6
+        assert len(_emitted(probe, batches)) == 6
 
 
 class TestProbeRecordBatch:
-    def test_round_trip(self, manager):
-        probe = CoreProbe().attach_to(manager)
-        batches = _streamed(probe)
-        _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
-        probe.flush_stream()
-        records = [r for b in batches for r in b.to_records()]
-        sni, host, hint, port, protocol = FOREIGN
-        foreign = replace(
-            records[0], flow=FlowDescriptor(99, sni, host, port, protocol, hint)
-        )
-        records += [foreign, foreign]
-        for codebook in (EMPTY_CODEBOOK, CODEBOOK):
-            rebuilt = ProbeRecordBatch.from_records(records, codebook)
-            assert rebuilt.to_records() == records
-        # Only the name outside CODEBOOK overflows, and only once.
-        rebuilt = ProbeRecordBatch.from_records(records, CODEBOOK)
-        assert rebuilt.overflow == (FOREIGN,)
-        assert rebuilt.feature_codes.tolist()[-2:] == [-1, -1]
-        assert (rebuilt.feature_codes >= 0).sum() == len(records) - 2
-
     def test_concat_preserves_order(self, manager):
-        probe = CoreProbe().attach_to(manager)
-        batches = _streamed(probe)
-        _bulk_session_batch(manager, probe, n_sessions=2, flows_per=2)
-        probe.flush_stream()
-        (batch,) = batches
+        probe, batches = _tapped(manager)
+        _bulk_session_batch(manager, n_sessions=2, flows_per=2)
+        batch = _emitted(probe, batches)
         half = len(batch) // 2
-        records = batch.to_records()
-        first = ProbeRecordBatch.from_records(records[:half])
-        second = ProbeRecordBatch.from_records(records[half:])
+        first, second = _rows(batch, slice(half)), _rows(batch, slice(half, None))
         merged = ProbeRecordBatch.concat([first, second])
-        assert merged.to_records() == records
+        assert merged.codebook is CODEBOOK
+        assert _columns(merged) == _columns(batch)
         with pytest.raises(ValueError):
             ProbeRecordBatch.concat([])
 
-    def test_concat_recodes_to_the_first_codebook(self, manager):
-        probe = CoreProbe().attach_to(manager)
-        _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
-        records = probe.drain()
-        sni, host, hint, port, protocol = FOREIGN
-        records.append(
-            replace(
-                records[0], flow=FlowDescriptor(99, sni, host, port, protocol, hint)
-            )
+    def test_concat_refuses_mixed_codebooks(self, manager):
+        probe, batches = _tapped(manager)
+        _bulk_session_batch(manager, n_sessions=2, flows_per=2)
+        batch = _emitted(probe, batches)
+        # An equal codebook is the same code space: no recoding needed.
+        equal = replace(
+            batch, codebook=FeatureCodebook(CODEBOOK.suffixes, CODEBOOK.hints)
         )
-        first = ProbeRecordBatch.from_records(records[:3], EMPTY_CODEBOOK)
-        second = ProbeRecordBatch.from_records(records[3:], CODEBOOK)
-        assert first.overflow and second.overflow
-        merged = ProbeRecordBatch.concat([first, second])
-        assert merged.codebook is EMPTY_CODEBOOK
-        assert merged.to_records() == records
-        back = merged.recoded(CODEBOOK)
-        assert back.codebook is CODEBOOK
-        assert back.to_records() == records
-        equal = FeatureCodebook(CODEBOOK.suffixes, CODEBOOK.hints)
-        assert back.recoded(equal) is back
+        merged = ProbeRecordBatch.concat([batch, equal])
+        assert merged.codebook is CODEBOOK
+        assert len(merged) == 2 * len(batch)
+        foreign = replace(batch, codebook=EMPTY_CODEBOOK)
+        with pytest.raises(ValueError, match="codebook"):
+            ProbeRecordBatch.concat([batch, foreign])
 
     def test_drop_tail_keeps_codes_and_overflow(self, manager):
-        probe = CoreProbe().attach_to(manager)
-        batches = _streamed(probe)
-        _bulk_session_batch(manager, probe, n_sessions=3, flows_per=2)
-        probe.flush_stream()
-        (batch,) = batches
+        # Builds carry no overflow table; the kept prefix keeps its
+        # codes and codebook.
+        probe, batches = _tapped(manager)
+        _bulk_session_batch(manager, n_sessions=3, flows_per=2)
+        batch = _emitted(probe, batches)
         kept, dropped = _drop_batch_tail(batch, 0.5)
         assert (len(kept), dropped) == (3, 3)
-        assert kept.to_records() == batch.to_records()[:3]
+        assert kept.codebook is batch.codebook
+        assert _columns(kept) == _columns(_rows(batch, slice(3)))
 
     def test_stats_merge(self):
         a = ProbeStats(control_messages=1, user_packets=2, orphan_packets=3, records=4)

@@ -50,69 +50,103 @@ def flows(teids, per_session=1):
     )
 
 
+def sunk_probe(**kwargs):
+    """A probe whose sink appends each emitted batch to the returned list."""
+    batches = []
+    return CoreProbe(batches.append, **kwargs), batches
+
+
+def column(probe, batches, name):
+    """Flush ``probe``; the ``name`` column over every batch it emitted."""
+    probe.flush_stream()
+    return [value for batch in batches for value in getattr(batch, name).tolist()]
+
+
 class TestCorrelation:
     def test_record_joins_planes(self):
-        probe = CoreProbe()
+        probe, batches = sunk_probe()
         probe.on_control(control(GtpcCreateBulk, [7], communes=[3]))
         probe.on_user_plane(flows([7]))
-        records = probe.drain()
-        assert len(records) == 1
-        record = records[0]
-        assert record.imsi_hash == 42
-        assert record.commune_id == 3
-        assert record.dl_bytes == 500
-        assert record.total_bytes == 520
+        probe.flush_stream()
+        (batch,) = batches
+        assert len(batch) == 1
+        assert batch.imsi_hashes.tolist() == [42]
+        assert batch.commune_ids.tolist() == [3]
+        assert batch.tech_codes.tolist() == [TECH_3G]
+        assert batch.dl_bytes.tolist() == [500]
+        assert batch.ul_bytes.tolist() == [20]
+        assert batch.codebook is EMPTY_CODEBOOK
 
     def test_location_update_reflected(self):
-        probe = CoreProbe()
+        probe, batches = sunk_probe()
         probe.on_control(control(GtpcCreateBulk, [7, 8], communes=[3, 3]))
         probe.on_control(control(GtpcUpdateBulk, [8], communes=[5]))
         probe.on_user_plane(flows([7, 8]))
-        assert [r.commune_id for r in probe.drain()] == [3, 5]
+        assert column(probe, batches, "commune_ids") == [3, 5]
 
     def test_update_of_unknown_tunnel_sets_it(self):
-        probe = CoreProbe()
+        probe, batches = sunk_probe()
         probe.on_control(control(GtpcUpdateBulk, [9], communes=[4], imsi=5))
         probe.on_user_plane(flows([9]))
-        (record,) = probe.drain()
-        assert (record.imsi_hash, record.commune_id) == (5, 4)
+        assert column(probe, batches, "imsi_hashes") == [5]
+        assert column(probe, batches, "commune_ids") == [4]
 
     def test_tunnel_removed_on_delete(self):
-        probe = CoreProbe()
+        probe, batches = sunk_probe()
         probe.on_control(control(GtpcCreateBulk, [7, 8], communes=[3, 4]))
         assert probe.n_tracked_tunnels == 2
         probe.on_control(control(GtpcDeleteBulk, [7]))
         assert probe.n_tracked_tunnels == 1
         probe.on_user_plane(flows([7, 8]))
-        assert [r.commune_id for r in probe.drain()] == [4]
-
-    def test_drain_clears(self):
-        probe = CoreProbe()
-        probe.on_control(control(GtpcCreateBulk, [1], communes=[0]))
-        probe.on_user_plane(flows([1]))
-        assert len(probe.drain()) == 1
-        assert probe.drain() == []
+        assert column(probe, batches, "commune_ids") == [4]
 
     def test_bulk_aliases_are_the_handlers(self):
         assert CoreProbe.on_control_bulk is CoreProbe.on_control
         assert CoreProbe.on_user_plane_bulk is CoreProbe.on_user_plane
 
 
+class TestStreaming:
+    def test_sink_gets_a_chunk_once_it_fills(self):
+        probe, batches = sunk_probe(chunk_rows=4)
+        probe.on_control(control(GtpcCreateBulk, [1, 2], communes=[0, 1]))
+        probe.on_user_plane(flows([1], per_session=3))
+        assert batches == []
+        probe.on_user_plane(flows([2], per_session=3))
+        (batch,) = batches
+        # The two arrivals leave as one chunk, in arrival order.
+        assert batch.commune_ids.tolist() == [0, 0, 0, 1, 1, 1]
+        assert batch.flow_ids.tolist() == [0, 1, 2, 0, 1, 2]
+
+    def test_flush_hands_over_the_tail_once(self):
+        probe, batches = sunk_probe()
+        probe.on_control(control(GtpcCreateBulk, [1], communes=[0]))
+        probe.on_user_plane(flows([1]))
+        assert batches == []
+        probe.flush_stream()
+        probe.flush_stream()
+        assert [len(batch) for batch in batches] == [1]
+
+    def test_chunk_rows_validation(self):
+        with pytest.raises(ValueError):
+            CoreProbe([].append, chunk_rows=0)
+
+
 class TestLoss:
     def test_lost_control_orphans_traffic(self):
-        probe = CoreProbe(control_loss_rate=0.999999, seed=1)
+        probe, batches = sunk_probe(control_loss_rate=0.999999, seed=1)
         probe.on_control(control(GtpcCreateBulk, [1], communes=[0]))
         probe.on_user_plane(flows([1]))
         assert probe.stats.orphan_packets == 1
-        assert probe.drain() == []
+        probe.flush_stream()
+        assert batches == []
 
     def test_lost_update_keeps_stale_commune(self):
-        probe = CoreProbe(control_loss_rate=0.5, seed=3)
+        probe, batches = sunk_probe(control_loss_rate=0.5, seed=3)
         teids = list(range(400))
         probe.on_control(control(GtpcCreateBulk, teids, communes=[3] * 400))
         probe.on_control(control(GtpcUpdateBulk, teids, communes=[5] * 400))
         probe.on_user_plane(flows(teids))
-        communes = [r.commune_id for r in probe.drain()]
+        communes = column(probe, batches, "commune_ids")
         # An update is one message, so about half are lost; the tunnels
         # they were meant for stay at the stale commune (a create is
         # lost only with both its messages, 1 in 4).
@@ -123,10 +157,10 @@ class TestLoss:
 
     def test_loss_rate_validation(self):
         with pytest.raises(ValueError):
-            CoreProbe(control_loss_rate=1.0)
+            CoreProbe([].append, control_loss_rate=1.0)
 
     def test_stats_counters(self):
-        probe = CoreProbe()
+        probe, _ = sunk_probe()
         probe.on_control(control(GtpcCreateBulk, [1, 2], communes=[0, 0]))
         probe.on_control(control(GtpcUpdateBulk, [2], communes=[4]))
         probe.on_user_plane(flows([1, 2, 3], per_session=2))

@@ -88,12 +88,14 @@ class TestFlows:
     def test_flow_on_released_session_rejected(self, manager):
         # The manager keeps no session state: a flow on a released
         # tunnel reaches the probe, which cannot geo-reference it.
-        probe = CoreProbe().attach_to(manager)
+        batches = []
+        probe = CoreProbe(batches.append).attach_to(manager)
         created = manager.attach_bulk(1, np.array([0]), False, np.array([0.0]))
         manager.detach_bulk(1, created.teids, created.tech_codes, np.array([1.0]))
         report_one_flow(manager, int(created.teids[0]))
         assert probe.stats.orphan_packets == 1
-        assert probe.drain() == []
+        probe.flush_stream()
+        assert batches == []
 
 
 class TestRelocation:
@@ -124,7 +126,7 @@ class TestRelocation:
 class TestDetach:
     def test_emits_delete_and_clears(self, manager, listeners):
         control, _ = listeners
-        probe = CoreProbe().attach_to(manager)
+        probe = CoreProbe([].append).attach_to(manager)
         created = manager.attach_bulk(1, np.array([0]), False, np.array([0.0]))
         assert probe.n_tracked_tunnels == 1
         manager.detach_bulk(1, created.teids, created.tech_codes, np.array([9.0]))

@@ -5,10 +5,22 @@ import pytest
 
 from repro.dpi.fingerprints import FingerprintDatabase
 from repro.network.localization import LocalizationAuditor
-from repro.network.probes import CoreProbe
+from repro.network.probes import CoreProbe, ProbeRecordBatch
 from repro.network.topology import build_topology
 from repro.traffic.generator import SessionLevelGenerator, WorkloadConfig
 from repro.traffic.subscribers import synthesize_population
+
+
+def tap(generator):
+    """Attach a probe; returns a function giving every record it emitted."""
+    batches = []
+    probe = CoreProbe(batches.append).attach_to(generator.session_manager)
+
+    def captured():
+        probe.flush_stream()
+        return ProbeRecordBatch.concat(batches)
+
+    return captured
 
 
 @pytest.fixture()
@@ -19,8 +31,7 @@ def setup(country, catalog, intensity_model):
     generator = SessionLevelGenerator(
         intensity_model, population, topology, fingerprints, seed=44
     )
-    probe = CoreProbe().attach_to(generator.session_manager)
-    return generator, probe, population, topology
+    return generator, tap(generator), population, topology
 
 
 class TestConfig:
@@ -33,29 +44,30 @@ class TestConfig:
 
 class TestGeneration:
     def test_counters_and_capture(self, setup):
-        generator, probe, _, _ = setup
+        generator, captured, _, _ = setup
         generator.run_week()
         assert generator.sessions_generated > 0
         assert generator.flows_generated >= generator.sessions_generated
-        records = probe.drain()
-        assert len(records) == generator.flows_generated
+        assert len(captured()) == generator.flows_generated
 
     def test_time_limit_truncates(self, setup):
-        generator, probe, _, _ = setup
+        generator, captured, _, _ = setup
         generator.run_week(time_limit_hours=24.0)
-        records = probe.drain()
-        assert records, "a day of traffic should produce records"
-        starts = [r.timestamp_s / 3600.0 for r in records]
+        records = captured()
+        assert len(records), "a day of traffic should produce records"
+        starts = records.timestamps_s / 3600.0
         # Sessions start inside the limit (flows may trail slightly).
-        assert min(starts) >= 0
-        assert max(starts) < 26.0
+        assert starts.min() >= 0
+        assert starts.max() < 26.0
 
     def test_streamed_bytes_are_int64(self, setup):
         # Probes count whole bytes, so every batch reaching the
         # aggregator carries int64 byte columns.
-        generator, probe, _, _ = setup
+        generator, _, _, _ = setup
         batches = []
-        probe.stream_to(batches.append, chunk_rows=512)
+        probe = CoreProbe(batches.append, chunk_rows=512).attach_to(
+            generator.session_manager
+        )
         generator.run_week()
         probe.flush_stream()
         assert len(batches) > 1
@@ -66,10 +78,10 @@ class TestGeneration:
     def test_volumes_positive_and_weekly_scale(
         self, setup, intensity_model
     ):
-        generator, probe, population, _ = setup
+        generator, captured, population, _ = setup
         generator.run_week()
-        records = probe.drain()
-        total = sum(r.total_bytes for r in records)
+        records = captured()
+        total = int(records.dl_bytes.sum() + records.ul_bytes.sum())
         assert total > 0
         # The panel's expected weekly volume: panel share of the base.
         country_total = intensity_model.total_weekly_bytes
@@ -78,10 +90,9 @@ class TestGeneration:
         assert total == pytest.approx(expected, rel=0.8)
 
     def test_records_at_subscriber_locations(self, setup):
-        generator, probe, population, _ = setup
+        generator, captured, population, _ = setup
         generator.run_week()
-        records = probe.drain()
-        communes = {r.commune_id for r in records}
+        communes = set(captured().commune_ids.tolist())
         visited = set()
         for subscriber in population:
             visited.update(
@@ -133,7 +144,7 @@ class TestGeneration:
             config=WorkloadConfig(long_session_minutes=0.0),
             seed=44,
         )
-        probe = CoreProbe().attach_to(generator.session_manager)
+        captured = tap(generator)
         moves = []
         move = generator._handover.move
 
@@ -144,9 +155,13 @@ class TestGeneration:
         monkeypatch.setattr(generator._handover, "move", spy)
         generator.run_week(chunk_size=256)
         # A spanning session's last flow is stamped at the move.
-        commune_at = {
-            (r.imsi_hash, r.timestamp_s): r.commune_id for r in probe.drain()
-        }
+        records = captured()
+        commune_at = dict(
+            zip(
+                zip(records.imsi_hashes.tolist(), records.timestamps_s.tolist()),
+                records.commune_ids.tolist(),
+            )
+        )
         refreshed = stale = 0
         for sessions, new_communes, wants_4g, timestamps_s in moves:
             due = (
@@ -178,11 +193,12 @@ class TestGeneration:
             generator = SessionLevelGenerator(
                 intensity_model, population, topology, fingerprints, seed=44
             )
-            probe = CoreProbe().attach_to(generator.session_manager)
+            captured = tap(generator)
             generator.run_week(time_limit_hours=48.0)
+            records = captured()
             return [
-                (r.timestamp_s, r.commune_id, r.dl_bytes)
-                for r in probe.drain()
+                getattr(records, name).tolist()
+                for name in ("timestamps_s", "commune_ids", "dl_bytes")
             ]
 
         assert run() == run()
