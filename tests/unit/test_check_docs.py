@@ -249,6 +249,78 @@ def test_broken_links_are_reported(root, capsys, link, message):
     assert message in out
 
 
+@pytest.mark.parametrize(
+    "ref,stale",
+    [
+        ("`ProbeRecordBatch.from_records`", "`ProbeRecordBatch.from_records`"),
+        ("`repro.network.probes.CoreProbe.drain()`", "`CoreProbe.drain`"),
+        ("`GtpcUpdateBulk.no_such_column`", "`GtpcUpdateBulk.no_such_column`"),
+    ],
+    ids=["method", "qualified-call", "inherited"],
+)
+def test_stale_class_attribute_is_reported(root, capsys, ref, stale):
+    path = root / "docs" / "architecture.md"
+    path.write_text(
+        path.read_text(encoding="utf-8") + f"\nSee {ref}.\n", encoding="utf-8"
+    )
+
+    code, out = _run(root, capsys)
+
+    assert code == 1
+    assert "docs/architecture.md:" in out
+    assert f"stale reference {stale}" in out
+
+
+def test_resolving_class_attributes_pass(root, capsys):
+    """Fields, ``self`` attributes, inherited fields, enum members and
+    stdlib-inherited attributes resolve; non-``repro`` classes and fenced
+    code are not checked."""
+    path = root / "DESIGN.md"
+    refs = [
+        "`ProbeRecordBatch.codebook`",
+        "`CoreProbe.stats`",
+        "`GtpcUpdateBulk.teids`",
+        "`Technology.G3`",
+        "`Technology.value`",
+        "`CorruptDatasetError.args`",
+        "`Path.no_such_attribute`",
+    ]
+    path.write_text(
+        path.read_text(encoding="utf-8")
+        + "\n"
+        + " ".join(refs)
+        + "\n\n```\n`CoreProbe.drain`\n```\n",
+        encoding="utf-8",
+    )
+
+    code, out = _run(root, capsys)
+
+    assert code == 0, out
+
+
+def test_class_with_foreign_base_is_not_checked(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "import numpy as np\n"
+        "class Known:\n"
+        "    x: int = 0\n"
+        "    def __init__(self):\n"
+        "        self.y = 1\n"
+        "class Child(Known):\n"
+        "    def z(self):\n"
+        "        pass\n"
+        "class Array(np.ndarray):\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+
+    classes = check_docs.class_attributes(src)
+
+    assert {"x", "y", "z", "__init__"} <= classes["Child"]
+    assert classes["Array"] is None
+
+
 def test_clean_copy_passes_untouched(root, capsys):
     before = _snapshot(root)
 

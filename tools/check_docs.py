@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation checks: markdown links and the generated contract tables.
+"""Documentation checks: links, generated tables and class attributes.
 
-Two checks, both stdlib-only (the ``docs`` CI job runs them with no
+Three checks, all stdlib-only (the ``docs`` CI job runs them with no
 installs):
 
 1. **Links** — every intra-repo markdown link (``[text](relative/path)``)
@@ -21,6 +21,15 @@ installs):
    rewrites a stale one in place.  It also reports an unknown block
    name, an opening marker with no end marker, and any declared metric,
    finding, rule, layer or event kind that no block renders.
+3. **Class attributes** — every backticked ``Class.attr`` reference
+   (optionally module-qualified, e.g. ``repro.x.Class.attr(...)``) in
+   ``docs/*.md``, ``README.md`` or ``DESIGN.md`` whose ``Class`` is a
+   class defined under ``src/repro`` must name something that class
+   defines: a method, property, class attribute, dataclass field or an
+   attribute assigned on ``self``, its own or a base class's.  Classes
+   are read with :mod:`ast`, so nothing is imported; a class with a
+   base from outside ``repro`` that the standard library does not
+   provide is not checked.
 
 To change a contract, declare it in code and run this script: it
 rewrites the tables, and a second run passes.
@@ -35,10 +44,13 @@ Usage::
 
 from __future__ import annotations
 
+import ast
+import builtins
+import enum
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.fidelity.contract import FINDINGS
 from repro.fidelity.scorecard import _format_band
@@ -126,6 +138,108 @@ def check_links(root: Path) -> List[str]:
                     problems.append(
                         f"{rel}:{lineno}: broken anchor -> {raw} "
                         f"(no heading slugs to #{fragment})"
+                    )
+    return problems
+
+
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_CLASS_ATTR = re.compile(r"^(?:[a-z_]\w*\.)*([A-Z]\w*)\.([A-Za-z_]\w*)(?!\w)")
+
+#: Bases whose own attributes are known without importing ``repro``.
+_STDLIB_BASES = {"object": object, **vars(enum), **vars(builtins)}
+
+
+def _own_attributes(node: ast.ClassDef) -> Set[str]:
+    """Names a class body defines, plus attributes it assigns on ``self``."""
+    names: Set[str] = set()
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        targets = (
+            stmt.targets if isinstance(stmt, ast.Assign)
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+            else []
+        )
+        for target in targets:
+            for leaf in ast.walk(target):
+                if isinstance(leaf, ast.Name):
+                    names.add(leaf.id)
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            names.add(sub.attr)
+    return names
+
+
+def _base_name(base: ast.expr) -> str:
+    if isinstance(base, ast.Subscript):
+        base = base.value
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return base.id if isinstance(base, ast.Name) else ""
+
+
+def class_attributes(src: Path) -> Dict[str, Optional[Set[str]]]:
+    """Every class defined under ``src``, by name, with what it defines.
+
+    Inherited names are included; a class is ``None`` when a base is
+    neither a class under ``src`` nor a standard-library class, so its
+    attributes cannot be known.  Same-named classes are merged.
+    """
+    defs: Dict[str, List[Tuple[Set[str], List[str]]]] = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, []).append(
+                    (_own_attributes(node), [_base_name(b) for b in node.bases])
+                )
+
+    def resolve(name: str, seen: Set[str]) -> Optional[Set[str]]:
+        attrs: Set[str] = set()
+        for own, bases in defs[name]:
+            attrs |= own
+            for base in bases:
+                if base in defs and base not in seen:
+                    inherited = resolve(base, seen | {base})
+                elif isinstance(_STDLIB_BASES.get(base), type):
+                    inherited = set().union(*map(vars, _STDLIB_BASES[base].__mro__))
+                else:
+                    inherited = None
+                if inherited is None:
+                    return None
+                attrs |= inherited
+        return attrs
+
+    return {name: resolve(name, {name}) for name in defs}
+
+
+def check_class_attrs(root: Path) -> List[str]:
+    """Backticked ``Class.attr`` references must resolve on ``Class``."""
+    classes = class_attributes(root / "src" / "repro")
+    paths = sorted((root / "docs").glob("*.md")) + [
+        root / name for name in ("README.md", "DESIGN.md")
+    ]
+    problems = []
+    for path in paths:
+        if not path.exists():
+            continue
+        text = _strip_fences(path.read_text(encoding="utf-8"))
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            for span in _CODE_SPAN.finditer(line):
+                match = _CLASS_ATTR.match(span.group(1))
+                if not match:
+                    continue
+                cls, attr = match.groups()
+                attrs = classes.get(cls)
+                if attrs is not None and attr not in attrs:
+                    problems.append(
+                        f"{path.relative_to(root)}:{lineno}: stale reference "
+                        f"`{cls}.{attr}` ({cls} defines no {attr!r})"
                     )
     return problems
 
@@ -268,14 +382,17 @@ def check_generated(root: Path) -> List[str]:
 
 def main(argv: List[str]) -> int:
     root = Path(argv[1]).resolve() if len(argv) > 1 else REPO_ROOT
-    problems = check_links(root) + check_generated(root)
+    problems = check_links(root) + check_generated(root) + check_class_attrs(root)
     for problem in problems:
         print(problem)
     n_files = len(_markdown_files(root))
     if problems:
         print(f"check_docs: {len(problems)} problem(s) in {n_files} files")
         return 1
-    print(f"check_docs: OK ({n_files} markdown files, links + generated)")
+    print(
+        f"check_docs: OK ({n_files} markdown files, links + generated "
+        "+ class attributes)"
+    )
     return 0
 
 
