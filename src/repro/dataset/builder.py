@@ -8,6 +8,7 @@ configurable scale and is what validates the fast path.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -31,7 +32,6 @@ from repro.geo.country import Country, CountryConfig, build_country
 from repro.network.handover import HandoverStats
 from repro.network.probes import ProbeStats
 from repro.network.topology import build_topology
-from repro.resilience.checkpoint import ShardCheckpoint, run_key_for
 from repro.resilience.coverage import CoverageReport
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -117,7 +117,6 @@ def build_session_level_dataset(
     seed: SeedLike = None,
     retry_policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     chunk_size: int = 8192,
     spill_dir: Optional[Union[str, Path]] = None,
@@ -151,28 +150,30 @@ def build_session_level_dataset(
 
     - ``retry_policy`` bounds attempts, the per-shard watchdog, and the
       post-exhaustion behavior (default: 3 attempts, fail);
-    - ``fault_plan`` injects deterministic faults (tests/CI only);
-    - ``checkpoint_dir`` spills completed shard partials to atomic
-      checkpoints; ``resume=True`` loads them instead of re-running
-      (requires an **integer** ``seed`` so the checkpoint key can bind
-      the run configuration).
+    - ``fault_plan`` injects deterministic faults (tests/CI only).
 
     Every build stamps ``coverage.*`` keys into ``dataset.meta`` and
     exposes ``extras["coverage"]`` / ``extras["execution"]``; a
     quarantine-degraded build reports ``coverage.fraction < 1``.
 
+    **Partial store.** With ``spill_dir`` set, every accepted shard
+    partial is written there once, atomically, through a
+    :class:`~repro.dataset.merge.SpillStore`.  ``resume=True`` loads
+    the valid files already there instead of re-running their shards.
+    The files are keyed by every input that shapes a shard, so the
+    store needs an integer ``seed`` and a ``country_config`` rather
+    than a prebuilt ``country``; a file from another configuration is
+    discarded and its shard reruns.
+
     **Memory model.** ``chunk_size`` (a positive record count) streams
     the probe's records into each shard's aggregator ``chunk_size``
     records at a time, so no shard materializes its whole week.
-    ``spill_dir`` bounds the *merge* side: shard partials beyond
-    ``spill_budget_bytes`` resident bytes (default 0 — spill
-    everything) go to disk through a
-    :class:`~repro.dataset.merge.SpillStore` and are loaded back one at
-    a time during the merge, which folds them into the first partial.
-    Spilling requires an integer ``seed`` (the store is keyed like a
-    checkpoint).  These knobs trade memory for time, never content:
-    probe-side capture losses under a nonzero ``control_loss_rate``
-    are keyed by session too.
+    ``spill_budget_bytes`` bounds the *merge* side: stored partials
+    beyond that many resident bytes (default 0 — keep none loaded) are
+    held as handles on their files and loaded back one at a time during
+    the merge, which folds them into the first partial.  These knobs
+    trade memory for time, never content: probe-side capture losses
+    under a nonzero ``control_loss_rate`` are keyed by session too.
     """
     if country_config is None:
         country_config = CountryConfig(n_communes=400)
@@ -186,13 +187,8 @@ def build_session_level_dataset(
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     if audit_localization and n_shards > 1:
         raise ValueError("audit_localization requires n_shards=1")
-    if resume and checkpoint_dir is None:
-        raise ValueError("resume=True requires checkpoint_dir")
-    if checkpoint_dir is not None and not isinstance(seed, int):
-        raise ValueError(
-            "checkpointing requires an integer seed — the checkpoint "
-            "run key must bind the exact build configuration"
-        )
+    if resume and spill_dir is None:
+        raise ValueError("resume=True requires spill_dir")
     if chunk_size is None or chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if spill_budget_bytes is not None and spill_dir is None:
@@ -203,8 +199,13 @@ def build_session_level_dataset(
         )
     if spill_dir is not None and not isinstance(seed, int):
         raise ValueError(
-            "spilling requires an integer seed — the spill store is "
+            "spill_dir requires an integer seed — the partial store is "
             "keyed to the exact build configuration"
+        )
+    if spill_dir is not None and country is not None:
+        raise ValueError(
+            "spill_dir requires country_config, not a prebuilt country — "
+            "the partial store's key cannot bind a country's content"
         )
     rng = as_generator(seed)
     if country is None:
@@ -248,18 +249,23 @@ def build_session_level_dataset(
         chunk_size=chunk_size,
         audit_localization=audit_localization,
     )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = ShardCheckpoint(
-            checkpoint_dir,
-            run_key_for(seed, n_shards, n_subscribers, n_services),
-        )
-    spill = None
+    store = None
     if spill_dir is not None:
-        spill = SpillStore(
-            spill_dir,
-            run_key_for(seed, n_shards, n_subscribers, n_services),
-            budget_bytes=spill_budget_bytes or 0,
+        run_key = _run_key(
+            seed,
+            n_shards,
+            n_subscribers=n_subscribers,
+            n_services=n_services,
+            country_config=country_config,
+            axis=axis,
+            total_weekly_bytes=total_weekly_bytes,
+            workload_config=workload_config,
+            unclassifiable_rate=unclassifiable_rate,
+            control_loss_rate=control_loss_rate,
+            audit_localization=audit_localization,
+        )
+        store = SpillStore(
+            spill_dir, run_key, budget_bytes=spill_budget_bytes or 0
         )
     with obs.span("shards"):
         execution = execute_shards_supervised(
@@ -267,10 +273,9 @@ def build_session_level_dataset(
             n_workers,
             policy=retry_policy,
             fault_plan=fault_plan,
-            checkpoint=checkpoint,
             seed=seed if isinstance(seed, int) else 0,
             resume=resume,
-            spill=spill,
+            store=store,
         )
         # Handles keep their obs export resident, so absorbing the
         # shard observability never pages a spilled partial back in.
@@ -346,6 +351,18 @@ def build_session_level_dataset(
             "execution": execution,
         },
     )
+
+
+def _run_key(seed: int, n_shards: int, **inputs) -> str:
+    """The partial store's run key: every input that shapes a shard.
+
+    ``chunk_size`` and ``n_workers`` never change a partial, and the
+    retry policy and fault plan only decide which attempt settles, so
+    they stay out.  Config dataclasses enter through their ``repr``,
+    which lists every field.
+    """
+    digest = hashlib.sha256(repr(sorted(inputs.items())).encode()).hexdigest()
+    return f"session/seed={seed}/shards={n_shards}/inputs={digest[:16]}"
 
 
 __all__ = [

@@ -5,7 +5,9 @@ Examples::
     repro-dataset build --communes 1600 --seed 7 --out week.npz
     repro-dataset build --session --subscribers 2000 --out panel.npz
     repro-dataset build --session --shards 8 --retries 3 \\
-        --on-exhausted quarantine --checkpoint-dir ckpt --out panel.npz
+        --on-exhausted quarantine --spill-dir parts --out panel.npz
+    repro-dataset build --session --shards 8 --spill-dir parts --resume \\
+        --out panel.npz
     repro-dataset info week.npz
 
 Exit codes follow the shared contract in :mod:`repro._exit`: ``0``
@@ -89,16 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
         "quarantine the shard and degrade coverage",
     )
     build.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="spill completed shard partials to atomic checkpoints here",
-    )
-    build.add_argument(
         "--resume",
         action="store_true",
-        help="load finished shards from --checkpoint-dir instead of "
-        "re-running them",
+        help="load the shard partials already in --spill-dir instead of "
+        "re-running their shards; requires --spill-dir",
     )
     build.add_argument(
         "--fault",
@@ -119,16 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         default=None,
         metavar="DIR",
-        help="spill accepted shard partials beyond --spill-budget-mb "
-        "here and merge them from disk (bounds --session merge memory)",
+        help="write every accepted shard partial here once, so a "
+        "--session build can --resume and merge from disk",
     )
     build.add_argument(
         "--spill-budget-mb",
         type=float,
         default=None,
         metavar="MB",
-        help="resident shard-partial budget before spilling "
-        "(default 0: spill every partial); requires --spill-dir",
+        help="stored shard partials kept loaded for the merge "
+        "(default 0: none; the rest load one at a time); "
+        "requires --spill-dir",
     )
 
     info = sub.add_parser("info", help="summarize a saved dataset")
@@ -160,7 +157,6 @@ def _resilience_options(args: argparse.Namespace):
         "--retries": args.retries,
         "--shard-timeout": args.shard_timeout,
         "--on-exhausted": args.on_exhausted,
-        "--checkpoint-dir": args.checkpoint_dir,
         "--fault": args.fault,
         "--chunk-size": args.chunk_size,
         "--spill-dir": args.spill_dir,
@@ -175,6 +171,8 @@ def _resilience_options(args: argparse.Namespace):
                 f"{', '.join(used)} require(s) --session builds"
             )
         return None, None
+    if args.resume and args.spill_dir is None:
+        raise ValueError("--resume requires --spill-dir")
     policy = None
     if (
         args.retries is not None
@@ -223,7 +221,6 @@ def _build(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 retry_policy=retry_policy,
                 fault_plan=fault_plan,
-                checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
                 spill_dir=args.spill_dir,
                 **kwargs,

@@ -1,13 +1,20 @@
-"""The spill substrate behind bounded-memory sharded builds.
+"""The on-disk store for shard partials.
 
-When the resident set of accepted shard partials exceeds a budget, the
-supervisor spills them to disk through a :class:`SpillStore` and keeps
-only a compact :class:`SpilledShardResult` handle; the merge then loads
-one partial at a time, in shard-index order, so peak RSS is one partial
-— not all of them.  The on-disk format is the same atomic pickled
-envelope the resilience checkpoints use (write to temp, flush + fsync,
-``os.replace``), generalized here as :func:`write_envelope` /
-:func:`read_envelope` so both layers share one crash-safe codec.
+With a store directory set, the supervisor writes every accepted shard
+partial to disk exactly once, through a :class:`SpillStore`.  The file
+serves two needs at once:
+
+- **resume** — a build that crashed, or was killed, loads the valid
+  files already in the directory instead of rerunning their shards;
+- **bounded merge** — partials beyond a resident budget are dropped
+  from memory, and only a compact :class:`SpilledShardResult` handle
+  pointing at the file stays; the merge then loads one partial at a
+  time, in shard-index order, so peak RSS is one partial, not all of
+  them.
+
+Each file is a crash-safe, self-verifying envelope
+(:func:`write_envelope` / :func:`read_envelope`): write to a temp file,
+flush + fsync, ``os.replace``.
 """
 
 from __future__ import annotations
@@ -20,11 +27,11 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 # ----------------------------------------------------------------------
-# crash-safe pickled envelopes (shared by spills and checkpoints)
+# crash-safe pickled envelopes
 # ----------------------------------------------------------------------
 
-#: Schema tag of spilled shard partials, bumped on layout change.
-SPILL_SCHEMA = "repro-spill/2"
+#: Schema tag of stored shard partials, bumped on layout change.
+SPILL_SCHEMA = "repro-spill/3"
 
 
 def write_envelope(
@@ -66,10 +73,11 @@ def read_envelope(
     """The envelope's payload object, or ``None`` if absent or unusable.
 
     Never raises on a bad file: wrong schema, foreign run key, index
-    mismatch, digest mismatch, truncation and unreadable pickles all
+    mismatch, digest mismatch, truncation and any byte damage that
+    stops the envelope from unpickling (whatever the unpickler raises)
     return ``None`` — callers decide whether that is a graceful rerun
-    (checkpoints) or a hard error (spills, where the resident copy is
-    gone).
+    (:meth:`SpillStore.load` on resume) or a hard error
+    (:meth:`SpilledShardResult.load`, where the resident copy is gone).
     """
     path = Path(path)
     if not path.exists():
@@ -91,12 +99,12 @@ def read_envelope(
         if hashlib.sha256(payload).hexdigest() != envelope.get("sha256"):
             return None
         return pickle.loads(payload)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+    except Exception:  # damaged bytes can raise almost any error type
         return None
 
 
 # ----------------------------------------------------------------------
-# shard-partial spilling
+# the shard-partial store
 # ----------------------------------------------------------------------
 
 def partial_nbytes(result) -> int:
@@ -119,15 +127,15 @@ def partial_nbytes(result) -> int:
 
 @dataclass
 class SpilledShardResult:
-    """Compact handle for a shard partial that lives on disk.
+    """Compact handle for a shard partial that lives only on disk.
 
     Carries the scalars the builder and the execution report need
     without loading anything (``sessions_generated``,
     ``records_dropped``, …) plus the shard's observability export — only
     the aggregate tensors and subscriber sets are out of core.
     ``load()`` brings the full ``ShardResult`` back, and *raises* on a
-    missing or damaged file: unlike a checkpoint, a spill's resident
-    copy was dropped, so there is nothing to gracefully fall back to.
+    missing or damaged file: this build wrote the file and dropped the
+    resident copy, so there is nothing to fall back to.
     """
 
     shard_index: int
@@ -150,18 +158,19 @@ class SpilledShardResult:
                 f"spilled shard partial {self.path} is missing or damaged "
                 f"(run_key={self.run_key!r}, shard={self.shard_index})"
             )
-        result.obs_export = self.obs_export
         return result
 
 
 class SpillStore:
-    """One build's spill directory plus its resident-memory budget.
+    """One build's partial directory plus its resident-memory budget.
 
-    ``budget_bytes`` is the total size of shard partials the supervisor
-    may keep resident before further accepted partials spill; ``0``
-    spills every partial.  The store is keyed to one run configuration
-    exactly like the checkpoint directory, so partials from a different
-    build can never be merged by accident.
+    Every accepted partial is written once (:meth:`write`), whole —
+    its observability export included, so a resumed partial gets it
+    back.  ``budget_bytes`` only decides which partials stay loaded: a
+    partial over budget is replaced by a :meth:`handle` on the file
+    already written; ``0`` keeps none loaded.  Files are keyed to one
+    run configuration, so partials of a different build are never
+    merged by accident.
     """
 
     def __init__(
@@ -184,36 +193,38 @@ class SpillStore:
             raise ValueError(f"shard_index must be >= 0, got {shard_index}")
         return self.directory / f"partial-{shard_index:05d}.spill"
 
-    def spill(self, result) -> SpilledShardResult:
-        """Write one shard partial to disk; returns its compact handle.
+    def write(self, result) -> Path:
+        """Atomically persist one shard partial; returns its path."""
+        return write_envelope(
+            self.path_for(result.shard_index),
+            result,
+            SPILL_SCHEMA,
+            self.run_key,
+            result.shard_index,
+        )
 
-        The observability export stays resident on the handle (it is
-        small and the builder absorbs it before merging); everything
-        else round-trips through the envelope bit-identically, which is
-        what keeps spilled and unspilled builds byte-identical.
+    def load(self, shard_index: int):
+        """The stored partial, or ``None`` if absent or unusable.
+
+        Never raises on a bad file: on resume a damaged, foreign or
+        old-schema file is equivalent to no file, and the shard reruns.
         """
-        export = result.obs_export
-        result.obs_export = None
-        try:
-            path = write_envelope(
-                self.path_for(result.shard_index),
-                result,
-                SPILL_SCHEMA,
-                self.run_key,
-                result.shard_index,
-            )
-        finally:
-            result.obs_export = export
+        return read_envelope(
+            self.path_for(shard_index), SPILL_SCHEMA, self.run_key, shard_index
+        )
+
+    def handle(self, result) -> SpilledShardResult:
+        """The compact handle of a partial this store already holds."""
         return SpilledShardResult(
             shard_index=result.shard_index,
-            path=path,
+            path=self.path_for(result.shard_index),
             run_key=self.run_key,
             nbytes=partial_nbytes(result),
             sessions_generated=result.sessions_generated,
             flows_generated=result.flows_generated,
             records_ingested=result.records_ingested,
             records_dropped=result.records_dropped,
-            obs_export=export,
+            obs_export=result.obs_export,
         )
 
 

@@ -20,11 +20,11 @@ and is built so the answer is reproducible.  An event is a plain
 ``verdict``
     A fidelity-scorecard verdict (``repro.fidelity``): finding name plus
     ``{"verdict", "value"}``.
-``retry`` / ``quarantine`` / ``checkpoint``
+``retry`` / ``quarantine`` / ``resume``
     Supervised-execution history (``repro.resilience``): one ``retry``
     per charged shard failure (``{"attempt", "kind"}``), one
-    ``quarantine`` per shard dropped after exhaustion, one
-    ``checkpoint`` per shard restored on resume.  Emitted on the parent
+    ``quarantine`` per shard dropped after exhaustion, one ``resume``
+    per shard loaded from the partial store instead of run.  Emitted on the parent
     in shard-index order after execution settles, so they inherit the
     worker-count-independence of the rest of the log.
 ``schedule`` / ``request``
@@ -69,7 +69,7 @@ KINDS = (
     "verdict",
     "retry",
     "quarantine",
-    "checkpoint",
+    "resume",
     "schedule",
     "request",
     "trace",

@@ -185,16 +185,16 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
             "shards quarantined after retry exhaustion",
         ),
         MetricSpec(
-            "resilience.checkpoint_hits", _C, "shards", "resilience", _EV,
-            "shards restored from on-disk checkpoints on resume",
+            "resilience.partials_resumed", _C, "shards", "resilience", _EV,
+            "shard partials loaded from the partial store on resume",
         ),
         MetricSpec(
-            "resilience.checkpoint_writes", _C, "shards", "resilience", _EV,
-            "shard partials persisted to the checkpoint directory",
+            "resilience.partials_written", _C, "shards", "resilience", _EV,
+            "shard partials written to the partial store",
         ),
         MetricSpec(
-            "resilience.checkpoint_discards", _C, "shards", "resilience", _EV,
-            "checkpoint files rejected as damaged or mismatched",
+            "resilience.partials_discarded", _C, "shards", "resilience", _EV,
+            "partial-store files rejected on resume as damaged or mismatched",
         ),
         MetricSpec(
             "resilience.faults_injected", _C, "faults", "resilience", _EV,
@@ -216,7 +216,7 @@ SPECS: Dict[str, MetricSpec] = _spec_table(
         ),
         MetricSpec(
             "stream.spills", _C, "spills", "streaming", _EV,
-            "shard partials spilled to disk under the resident budget",
+            "stored shard partials not kept loaded under the resident budget",
         ),
         MetricSpec(
             "stream.merge_passes", _C, "passes", "streaming", _EV,

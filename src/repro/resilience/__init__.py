@@ -1,19 +1,18 @@
-"""Resilient sharded execution: faults, retries, checkpoints, coverage.
+"""Resilient sharded execution: faults, retries, resume, coverage.
 
 The layer that turns the bare shard executor into a production-grade
-one.  Four cooperating pieces:
+one.  Three cooperating pieces:
 
 - :mod:`repro.resilience.faults` — deterministic fault injection
   (:class:`FaultPlan`), addressed by ``(stage, shard_index, attempt)``;
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy` with a
   wall-clock-free decision path and a ``(seed, shard_index, attempt)``
   deterministic backoff schedule;
-- :mod:`repro.resilience.checkpoint` — atomic shard checkpoints and
-  resume (:class:`ShardCheckpoint`);
 - :mod:`repro.resilience.supervisor` — the supervised executor
   (:func:`execute_shards_supervised`) with typed failures, a watchdog,
-  worker-crash recovery, and graceful degradation accounted through
-  :mod:`repro.resilience.coverage`.
+  worker-crash recovery, resume from the partial store
+  (:class:`repro.dataset.merge.SpillStore`), and graceful degradation
+  accounted through :mod:`repro.resilience.coverage`.
 
 See ``docs/robustness.md`` for the failure model and the determinism
 argument.
@@ -45,9 +44,6 @@ _LAZY = {
     "ShardOutcome": "repro.resilience.supervisor",
     "execute_shards_supervised": "repro.resilience.supervisor",
     "validate_shard_result": "repro.resilience.supervisor",
-    "SCHEMA": "repro.resilience.checkpoint",
-    "ShardCheckpoint": "repro.resilience.checkpoint",
-    "run_key_for": "repro.resilience.checkpoint",
 }
 
 
@@ -80,7 +76,4 @@ __all__ = [
     "ShardOutcome",
     "execute_shards_supervised",
     "validate_shard_result",
-    "SCHEMA",
-    "ShardCheckpoint",
-    "run_key_for",
 ]

@@ -1,4 +1,4 @@
-"""The supervised shard executor: retries, watchdog, checkpoint, degrade.
+"""The supervised shard executor: retries, watchdog, resume, degrade.
 
 Every sharded build runs its shards here, in-process or across a
 forked pool, and every shard attempt runs under supervision:
@@ -14,9 +14,10 @@ forked pool, and every shard attempt runs under supervision:
   deadline times out hung workers, dead workers (nonzero exit codes)
   are detected, and the pool is torn down and rebuilt before the next
   round so lost workers never wedge the build;
-- **checkpoint/resume** — completed partials spill to an atomic
-  checkpoint (:mod:`repro.resilience.checkpoint`) and a resumed build
-  loads them instead of re-running;
+- **resume** — with a partial store
+  (:class:`~repro.dataset.merge.SpillStore`) every accepted partial is
+  written to disk once, atomically, and a resumed build loads the
+  valid files instead of re-running their shards;
 - **graceful degradation** — after exhaustion, ``policy.on_exhausted``
   either raises a structured :class:`ShardExecutionError` (``"fail"``)
   or quarantines the shard (``"quarantine"``) so the build completes
@@ -51,7 +52,6 @@ from repro.dataset.parallel import (
     run_shard_attempt,
 )
 from repro.obs import clock
-from repro.resilience.checkpoint import ShardCheckpoint
 from repro.resilience.faults import (
     FaultPlan,
     InjectedHangError,
@@ -98,7 +98,7 @@ class ShardOutcome:
     result: Optional[ShardResult] = None
     attempts_executed: int = 0
     failures: List[ShardFailure] = field(default_factory=list)
-    from_checkpoint: bool = False
+    resumed: bool = False
     quarantined: bool = False
 
 
@@ -126,9 +126,12 @@ class ExecutionReport:
     n_shards: int
     policy: RetryPolicy
     outcomes: List[ShardOutcome]
-    checkpoint_writes: int = 0
-    checkpoint_discards: int = 0
+    #: Partials written to the store, and store files rejected on
+    #: resume as damaged, foreign or of another schema.
+    partials_written: int = 0
+    partials_discarded: int = 0
     faults_injected: int = 0
+    #: Partials not kept loaded under the store's resident budget.
     spills: int = 0
     resident_partial_bytes: int = 0
 
@@ -188,8 +191,8 @@ class ExecutionReport:
         return sum(max(0, o.attempts_executed - 1) for o in self.outcomes)
 
     @property
-    def checkpoint_hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.from_checkpoint)
+    def partials_resumed(self) -> int:
+        return sum(1 for o in self.outcomes if o.resumed)
 
     @property
     def records_dropped(self) -> int:
@@ -211,7 +214,7 @@ def validate_shard_result(
     """Integrity problems of one shard partial (empty list = sound).
 
     Catches the ``corrupt_partial`` fault class and any real torn or
-    garbled partial (a damaged checkpoint payload, a worker that died
+    garbled partial (a damaged stored payload, a worker that died
     mid-serialization): shape or dtype drift, negative cells, byte
     accounting outside ``0 <= classified <= total``.
     """
@@ -272,21 +275,19 @@ def _charge(
 def _retire(
     outcome: ShardOutcome,
     report: ExecutionReport,
-    spill: Optional[SpillStore],
+    store: SpillStore,
 ) -> None:
-    """Settle an accepted partial's residency under the spill budget.
+    """Settle a stored partial's residency under the budget.
 
-    Every accepted partial is charged against the resident budget; once
-    the budget would be exceeded the partial goes to disk and only its
-    compact handle stays (``budget_bytes=0`` spills everything).  The
-    spilled bytes round-trip bit-identically, so residency is purely a
-    memory decision — it can never change the merged dataset.
+    Every stored partial is charged against the resident budget; once
+    the budget would be exceeded only a compact handle on the file
+    already written stays (``budget_bytes=0`` keeps none loaded).  The
+    file round-trips bit-identically, so residency is purely a memory
+    decision — it can never change the merged dataset.
     """
-    if spill is None:
-        return
     nbytes = partial_nbytes(outcome.result)
-    if report.resident_partial_bytes + nbytes > spill.budget_bytes:
-        outcome.result = spill.spill(outcome.result)
+    if report.resident_partial_bytes + nbytes > store.budget_bytes:
+        outcome.result = store.handle(outcome.result)
         report.spills += 1
     else:
         report.resident_partial_bytes += nbytes
@@ -297,16 +298,17 @@ def _accept(
     result: ShardResult,
     attempt: int,
     plan: ShardPlan,
-    checkpoint: Optional[ShardCheckpoint],
     report: ExecutionReport,
     attempts_left: bool,
-    spill: Optional[SpillStore] = None,
+    store: Optional[SpillStore],
 ) -> bool:
     """Validate one attempt's result; True when the shard is settled.
 
     A corrupt partial is always a failure.  Dropped records are retried
     while attempts remain; on the last attempt the result is kept and
     the loss accounted (degradation is the caller's policy decision).
+    A settled partial is written to the store before the next shard
+    settles, so a build that dies later can resume from it.
     """
     problems = validate_shard_result(result, plan, outcome.shard_index)
     if problems:
@@ -322,36 +324,34 @@ def _accept(
         )
         return False
     outcome.result = result
-    if checkpoint is not None:
-        checkpoint.store(outcome.shard_index, result)
-        report.checkpoint_writes += 1
-    _retire(outcome, report, spill)
+    if store is not None:
+        store.write(result)
+        report.partials_written += 1
+        _retire(outcome, report, store)
     return True
 
 
-def _prefill_from_checkpoint(
+def _resume_from_store(
     outcomes: List[ShardOutcome],
     plan: ShardPlan,
-    checkpoint: Optional[ShardCheckpoint],
+    store: SpillStore,
     report: ExecutionReport,
-    spill: Optional[SpillStore] = None,
 ) -> None:
-    if checkpoint is None:
-        return
+    """Load the valid partials already in the store; none is rewritten."""
     for outcome in outcomes:
-        loaded = checkpoint.load(outcome.shard_index)
+        loaded = store.load(outcome.shard_index)
         if loaded is None:
-            # A file that exists but would not load is a damaged or
-            # mismatched checkpoint: discarded, not merely absent.
-            if checkpoint.path_for(outcome.shard_index).exists():
-                report.checkpoint_discards += 1
+            # A file that exists but would not load is damaged, foreign
+            # or of another schema: discarded, not merely absent.
+            if store.path_for(outcome.shard_index).exists():
+                report.partials_discarded += 1
             continue
         if validate_shard_result(loaded, plan, outcome.shard_index):
-            report.checkpoint_discards += 1
+            report.partials_discarded += 1
             continue
         outcome.result = loaded
-        outcome.from_checkpoint = True
-        _retire(outcome, report, spill)
+        outcome.resumed = True
+        _retire(outcome, report, store)
 
 
 class _SupervisedPool:
@@ -462,21 +462,20 @@ def execute_shards_supervised(
     n_workers: int,
     policy: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
-    checkpoint: Optional[ShardCheckpoint] = None,
     seed: int = 0,
     resume: bool = True,
-    spill: Optional[SpillStore] = None,
+    store: Optional[SpillStore] = None,
 ) -> ExecutionReport:
     """Run every shard under supervision; see the module docstring.
 
     ``seed`` keys the deterministic backoff schedule only — shard
     content comes from the plan's keyed draws, so it never depends on
-    retries or on ``n_workers``.  With ``resume=False`` an
-    existing checkpoint directory is written to but never read, so a
-    build can refresh its checkpoints from scratch.  With ``spill`` set,
-    accepted partials beyond the store's resident budget go to disk and
-    the report holds compact handles (see
-    :meth:`ExecutionReport.iter_results`).
+    retries or on ``n_workers``.  With ``store`` set, every accepted
+    partial is written to it once; partials beyond the store's resident
+    budget are then held as compact handles (see
+    :meth:`ExecutionReport.iter_results`).  With ``resume=True`` the
+    valid files already in the store settle their shards without a
+    run; with ``resume=False`` they are overwritten, never read.
     """
     if policy is None:
         policy = RetryPolicy()
@@ -487,8 +486,8 @@ def execute_shards_supervised(
     report = ExecutionReport(
         n_shards=n_shards, policy=policy, outcomes=outcomes
     )
-    if resume:
-        _prefill_from_checkpoint(outcomes, plan, checkpoint, report, spill)
+    if resume and store is not None:
+        _resume_from_store(outcomes, plan, store, report)
     pending = [o.shard_index for o in outcomes if o.result is None]
 
     context = WorkerContext(plan, fault_plan=fault_plan)
@@ -501,13 +500,12 @@ def execute_shards_supervised(
                 mp_context = None
         if mp_context is None:
             _run_in_process(
-                context, pending, outcomes, plan, policy, checkpoint,
-                report, seed, spill,
+                context, pending, outcomes, plan, policy, report, seed, store,
             )
         else:
             _run_pooled(
                 context, mp_context, min(n_workers, len(pending)), pending,
-                outcomes, plan, policy, checkpoint, report, seed, spill,
+                outcomes, plan, policy, report, seed, store,
             )
     assert _parent_context_clean(), (
         "worker context leaked into the parent process"
@@ -536,10 +534,9 @@ def _run_in_process(
     outcomes: List[ShardOutcome],
     plan: ShardPlan,
     policy: RetryPolicy,
-    checkpoint: Optional[ShardCheckpoint],
     report: ExecutionReport,
     seed: int,
-    spill: Optional[SpillStore] = None,
+    store: Optional[SpillStore],
 ) -> None:
     """Serial supervision: the fallback and the ``n_workers=1`` path.
 
@@ -568,8 +565,7 @@ def _run_in_process(
                 )
                 continue
             if _accept(
-                outcome, result, attempt, plan, checkpoint, report,
-                attempts_left, spill,
+                outcome, result, attempt, plan, report, attempts_left, store,
             ):
                 break
 
@@ -582,10 +578,9 @@ def _run_pooled(
     outcomes: List[ShardOutcome],
     plan: ShardPlan,
     policy: RetryPolicy,
-    checkpoint: Optional[ShardCheckpoint],
     report: ExecutionReport,
     seed: int,
-    spill: Optional[SpillStore] = None,
+    store: Optional[SpillStore],
 ) -> None:
     """Round-based pooled supervision with watchdog and pool rebuild."""
     supervised = _SupervisedPool(mp_context, processes, context)
@@ -615,7 +610,7 @@ def _run_pooled(
                 attempts_left = attempt + 1 < policy.max_attempts
                 settled = shard_index in gathered and _accept(
                     outcome, gathered[shard_index], attempt, plan,
-                    checkpoint, report, attempts_left, spill,
+                    report, attempts_left, store,
                 )
                 if not settled and attempts_left:
                     attempts[shard_index] = attempt + 1
@@ -669,12 +664,12 @@ def _emit_observability(report: ExecutionReport) -> None:
         obs.add(
             "resilience.quarantined_shards", len(report.quarantined_indices)
         )
-    if report.checkpoint_hits:
-        obs.add("resilience.checkpoint_hits", report.checkpoint_hits)
-    if report.checkpoint_writes:
-        obs.add("resilience.checkpoint_writes", report.checkpoint_writes)
-    if report.checkpoint_discards:
-        obs.add("resilience.checkpoint_discards", report.checkpoint_discards)
+    if report.partials_resumed:
+        obs.add("resilience.partials_resumed", report.partials_resumed)
+    if report.partials_written:
+        obs.add("resilience.partials_written", report.partials_written)
+    if report.partials_discarded:
+        obs.add("resilience.partials_discarded", report.partials_discarded)
     if report.faults_injected:
         obs.add("resilience.faults_injected", report.faults_injected)
     if report.records_dropped:
@@ -694,10 +689,8 @@ def _emit_observability(report: ExecutionReport) -> None:
                 f"shard[{outcome.shard_index}]",
                 {"attempts": outcome.attempts_executed},
             )
-        if outcome.from_checkpoint:
-            obs.log_event(
-                "checkpoint", f"shard[{outcome.shard_index}]", {"hit": True}
-            )
+        if outcome.resumed:
+            obs.log_event("resume", f"shard[{outcome.shard_index}]", None)
 
 
 __all__ = [

@@ -119,15 +119,28 @@ class TestBuilderValidation:
         with pytest.raises(ValueError):
             _build(n_workers=1, n_shards=0)
 
-    def test_checkpoint_requires_integer_seed(self, tmp_path):
-        with pytest.raises(ValueError):
+    def test_spill_dir_requires_integer_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="integer seed"):
             build_session_level_dataset(
                 n_subscribers=10,
                 country_config=CountryConfig(n_communes=16),
                 n_shards=2,
                 seed=as_generator(1),
-                checkpoint_dir=tmp_path / "ckpt",
+                spill_dir=tmp_path / "parts",
             )
+
+    def test_spill_dir_requires_country_config(self, tmp_path):
+        from repro.geo.country import build_country
+
+        with pytest.raises(ValueError, match="country_config"):
+            build_session_level_dataset(
+                n_subscribers=10,
+                country=build_country(CountryConfig(n_communes=16), seed=1),
+                n_shards=2,
+                seed=1,
+                spill_dir=tmp_path / "parts",
+            )
+        assert not (tmp_path / "parts").exists()
 
     def test_audit_requires_single_shard(self):
         with pytest.raises(ValueError):

@@ -95,10 +95,21 @@ class TestExitCodeMatrix:
         assert "--session" in capsys.readouterr().err
         assert not (tmp_path / "week.npz").exists()
 
-    def test_2_resume_requires_checkpoint_dir(self, tmp_path, capsys):
+    def test_2_resume_requires_spill_dir(self, tmp_path, capsys):
         rc = main(_session_args(tmp_path, "--resume"))
         assert rc == 2
-        assert "checkpoint" in capsys.readouterr().err.lower()
+        assert "--spill-dir" in capsys.readouterr().err
+        assert not (tmp_path / "panel.npz").exists()
+
+    def test_2_removed_checkpoint_flag(self, tmp_path, capsys):
+        # argparse accepts any unambiguous prefix of a flag, so this
+        # would still reach the removed checkpoint option if the
+        # parser kept one.
+        with pytest.raises(SystemExit) as exit_info:
+            main(_session_args(tmp_path, "--checkpoint", str(tmp_path)))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "panel.npz").exists()
 
     def test_2_zero_chunk_size(self, tmp_path, capsys):
         rc = main(_session_args(tmp_path, "--chunk-size", "0"))
@@ -120,18 +131,18 @@ class TestExitCodeMatrix:
         assert "shard 1" in capsys.readouterr().err
 
 
-class TestCheckpointResume:
+class TestResume:
     def test_resumed_build_matches_uninterrupted(self, tmp_path, capsys):
         import numpy as np
 
         from repro.dataset.store import MobileTrafficDataset
 
-        ckpt = str(tmp_path / "ckpt")
-        assert main(_session_args(tmp_path, "--checkpoint-dir", ckpt)) == 0
+        parts = str(tmp_path / "parts")
+        assert main(_session_args(tmp_path, "--spill-dir", parts)) == 0
         first = MobileTrafficDataset.load(tmp_path / "panel.npz")
 
         assert main(_session_args(
-            tmp_path, "--checkpoint-dir", ckpt, "--resume",
+            tmp_path, "--spill-dir", parts, "--resume",
         )) == 0
         resumed = MobileTrafficDataset.load(tmp_path / "panel.npz")
         assert np.array_equal(first.dl, resumed.dl)

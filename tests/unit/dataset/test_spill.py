@@ -1,4 +1,4 @@
-"""Unit tests of the shard-partial spill substrate (`repro.dataset.merge`)."""
+"""Unit tests of the shard-partial store (`repro.dataset.merge`)."""
 
 import pickle
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro._rng import as_generator
+from repro._time import TimeAxis
+from repro.dataset.builder import _run_key
 from repro.dataset.merge import (
     SPILL_SCHEMA,
     SpilledShardResult,
@@ -16,8 +18,10 @@ from repro.dataset.merge import (
 )
 from repro.dataset.parallel import ShardResult
 from repro.dpi.classifier import ClassificationReport
+from repro.geo.country import CountryConfig
 from repro.network.handover import HandoverStats
 from repro.network.probes import ProbeStats
+from repro.traffic.generator import WorkloadConfig
 
 RUN_KEY = "session/seed=7/shards=2/subscribers=100/services=40"
 
@@ -74,6 +78,37 @@ class TestEnvelope:
         path.write_bytes(bytes(raw))
         assert read_envelope(path, SPILL_SCHEMA, RUN_KEY, 0) is None
 
+    def test_digest_mismatch_is_none(self, tmp_path):
+        path = tmp_path / "x.spill"
+        write_envelope(path, "payload", SPILL_SCHEMA, RUN_KEY, 0)
+        with open(path, "rb") as handle:
+            envelope = pickle.load(handle)
+        envelope["payload"] = pickle.dumps("tampered")
+        with open(path, "wb") as handle:
+            pickle.dump(envelope, handle)
+        assert read_envelope(path, SPILL_SCHEMA, RUN_KEY, 0) is None
+
+    def test_garbage_is_none(self, tmp_path):
+        path = tmp_path / "x.spill"
+        path.write_bytes(b"not a pickle at all")
+        assert read_envelope(path, SPILL_SCHEMA, RUN_KEY, 0) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # a string opcode whose bytes are no longer UTF-8
+            lambda raw: raw.replace(SPILL_SCHEMA.encode(), b"\xff" * 13),
+            # a global reference to a module that does not exist
+            lambda raw: b"\x80\x04cno_such_module\nthing\n.",
+        ],
+        ids=["bad-utf8", "unknown-module"],
+    )
+    def test_damage_outside_unpickling_errors_is_none(self, tmp_path, damage):
+        path = tmp_path / "x.spill"
+        write_envelope(path, "payload", SPILL_SCHEMA, RUN_KEY, 0)
+        path.write_bytes(damage(path.read_bytes()))
+        assert read_envelope(path, SPILL_SCHEMA, RUN_KEY, 0) is None
+
     def test_truncation_is_none(self, tmp_path):
         path = tmp_path / "x.spill"
         write_envelope(path, list(range(100)), SPILL_SCHEMA, RUN_KEY, 0)
@@ -83,17 +118,6 @@ class TestEnvelope:
     def test_no_tmp_file_left_behind(self, tmp_path):
         write_envelope(tmp_path / "x.spill", 1, SPILL_SCHEMA, RUN_KEY, 0)
         assert [p.name for p in tmp_path.iterdir()] == ["x.spill"]
-
-    def test_checkpoint_store_shares_the_codec(self, tmp_path):
-        # ShardCheckpoint writes through the same envelope functions;
-        # a file written by one layer is readable by the other under
-        # the matching schema/run_key.
-        from repro.resilience.checkpoint import SCHEMA, ShardCheckpoint
-
-        checkpoint = ShardCheckpoint(tmp_path, RUN_KEY)
-        path = checkpoint.store(3, {"partial": True})
-        assert read_envelope(path, SCHEMA, RUN_KEY, 3) == {"partial": True}
-        assert checkpoint.load(3) == {"partial": True}
 
 
 class TestPartialNbytes:
@@ -124,52 +148,50 @@ class TestSpillStore:
     def test_spill_and_load_round_trip_bit_exact(self, tmp_path):
         store = SpillStore(tmp_path, RUN_KEY)
         original = _result(1)
-        reference = pickle.dumps(
-            _result(1), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        handle = store.spill(original)
+        reference = pickle.dumps(original, protocol=pickle.HIGHEST_PROTOCOL)
+        assert store.write(original) == store.path_for(1)
+        handle = store.handle(original)
         assert isinstance(handle, SpilledShardResult)
         assert handle.shard_index == 1
+        assert handle.path == store.path_for(1)
         assert handle.run_key == RUN_KEY
         assert handle.sessions_generated == original.sessions_generated
         assert handle.flows_generated == original.flows_generated
         assert handle.records_ingested == original.records_ingested
         assert handle.records_dropped == original.records_dropped
         assert handle.nbytes == partial_nbytes(original)
-        loaded = handle.load()
-        assert np.array_equal(loaded.dl, original.dl)
-        assert np.array_equal(loaded.ul, original.ul)
-        assert loaded.users_seen == original.users_seen
-        assert loaded.report == original.report
-        # The on-disk payload excludes obs_export; everything else
-        # round-trips through pickle bit-exactly.
-        loaded.obs_export = None
-        restamped = pickle.loads(reference)
-        restamped.obs_export = None
-        assert pickle.dumps(
-            loaded, protocol=pickle.HIGHEST_PROTOCOL
-        ) == pickle.dumps(restamped, protocol=pickle.HIGHEST_PROTOCOL)
+        # The file holds the whole partial, obs export included, and
+        # both read paths return it bit-exactly.
+        for loaded in (handle.load(), store.load(1)):
+            assert np.array_equal(loaded.dl, original.dl)
+            assert loaded.users_seen == original.users_seen
+            assert loaded.report == original.report
+            assert pickle.dumps(
+                loaded, protocol=pickle.HIGHEST_PROTOCOL
+            ) == reference
 
     def test_obs_export_stays_resident_on_the_handle(self, tmp_path):
         store = SpillStore(tmp_path, RUN_KEY)
         original = _result()
-        handle = store.spill(original)
+        store.write(original)
+        handle = store.handle(original)
         assert handle.obs_export == original.obs_export
-        # ...and the spilled original keeps its export too (spill must
-        # not mutate the result it was given).
+        # ...and writing must not mutate the result it was given.
         assert original.obs_export is not None
         assert handle.load().obs_export == original.obs_export
 
     def test_load_raises_on_damage(self, tmp_path):
         store = SpillStore(tmp_path, RUN_KEY)
-        handle = store.spill(_result())
+        store.write(_result())
+        handle = store.handle(_result())
         handle.path.unlink()
         with pytest.raises(RuntimeError, match="missing or damaged"):
             handle.load()
 
     def test_load_raises_on_foreign_run_key(self, tmp_path):
         store = SpillStore(tmp_path, RUN_KEY)
-        handle = store.spill(_result())
+        store.write(_result())
+        handle = store.handle(_result())
         stale = SpilledShardResult(
             shard_index=handle.shard_index,
             path=handle.path,
@@ -182,3 +204,44 @@ class TestSpillStore:
         )
         with pytest.raises(RuntimeError):
             stale.load()
+
+
+class TestRunKey:
+    _INPUTS = dict(
+        n_subscribers=100,
+        n_services=60,
+        country_config=CountryConfig(n_communes=36),
+        axis=TimeAxis(1),
+        total_weekly_bytes=None,
+        workload_config=None,
+        unclassifiable_rate=0.12,
+        control_loss_rate=0.0,
+        audit_localization=False,
+    )
+
+    def test_binds_build_configuration(self):
+        key = _run_key(7, 4, **self._INPUTS)
+        assert key.startswith("session/seed=7/shards=4/inputs=")
+        # Keyword order does not matter, only the values.
+        assert key == _run_key(7, 4, **dict(reversed(self._INPUTS.items())))
+
+    def test_distinct_configurations_distinct_keys(self):
+        changed = dict(
+            n_subscribers=101,
+            n_services=61,
+            country_config=CountryConfig(n_communes=36, n_cities=41),
+            axis=TimeAxis(2),
+            total_weekly_bytes=1e12,
+            workload_config=WorkloadConfig(sessions_per_service=7.0),
+            unclassifiable_rate=0.5,
+            control_loss_rate=0.3,
+            audit_localization=True,
+        )
+        keys = {
+            _run_key(7, 4, **self._INPUTS),
+            _run_key(8, 4, **self._INPUTS),
+            _run_key(7, 5, **self._INPUTS),
+        }
+        for name, value in changed.items():
+            keys.add(_run_key(7, 4, **dict(self._INPUTS, **{name: value})))
+        assert len(keys) == 3 + len(changed)

@@ -138,10 +138,10 @@ class TestBulkProbe:
         probe.flush_stream()
         assert batches == []
 
-    def test_streamed_batches_match_drain(self, manager):
+    def test_chunk_size_keeps_rows_and_order(self, manager):
         # One-row chunks flush per arrival; the default chunk holds the
-        # whole run until the final flush drains it.  Both sinks see the
-        # same rows in the same order.
+        # whole run until the final flush.  Both sinks see the same rows
+        # in the same order.
         small, small_batches = _tapped(manager, chunk_rows=1)
         whole, whole_batches = _tapped(manager)
         _bulk_session_batch(manager, n_sessions=3, flows_per=4)
@@ -190,9 +190,8 @@ class TestProbeRecordBatch:
         with pytest.raises(ValueError, match="codebook"):
             ProbeRecordBatch.concat([batch, foreign])
 
-    def test_drop_tail_keeps_codes_and_overflow(self, manager):
-        # Builds carry no overflow table; the kept prefix keeps its
-        # codes and codebook.
+    def test_drop_tail_keeps_prefix_and_codebook(self, manager):
+        # The kept prefix keeps its rows, codes and codebook.
         probe, batches = _tapped(manager)
         _bulk_session_batch(manager, n_sessions=3, flows_per=2)
         batch = _emitted(probe, batches)
