@@ -1,21 +1,31 @@
-"""Unit tests for atomic shard checkpoints."""
+"""Unit tests of the shard-partial store as resume sees it.
+
+`SpillStore.write` is the atomic per-shard checkpoint and
+`SpillStore.load` is the resume read: a bad file there is equivalent to
+no file, never an error, so its shard reruns.
+"""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
-from repro.resilience.checkpoint import SCHEMA, ShardCheckpoint, run_key_for
+from repro.dataset.merge import SPILL_SCHEMA, SpillStore
+
+
+def _partial(shard_index, data="payload"):
+    return SimpleNamespace(shard_index=shard_index, data=data)
 
 
 @pytest.fixture()
 def checkpoint(tmp_path):
-    return ShardCheckpoint(tmp_path / "ckpt", run_key="test/run")
+    return SpillStore(tmp_path / "partials", run_key="test/run")
 
 
 class TestStoreLoad:
     def test_round_trip(self, checkpoint):
-        payload = {"shard": 3, "data": [1.5, 2.5]}
-        path = checkpoint.store(3, payload)
+        payload = _partial(3, [1.5, 2.5])
+        path = checkpoint.write(payload)
         assert path.exists()
         assert checkpoint.load(3) == payload
 
@@ -23,14 +33,9 @@ class TestStoreLoad:
         assert checkpoint.load(0) is None
 
     def test_no_temp_file_left_behind(self, checkpoint):
-        checkpoint.store(0, "x")
+        checkpoint.write(_partial(0, "x"))
         leftovers = list(checkpoint.directory.glob("*.tmp"))
         assert leftovers == []
-
-    def test_present_indices_sorted(self, checkpoint):
-        for i in (4, 0, 2):
-            checkpoint.store(i, i)
-        assert checkpoint.present_indices() == [0, 2, 4]
 
     def test_rejects_negative_index(self, checkpoint):
         with pytest.raises(ValueError):
@@ -38,14 +43,14 @@ class TestStoreLoad:
 
     def test_rejects_empty_run_key(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardCheckpoint(tmp_path, run_key="")
+            SpillStore(tmp_path, run_key="")
 
 
 class TestDamageTolerance:
-    """A bad checkpoint is equivalent to no checkpoint, never an error."""
+    """A bad partial file is equivalent to no file, never an error."""
 
     def test_truncated_file(self, checkpoint):
-        path = checkpoint.store(1, "payload")
+        path = checkpoint.write(_partial(1))
         path.write_bytes(path.read_bytes()[: 10])
         assert checkpoint.load(1) is None
 
@@ -53,47 +58,32 @@ class TestDamageTolerance:
         checkpoint.path_for(2).write_bytes(b"not a pickle at all")
         assert checkpoint.load(2) is None
 
-    def test_wrong_run_key(self, checkpoint, tmp_path):
-        checkpoint.store(0, "payload")
-        other = ShardCheckpoint(checkpoint.directory, run_key="other/run")
+    def test_wrong_run_key(self, checkpoint):
+        checkpoint.write(_partial(0))
+        other = SpillStore(checkpoint.directory, run_key="other/run")
         assert other.load(0) is None
 
     def test_wrong_shard_index(self, checkpoint):
-        source = checkpoint.store(0, "payload")
+        source = checkpoint.write(_partial(0))
         source.rename(checkpoint.path_for(5))
         assert checkpoint.load(5) is None
 
     def test_digest_mismatch(self, checkpoint):
-        path = checkpoint.store(0, "payload")
+        path = checkpoint.write(_partial(0))
         with open(path, "rb") as handle:
             envelope = pickle.load(handle)
-        envelope["payload"] = pickle.dumps("tampered")
+        envelope["payload"] = pickle.dumps(_partial(0, "tampered"))
         with open(path, "wb") as handle:
             pickle.dump(envelope, handle)
         assert checkpoint.load(0) is None
 
     def test_schema_mismatch(self, checkpoint):
-        path = checkpoint.store(0, "payload")
+        # A leftover file of an older schema counts as no file.
+        path = checkpoint.write(_partial(0))
         with open(path, "rb") as handle:
             envelope = pickle.load(handle)
-        assert envelope["schema"] == SCHEMA
-        envelope["schema"] = "repro-ckpt/0"
+        assert envelope["schema"] == SPILL_SCHEMA
+        envelope["schema"] = "repro-spill/2"
         with open(path, "wb") as handle:
             pickle.dump(envelope, handle)
         assert checkpoint.load(0) is None
-
-
-class TestRunKey:
-    def test_binds_build_configuration(self):
-        key = run_key_for(seed=7, n_shards=4, n_subscribers=100, n_services=60)
-        assert key == "session/seed=7/shards=4/subscribers=100/services=60"
-
-    def test_distinct_configurations_distinct_keys(self):
-        keys = {
-            run_key_for(7, 4, 100, 60),
-            run_key_for(8, 4, 100, 60),
-            run_key_for(7, 5, 100, 60),
-            run_key_for(7, 4, 101, 60),
-            run_key_for(7, 4, 100, 61),
-        }
-        assert len(keys) == 5
